@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload oracle-enum --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload oracle-enum --seed 1 --seconds 30 --trace 0
 
 A run first times `import mdepclt.cli` in fresh interpreters (setup_s).
 It then launches the workload's CLI processes one after another, a closed
