@@ -67,7 +67,7 @@ class ConditionValue:
     condition_id: str
     n: int
     value: float
-    method: str = "closed-form"  # closed-form | enumeration | monte-carlo
+    method: str = "closed-form"  # closed-form | monte-carlo
     mc_std_err: float = 0.0
     eq: str = ""
 
@@ -101,10 +101,6 @@ def _sigma(model: ArrayModel, n: int) -> float:
     if not s2 > 0.0:
         raise DegenerateVarianceError(f"sigma_n^2 = {s2} at n = {n}")
     return math.sqrt(s2)
-
-
-def _method(model: ArrayModel) -> str:
-    return "enumeration" if model.is_discrete else "closed-form"
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +145,7 @@ def lindeberg_classic(model: ArrayModel, n: int, eps: float) -> ConditionValue:
         count * law.tail_second_moment(eps * sigma)
         for count, law in marginal_law_groups(model, n)
     )
-    return ConditionValue(
-        f"lindeberg-classic(eps={eps:g})", n, total / sigma**2, _method(model), eq="tmL"
-    )
+    return ConditionValue(f"lindeberg-classic(eps={eps:g})", n, total / sigma**2, eq="tmL")
 
 
 def lindeberg_mdep(model: ArrayModel, n: int, eps: float, zero_m: str = "raise") -> ConditionValue:
@@ -175,9 +169,7 @@ def lindeberg_mdep(model: ArrayModel, n: int, eps: float, zero_m: str = "raise")
     total = sum(
         count * law.tail_second_moment(t) for count, law in marginal_law_groups(model, n)
     )
-    return ConditionValue(
-        f"lindeberg-mdep(eps={eps:g})", n, m * total / sigma**2, _method(model), eq="tmnL"
-    )
+    return ConditionValue(f"lindeberg-mdep(eps={eps:g})", n, m * total / sigma**2, eq="tmnL")
 
 
 def lyapunov_ratio(model: ArrayModel, n: int, r: float) -> ConditionValue:
@@ -187,16 +179,14 @@ def lyapunov_ratio(model: ArrayModel, n: int, r: float) -> ConditionValue:
     sigma = _sigma(model, n)
     m = max(model.m(n), 1)
     total = sum(count * law.abs_moment(r) for count, law in marginal_law_groups(model, n))
-    return ConditionValue(
-        f"lyapunov(r={r:g})", n, m ** (r - 1) * total / sigma**r, _method(model), eq="lyap"
-    )
+    return ConditionValue(f"lyapunov(r={r:g})", n, m ** (r - 1) * total / sigma**r, eq="lyap")
 
 
 def orey_ratio(model: ArrayModel, n: int) -> ConditionValue:
     """sum_i Var X_i / sigma_n^2 (the classical extra condition)."""
     sigma2 = _sigma(model, n) ** 2
     total = sum(count * law.var() for count, law in marginal_law_groups(model, n))
-    return ConditionValue("orey", n, total / sigma2, _method(model), eq="cond+")
+    return ConditionValue("orey", n, total / sigma2, eq="cond+")
 
 
 def rio_functional(model: ArrayModel, n: int) -> ConditionValue:
@@ -207,7 +197,7 @@ def rio_functional(model: ArrayModel, n: int) -> ConditionValue:
         count * law.capped_second_moment(m / sigma)
         for count, law in marginal_law_groups(model, n)
     )
-    return ConditionValue("rio", n, m * total / sigma**2, _method(model), eq="rio")
+    return ConditionValue("rio", n, m * total / sigma**2, eq="rio")
 
 
 def berk_check(model: ArrayModel, n: int, delta: float) -> list[ConditionValue]:
@@ -223,12 +213,11 @@ def berk_check(model: ArrayModel, n: int, delta: float) -> list[ConditionValue]:
     N = model.length(n)
     m = max(model.m(n), 1)
     sup_mom = max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
-    meth = _method(model)
     tag = f"berk(delta={delta:g})"
     return [
-        ConditionValue(f"{tag}:moment", n, sup_mom, meth, eq="berki"),
-        ConditionValue(f"{tag}:variance-ratio", n, sigma2 / N, meth, eq="berkiii"),
-        ConditionValue(f"{tag}:m-growth", n, m ** (2 + 2 / delta) / N, meth, eq="berkiv"),
+        ConditionValue(f"{tag}:moment", n, sup_mom, eq="berki"),
+        ConditionValue(f"{tag}:variance-ratio", n, sigma2 / N, eq="berkiii"),
+        ConditionValue(f"{tag}:m-growth", n, m ** (2 + 2 / delta) / N, eq="berkiv"),
     ]
 
 
@@ -292,20 +281,14 @@ def romano_wolf_check(
         raise ValueError("Delta_n and L_n must be positive")
     sup_mom = max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
     wvar = window_variance_max(model, n, m)
-    meth = _method(model)
     tag = f"romano-wolf(delta={delta:g},gamma={gamma:g})"
     return [
-        ConditionValue(f"{tag}:RW1", n, sup_mom / dn, meth, eq="RW1"),
-        ConditionValue(f"{tag}:RW3", n, ln * N * m**gamma / sigma2, meth, eq="RW3"),
-        ConditionValue(f"{tag}:RW5", n, dn / ln ** ((2 + delta) / 2), meth, eq="RW5"),
+        ConditionValue(f"{tag}:RW1", n, sup_mom / dn, eq="RW1"),
+        ConditionValue(f"{tag}:RW3", n, ln * N * m**gamma / sigma2, eq="RW3"),
+        ConditionValue(f"{tag}:RW5", n, dn / ln ** ((2 + delta) / 2), eq="RW5"),
+        ConditionValue(f"{tag}:RW6", n, m ** (1 + (1 - gamma) * (1 + 2 / delta)) / N, eq="RW6"),
         ConditionValue(
-            f"{tag}:RW6", n, m ** (1 + (1 - gamma) * (1 + 2 / delta)) / N, meth, eq="RW6"
-        ),
-        ConditionValue(
-            f"{tag}:window-variance",
-            n,
-            wvar * N * m**gamma / (m ** (1 + gamma) * sigma2),
-            meth,
+            f"{tag}:window-variance", n, wvar * N * m**gamma / (m ** (1 + gamma) * sigma2),
             eq="RWvar",
         ),
     ]

@@ -150,18 +150,40 @@ def rademacher_law(a: float) -> DiscreteLaw:
     return DiscreteLaw.from_points([-a, a], [0.5, 0.5])
 
 
+def tap_sum(coeffs, terms):
+    """sum(c * x for c, x in zip(coeffs, terms)), summing the terms that
+    share a coefficient magnitude before scaling them.
+
+    Sums of signs are exact, so c*(s1 + s2) gives one value wherever the
+    exact value is the same; c*s1 + c*s2 could round two ways.  A factor
+    of exactly 1 is not applied, so the result may be one of the terms.
+    """
+    groups: dict = {}
+    for c, x in zip(coeffs, terms):
+        groups.setdefault(abs(c), []).append((c, x))
+    total = None
+    for (f, part), *rest in groups.values():
+        for c, x in rest:
+            part = part + x if (c < 0) == (f < 0) else part - x
+        if f != 1.0:
+            part = f * part  # rebinding frees the unscaled sum before the next allocation
+        total = part if total is None else total + part
+    return total
+
+
 def sign_combination_law(coeffs) -> DiscreteLaw:
     """Law of sum(c_l * s_l) over independent signs s_l in {-1, +1}.
 
     Enumerates all 2^len(coeffs) sign patterns; intended for short windows
-    (moving-average taps, the two-scale pair of increments).
+    (moving-average taps, the two-scale pair of increments).  Atoms are
+    formed by tap_sum, so they are bit-equal to rows built the same way.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    k = coeffs.size
+    coeffs = [float(c) for c in coeffs]
+    k = len(coeffs)
     if k > 20:
         raise ValueError("sign-combination law limited to 20 terms")
     idx = np.arange(2**k, dtype=np.uint32)
     signs = ((idx[:, None] >> np.arange(k)) & 1).astype(float) * 2.0 - 1.0
-    values = signs @ coeffs
+    values = tap_sum(coeffs, signs.T)
     probs = np.full(2**k, 2.0**-k)
     return DiscreteLaw.from_points(values, probs)

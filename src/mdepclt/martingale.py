@@ -27,9 +27,8 @@ from .models import (
     EnumerationTooLargeError,
     OutcomeTable,
     _enumeration_bits,
-    _innovation_count,
-    _innovations,
     _spike_scale,
+    draw_innovations,
     enumerate_outcomes,
     exact_sigma2,
     row_rng,
@@ -373,11 +372,7 @@ def increments_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) ->
 def _hh_increments(model: ArrayModel, n: int, rng) -> np.ndarray:
     """One replicate of the increments, drawing innovations in the same
     order as sample_row."""
-    kind = "rademacher" if model.family == "two-scale" else model.innovation
-    if model.family == "tail-coupled":
-        kind = "normal"
-    innov = _innovations(rng, kind, _innovation_count(model, n))
-    return increments_from_innovations(model, n, innov)
+    return increments_from_innovations(model, n, draw_innovations(model, n, rng))
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,36 @@ centred and the row-sum variance is available in closed form.  Rademacher
 built families additionally support exhaustive outcome enumeration, which
 is the exact substrate used by the martingale oracle.
 
-Families
---------
-iid-baseline    independent entries, scale 1/sqrt(n); m_n = 0
-two-scale       xi_i/sqrt(n) + (eta_i - eta_{i-1})/n^alpha with Rademacher
-                xi, eta; m_n = 1
-block-repeat    each of J innovations repeated m_n times and divided by
-                m_n; optionally one block carries a fixed fraction of the
-                total variance (Lindeberg-violating control)
-tail-coupled    n independent standard normals followed by m_n copies of
-                one extra normal; m_n should grow like o(sqrt(n))
-moving-average  MA(q) filter of independent innovations, scale 1/sqrt(n);
-                m_n = q (generic positive control)
+Families (dependence range m_n in brackets):
+
+iid-baseline    independent entries, scale 1/sqrt(n) [0]
+two-scale       xi_i/sqrt(n) + (eta_i - eta_{i-1})/n^alpha, Rademacher [1]
+block-repeat    J innovations, each repeated m_n times; spike_frac puts that
+                share of Var S_n in block 1 (Lindeberg-violating control)
+tail-coupled    n standard normals, then m_n = o(sqrt(n)) copies of one more
+moving-average  MA(q) filter of independent innovations, scale 1/sqrt(n) [q]
+
+Every row is linear in independent innovations zeta (Rademacher or
+standard normal), and each family is declared once by linear_row as
+(innovation count, scale, segments).  The row is the concatenation of its
+segments; a segment is (count, taps, repeat) with taps ((j, c), ...), and
+entry r of a segment is amplitude * scale * sum(c * zeta[j + r // repeat]).
+
+==============  =====================  ======  ====================================
+family          innovations            scale   segments (count, taps, repeat)
+==============  =====================  ======  ====================================
+iid-baseline    zeta_1..zeta_n: n      n^-1/2  (n, ((0, 1),), 1)
+two-scale       xi_1..xi_n,            1       (n, ((0, n^-1/2), (n, -n^-alpha),
+                eta_0..eta_n: 2n+1                 (n+1, n^-alpha)), 1)
+block-repeat    Y_1..Y_J: J            1/m     (m, ((0, spike scale),), m), then
+                                               ((J-1)m, ((1, 1),), m) if J > 1
+tail-coupled    z_1..z_n, eta: n+1     1       (n, ((0, 1),), 1), (m, ((n, 1),), m)
+moving-average  zeta_{1-q}..zeta_n:    n^-1/2  (n, ((q-lag, c_lag) for each lag), 1)
+                n+q
+==============  =====================  ======  ====================================
+
+Sampling, enumeration, Var S_n, the covariance band, the entry laws and
+the truncation centring all follow from this declaration.
 """
 
 from __future__ import annotations
@@ -28,10 +46,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .laws import DiscreteLaw, GaussianLaw, rademacher_law, sign_combination_law
+from .laws import DiscreteLaw, GaussianLaw, sign_combination_law, tap_sum
 
 FAMILIES = ("iid-baseline", "two-scale", "block-repeat", "tail-coupled", "moving-average")
 INNOVATIONS = ("rademacher", "normal")
+#: families whose innovation kind is fixed rather than a parameter
+_FIXED_INNOVATION = {"two-scale": "rademacher", "tail-coupled": "normal"}
 
 #: hard cap on exhaustively enumerated outcomes
 ENUMERATION_CAP = 2**22
@@ -107,13 +127,7 @@ class ArrayModel:
 
     def length(self, n: int) -> int:
         """Row length N_n."""
-        fam = self.family
-        if fam == "block-repeat":
-            m = self.m(n)
-            return max(1, n // m) * m
-        if fam == "tail-coupled":
-            return n + self.m(n)
-        return n
+        return sum(count for count, _, _ in linear_row(self, n)[2])
 
     def blocks(self, n: int) -> int:
         if self.family != "block-repeat":
@@ -126,15 +140,13 @@ class ArrayModel:
 
     @property
     def innovation(self) -> str:
-        return self.params.get("innovation", "rademacher")
+        """Law of the innovations the row is built from."""
+        default = self.params.get("innovation", "rademacher")
+        return _FIXED_INNOVATION.get(self.family, default)
 
     @property
     def is_discrete(self) -> bool:
         """True when every row has finite support (Rademacher built)."""
-        if self.family == "two-scale":
-            return True
-        if self.family == "tail-coupled":
-            return False
         return self.innovation == "rademacher"
 
     def scaled(self, c: float) -> "ArrayModel":
@@ -238,6 +250,15 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidParameterError(msg)
 
 
+def _finite(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    _require(math.isfinite(x), f"{name} must be finite, got {value!r}")
+    return x
+
+
 def _as_schedule(value) -> Schedule:
     if isinstance(value, Schedule):
         return value
@@ -264,7 +285,7 @@ def build_model(family: str, **params) -> ArrayModel:
     if family not in FAMILIES:
         raise InvalidParameterError(f"unknown family {family!r}")
     p = dict(params)
-    amplitude = p.pop("amplitude", 1.0)
+    amplitude = _finite(p.pop("amplitude", 1.0), "amplitude")
     _require(amplitude > 0, "amplitude must be positive")
     out: dict = {"amplitude": amplitude}
 
@@ -274,7 +295,7 @@ def build_model(family: str, **params) -> ArrayModel:
         out["innovation"] = innovation
     elif family == "two-scale":
         _require("alpha" in p, "two-scale requires alpha")
-        alpha = float(p.pop("alpha"))
+        alpha = _finite(p.pop("alpha"), "alpha")
         _require(0.0 < alpha < 0.5, f"alpha must lie in (0, 1/2), got {alpha}")
         out["alpha"] = alpha
     elif family == "block-repeat":
@@ -282,7 +303,7 @@ def build_model(family: str, **params) -> ArrayModel:
         _require(sched.kind != "constant" or sched.param >= 1, "block-repeat needs m_n >= 1")
         innovation = p.pop("innovation", "rademacher")
         _require(innovation in INNOVATIONS, f"unknown innovation {innovation!r}")
-        spike = float(p.pop("spike_frac", 0.0))
+        spike = _finite(p.pop("spike_frac", 0.0), "spike_frac")
         _require(0.0 <= spike < 1.0, "spike_frac must lie in [0, 1)")
         out.update(m_schedule=sched, innovation=innovation, spike_frac=spike)
     elif family == "tail-coupled":
@@ -290,7 +311,7 @@ def build_model(family: str, **params) -> ArrayModel:
         _require(sched.kind != "constant" or sched.param >= 1, "tail-coupled needs m_n >= 1")
         out["m_schedule"] = sched
     else:  # moving-average
-        coeffs = tuple(float(c) for c in p.pop("coeffs", (1.0, 0.5)))
+        coeffs = tuple(_finite(c, "coeffs") for c in p.pop("coeffs", (1.0, 0.5)))
         _require(len(coeffs) >= 1 and coeffs[0] != 0.0, "coeffs must start with c_0 != 0")
         innovation = p.pop("innovation", "rademacher")
         _require(innovation in INNOVATIONS, f"unknown innovation {innovation!r}")
@@ -319,6 +340,63 @@ def _spike_scale(model: ArrayModel, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the linear declaration
+
+
+def linear_row(model: ArrayModel, n: int) -> tuple:
+    """Row n as a linear map of independent innovations.
+
+    Returns (innovation count, scale, segments).  The row is the
+    concatenation of its segments; a segment is (count, taps, repeat) with
+    taps ((j, c), ...), and entry r of a segment (r = 0..count-1) is
+    amplitude * scale * sum(c * zeta[j + r // repeat]).
+    """
+    fam = model.family
+    if fam == "iid-baseline":
+        return n, n**-0.5, ((n, ((0, 1.0),), 1),)
+    if fam == "two-scale":
+        a = n ** -model.params["alpha"]
+        return 2 * n + 1, 1.0, ((n, ((0, n**-0.5), (n, -a), (n + 1, a)), 1),)
+    if fam == "block-repeat":
+        m, J = model.m(n), model.blocks(n)
+        segments = ((m, ((0, _spike_scale(model, n)),), m),)
+        if J > 1:
+            segments += (((J - 1) * m, ((1, 1.0),), m),)
+        return J, 1.0 / m, segments
+    if fam == "tail-coupled":
+        m = model.m(n)
+        return n + 1, 1.0, ((n, ((0, 1.0),), 1), (m, ((n, 1.0),), m))
+    coeffs = model.params["coeffs"]
+    q = len(coeffs) - 1
+    return n + q, n**-0.5, ((n, tuple((q - lag, c) for lag, c in enumerate(coeffs)), 1),)
+
+
+def sum_weight_groups(model: ArrayModel, n: int) -> list:
+    """S_n = amplitude * scale * sum(w * zeta) as [(count, w), ...] over
+    consecutive runs of innovations sharing one weight; the counts add up
+    to the innovation count."""
+    total, _, segments = linear_row(model, n)
+    spans = [
+        (j, j + count // repeat, c * repeat)
+        for count, taps, repeat in segments
+        for j, c in taps
+    ]
+    edges = sorted({0, total}.union(*((lo, hi) for lo, hi, _ in spans)))
+    return [
+        (hi - lo, sum(c for a, b, c in spans if a <= lo < b))
+        for lo, hi in zip(edges, edges[1:])
+    ]
+
+
+def _tap_law(model: ArrayModel, a: float, coeffs: tuple):
+    """Law of a * sum(c * zeta) over independent innovations of the model."""
+    if model.is_discrete:
+        law = sign_combination_law(coeffs)
+        return DiscreteLaw.from_points(a * law.values, law.probs)
+    return GaussianLaw(a * math.hypot(*coeffs))
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
@@ -328,74 +406,50 @@ def row_rng(seed: int, n: int, replicate: int) -> Generator:
     Philox keyed by the seed with (n, replicate) placed in the high counter
     words: streams never overlap and are independent of worker scheduling.
     """
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([np.uint64(seed), _KEY_SALT], dtype=np.uint64)
     counter = np.array([0, 0, np.uint64(n), np.uint64(replicate)], dtype=np.uint64)
     return Generator(Philox(key=key, counter=counter))
 
 
-def _rademacher(rng: Generator, size: int) -> np.ndarray:
-    return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-
-
 def _innovations(rng: Generator, kind: str, size: int) -> np.ndarray:
     if kind == "rademacher":
-        return _rademacher(rng, size)
+        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
     return rng.standard_normal(size)
 
 
-def _row_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """Map raw innovations (array or matrix with trailing axis) to row values."""
-    fam = model.family
-    amp = model.amplitude
-    if fam == "iid-baseline":
-        return amp * n**-0.5 * innov
-    if fam == "two-scale":
-        alpha = model.params["alpha"]
-        xi = innov[..., :n]
-        eta = innov[..., n:]
-        return amp * (n**-0.5 * xi + n**-alpha * (eta[..., 1:] - eta[..., :-1]))
-    if fam == "block-repeat":
-        m = model.m(n)
-        y = innov.copy()
-        y[..., 0] *= _spike_scale(model, n)
-        return amp / m * np.repeat(y, m, axis=-1)
-    if fam == "tail-coupled":
-        m = model.m(n)
-        head = innov[..., :n]
-        tail = np.repeat(innov[..., n:], m, axis=-1)
-        return amp * np.concatenate([head, tail], axis=-1)
-    # moving-average: innov carries zeta_{1-q}..zeta_N along the last axis
-    coeffs = model.params["coeffs"]
-    q = len(coeffs) - 1
-    N = model.length(n)
-    row = np.zeros(innov.shape[:-1] + (N,))
-    for lag, c in enumerate(coeffs):
-        row += c * innov[..., q - lag : q - lag + N]
-    return amp * n**-0.5 * row
-
-
 def _innovation_count(model: ArrayModel, n: int) -> int:
-    fam = model.family
-    if fam == "iid-baseline":
-        return n
-    if fam == "two-scale":
-        return 2 * n + 1
-    if fam == "block-repeat":
-        return model.blocks(n)
-    if fam == "tail-coupled":
-        return n + 1
-    return model.length(n) + len(model.params["coeffs"]) - 1
+    return linear_row(model, n)[0]
+
+
+def draw_innovations(model: ArrayModel, n: int, rng: Generator) -> np.ndarray:
+    """The innovations of row n, in declaration order, drawn from rng."""
+    return _innovations(rng, model.innovation, _innovation_count(model, n))
+
+
+def _row_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
+    """Map raw innovations (array or matrix with trailing axis) to row values.
+
+    Taps sharing a coefficient magnitude are summed before they are scaled,
+    and the amplitude * scale factor is applied once, so entries equal in
+    exact arithmetic are bit-equal (the oracle partitions on exact values).
+    """
+    _, scale, segments = linear_row(model, n)
+    parts = []
+    for count, taps, repeat in segments:
+        width = count // repeat
+        part = tap_sum([c for _, c in taps], [innov[..., j : j + width] for j, _ in taps])
+        parts.append(np.repeat(part, repeat, axis=-1) if repeat > 1 else part)
+    row = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return (model.amplitude * scale) * row
 
 
 def sample_row(model: ArrayModel, n: int, seed: int = 0, replicate: int = 0) -> RowSample:
     """Draw one full row from the model law, deterministically from
     (seed, n, replicate)."""
     _check_n(model, n)
-    rng = row_rng(seed, n, replicate)
-    kind = "rademacher" if model.family == "two-scale" else model.innovation
-    if model.family == "tail-coupled":
-        kind = "normal"
-    innov = _innovations(rng, kind, _innovation_count(model, n))
+    innov = draw_innovations(model, n, row_rng(seed, n, replicate))
     return RowSample(n, _row_from_innovations(model, n, innov))
 
 
@@ -404,34 +458,25 @@ def sample_row(model: ArrayModel, n: int, seed: int = 0, replicate: int = 0) -> 
 
 
 def exact_sigma2(model: ArrayModel, n: int) -> float:
-    """Var S_n in closed form."""
+    """Var S_n = (amplitude * scale)^2 * sum(count * w^2) over the S_n
+    weight groups."""
     _check_n(model, n)
-    amp2 = model.amplitude**2
-    fam = model.family
-    if fam == "iid-baseline":
-        return amp2 * model.length(n) / n
-    if fam == "two-scale":
-        alpha = model.params["alpha"]
-        return amp2 * (1.0 + 2.0 * n ** (-2.0 * alpha))
-    if fam == "block-repeat":
-        J = model.blocks(n)
-        return amp2 * (J - 1 + _spike_scale(model, n) ** 2)
-    if fam == "tail-coupled":
-        m = model.m(n)
-        return amp2 * (n + m**2)
-    weights = _ma_weights(model, n)
-    return amp2 / n * float(weights @ weights)
+    a = model.amplitude * linear_row(model, n)[1]
+    return a * a * sum(count * w * w for count, w in sum_weight_groups(model, n))
 
 
-def _ma_weights(model: ArrayModel, n: int) -> np.ndarray:
-    """Coefficient sums w_j = sum of taps hitting innovation j in S_n."""
-    coeffs = np.asarray(model.params["coeffs"])
-    q = coeffs.size - 1
-    N = model.length(n)
-    w = np.zeros(N + q)
-    for lag, c in enumerate(coeffs):
-        w[q - lag : q - lag + N] += c
-    return w
+def _entry_taps(model: ArrayModel, n: int) -> tuple:
+    """(innovation index, coefficient) of every tap of every entry, as two
+    (taps, N_n) arrays; segments with fewer taps are padded with coefficient 0."""
+    _, _, segments = linear_row(model, n)
+    width = max(len(taps) for _, taps, _ in segments)
+    idx, coef = [], []
+    for count, taps, repeat in segments:
+        pad = width - len(taps)
+        block = np.arange(count) // repeat
+        idx.append(np.array([j + block for j, _ in taps] + [np.full(count, -1)] * pad))
+        coef.append(np.array([np.full(count, c) for _, c in taps] + [np.zeros(count)] * pad))
+    return np.concatenate(idx, axis=1), np.concatenate(coef, axis=1)
 
 
 def cov_band(model: ArrayModel, n: int, d: int) -> np.ndarray:
@@ -442,35 +487,13 @@ def cov_band(model: ArrayModel, n: int, d: int) -> np.ndarray:
     N = model.length(n)
     if d >= N:
         return np.zeros(0)
-    amp2 = model.amplitude**2
-    fam = model.family
-    size = N - d
-    if fam == "iid-baseline":
-        return np.full(size, amp2 / n) if d == 0 else np.zeros(size)
-    if fam == "two-scale":
-        alpha = model.params["alpha"]
-        if d == 0:
-            return np.full(size, amp2 * (1.0 / n + 2.0 * n ** (-2.0 * alpha)))
-        if d == 1:
-            return np.full(size, -amp2 * n ** (-2.0 * alpha))
-        return np.zeros(size)
-    if fam == "block-repeat":
-        m = model.m(n)
-        i = np.arange(1, size + 1)
-        same_block = (i - 1) // m == (i + d - 1) // m
-        var_block = np.where((i - 1) // m == 0, _spike_scale(model, n) ** 2, 1.0)
-        return amp2 / m**2 * same_block * var_block
-    if fam == "tail-coupled":
-        i = np.arange(1, size + 1)
-        if d == 0:
-            return np.full(size, amp2)
-        return amp2 * (i > n).astype(float)
-    coeffs = np.asarray(model.params["coeffs"])
-    q = coeffs.size - 1
-    if d > q:
-        return np.zeros(size)
-    acf = float(coeffs[: q + 1 - d] @ coeffs[d:])
-    return np.full(size, amp2 / n * acf)
+    idx, coef = _entry_taps(model, n)
+    band = np.zeros(N - d)
+    for s in range(len(idx)):
+        for t in range(len(idx)):
+            band += (idx[s, : N - d] == idx[t, d:]) * coef[s, : N - d] * coef[t, d:]
+    a = model.amplitude * linear_row(model, n)[1]
+    return a * a * band
 
 
 def exact_cov(model: ArrayModel, n: int, i: int, j: int) -> float:
@@ -485,51 +508,30 @@ def exact_cov(model: ArrayModel, n: int, i: int, j: int) -> float:
 
 def marginal_law(model: ArrayModel, n: int, i: int):
     """Exact law of the single entry X_{n,i}."""
-    N = model.length(n)
-    if not 1 <= i <= N:
-        raise IndexError(f"index must lie in 1..{N}, got {i}")
-    amp = model.amplitude
-    fam = model.family
-    if fam == "iid-baseline":
-        a = amp / math.sqrt(n)
-        return rademacher_law(a) if model.innovation == "rademacher" else GaussianLaw(a)
-    if fam == "two-scale":
-        alpha = model.params["alpha"]
-        # six-point support, written with the same expression tree as the
-        # sampled rows so the atoms agree bit for bit
-        vals, probs = [], []
-        for s, ps in ((-1.0, 0.5), (1.0, 0.5)):
-            for d, pd in ((-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)):
-                vals.append(amp * (n**-0.5 * s + n**-alpha * d))
-                probs.append(ps * pd)
-        return DiscreteLaw.from_points(vals, probs)
-    if fam == "block-repeat":
-        m = model.m(n)
-        block = (i - 1) // m + 1
-        c = _spike_scale(model, n) if block == 1 else 1.0
-        a = amp * c / m
-        return rademacher_law(a) if model.innovation == "rademacher" else GaussianLaw(a)
-    if fam == "tail-coupled":
-        return GaussianLaw(amp)
-    coeffs = np.asarray(model.params["coeffs"])
-    scale = amp / math.sqrt(n)
-    if model.innovation == "rademacher":
-        return sign_combination_law(scale * coeffs)
-    return GaussianLaw(scale * math.sqrt(float(coeffs @ coeffs)))
+    _, scale, segments = linear_row(model, n)
+    r = i
+    for count, taps, _ in segments:
+        if 1 <= r <= count:
+            return _tap_law(model, model.amplitude * scale, tuple(c for _, c in taps))
+        r -= count
+    raise IndexError(f"index must lie in 1..{model.length(n)}, got {i}")
 
 
 def marginal_law_groups(model: ArrayModel, n: int) -> list:
     """Distinct entry laws of row n with multiplicities [(count, law), ...].
 
-    Every catalogued family has at most two distinct marginals per row, so
-    condition functionals sum over groups instead of over all N_n indices.
+    Segments with equal coefficients share one law, so condition
+    functionals sum over at most one law per segment instead of over all
+    N_n indices.
     """
     _check_n(model, n)
-    N = model.length(n)
-    if model.family == "block-repeat" and model.params.get("spike_frac", 0.0) > 0:
-        m = model.m(n)
-        return [(m, marginal_law(model, n, 1)), (N - m, marginal_law(model, n, m + 1))]
-    return [(N, marginal_law(model, n, 1))]
+    _, scale, segments = linear_row(model, n)
+    counts: dict = {}
+    for count, taps, _ in segments:
+        coeffs = tuple(c for _, c in taps)
+        counts[coeffs] = counts.get(coeffs, 0) + count
+    a = model.amplitude * scale
+    return [(count, _tap_law(model, a, coeffs)) for coeffs, count in counts.items()]
 
 
 def _sliding_sum(x: np.ndarray, width: int) -> np.ndarray:
@@ -552,7 +554,7 @@ def window_variance_max_generic(model: ArrayModel, n: int, k: int) -> float:
 def window_variance_max(model: ArrayModel, n: int, k: int) -> float:
     """max over a of Var(X_{n,a} + ... + X_{n,a+k-1}), exact.
 
-    Family closed forms where available (verified against the generic band
+    Closed forms where available (verified against the generic band
     computation in the test suite), banded fallback otherwise.
     """
     _check_n(model, n)
@@ -561,21 +563,6 @@ def window_variance_max(model: ArrayModel, n: int, k: int) -> float:
     amp2 = model.amplitude**2
     fam = model.family
     mn = model.m(n)
-    if fam == "iid-baseline":
-        return k * amp2 / n
-    if fam == "two-scale":
-        # stationary with one off-diagonal lag: k*g0 + 2(k-1)*g1
-        alpha = model.params["alpha"]
-        g0 = 1.0 / n + 2.0 * n ** (-2.0 * alpha)
-        g1 = -(n ** (-2.0 * alpha))
-        return amp2 * (k * g0 + 2.0 * (k - 1) * g1)
-    if fam == "moving-average":
-        coeffs = np.asarray(model.params["coeffs"])
-        q = coeffs.size - 1
-        total = k * float(coeffs @ coeffs)
-        for d in range(1, min(q, k - 1) + 1):
-            total += 2.0 * (k - d) * float(coeffs[: q + 1 - d] @ coeffs[d:])
-        return amp2 / n * total
     if fam == "block-repeat" and k <= mn:
         # the best window sits inside the highest-variance block
         c = max(_spike_scale(model, n), 1.0)
@@ -583,6 +570,20 @@ def window_variance_max(model: ArrayModel, n: int, k: int) -> float:
     if fam == "tail-coupled" and k <= mn:
         # a window of k copies of the shared tail variable has variance k^2
         return amp2 * k * k
+    _, scale, segments = linear_row(model, n)
+    if len(segments) == 1 and segments[0][2] == 1:
+        # stationary row: taps (j, c) and (j2, c2) meet at lag d = j - j2,
+        # and a window of k entries holds k - d such pairs
+        taps = segments[0][1]
+        total = 0.0
+        for j, c in taps:
+            for j2, c2 in taps:
+                d = j - j2
+                if d == 0:
+                    total += k * c * c2
+                elif 0 < d < k:
+                    total += 2.0 * (k - d) * c * c2
+        return (model.amplitude * scale) ** 2 * total
     return window_variance_max_generic(model, n, k)
 
 
@@ -627,8 +628,10 @@ def truncated_model(model: ArrayModel, n: int, eps: float) -> TruncationSplit:
     sigma = math.sqrt(exact_sigma2(model, n))
     m_eff = max(model.m(n), 1)
     t = eps * sigma / m_eff
-    N = model.length(n)
-    mu = np.array([marginal_law(model, n, i).truncated_mean(t) for i in range(1, N + 1)])
+    _, scale, segments = linear_row(model, n)
+    a = model.amplitude * scale
+    laws = [_tap_law(model, a, tuple(c for _, c in taps)) for _, taps, _ in segments]
+    mu = np.repeat([law.truncated_mean(t) for law in laws], [count for count, _, _ in segments])
     return TruncationSplit(model, n, eps, t, mu)
 
 
@@ -668,22 +671,17 @@ def model_from_config(cfg: dict) -> ArrayModel:
         family = cfg.pop("family")
     except KeyError:
         raise InvalidParameterError("config is missing the 'family' key") from None
-    params: dict = {}
-    if "amplitude" in cfg:
-        params["amplitude"] = float(cfg.pop("amplitude"))
-    if "alpha" in cfg:
-        params["alpha"] = float(cfg.pop("alpha"))
-    if "innovation" in cfg:
-        params["innovation"] = cfg.pop("innovation")
-    if "coeffs" in cfg:
-        params["coeffs"] = tuple(cfg.pop("coeffs"))
-    if "spike_frac" in cfg:
-        params["spike_frac"] = float(cfg.pop("spike_frac"))
+    # build_model validates and converts these
+    keys = ("amplitude", "alpha", "innovation", "coeffs", "spike_frac")
+    params = {key: cfg.pop(key) for key in keys if key in cfg}
     sched = None
     if "m" in cfg:
-        sched = Schedule("constant", int(cfg.pop("m")))
+        m = cfg.pop("m")
+        is_int = type(m) in (int, float) and float(m).is_integer()
+        _require(is_int, f"m must be an integer, got {m!r}")
+        sched = Schedule("constant", int(m))
     if "beta" in cfg:
-        sched = Schedule("power", float(cfg.pop("beta")))
+        sched = Schedule("power", _finite(cfg.pop("beta"), "beta"))
     if cfg.pop("m_kind", None) == "log":
         sched = Schedule("log")
     if sched is not None:

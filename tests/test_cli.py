@@ -255,3 +255,32 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert '"reports"' in proc.stdout
+
+
+def _assert_config_error(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and needle in err
+    assert "Traceback" not in err
+
+
+def test_fractional_m_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"family": "block-repeat", "m": 2.7}))
+    code = run_cli("--cmd", "conditions", "--config", str(bad), "--n-grid", "6..10")
+    _assert_config_error(code, capsys, "m must be an integer")
+
+
+def test_non_finite_coeffs_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"family": "moving-average", "coeffs": [1.0, Infinity]}')
+    code = run_cli("--cmd", "conditions", "--config", str(bad), "--n-grid", "6..10")
+    _assert_config_error(code, capsys, "coeffs must be finite")
+
+
+def test_negative_seed_is_exit_2(capsys):
+    code = run_cli(
+        "--cmd", "clt", "--model", "iid-baseline", "--n-grid", "64,128",
+        "--reps", "100", "--seed", "-1",
+    )
+    _assert_config_error(code, capsys, "seed")

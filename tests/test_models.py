@@ -51,6 +51,29 @@ def test_build_rejects_unknown_family_and_params():
         m.Schedule("power", 1.2)
 
 
+def test_build_rejects_non_finite_parameters():
+    inf, nan = float("inf"), float("nan")
+    with pytest.raises(m.InvalidParameterError):
+        m.build_model("two-scale", alpha=nan)
+    with pytest.raises(m.InvalidParameterError):
+        m.build_model("moving-average", coeffs=(1.0, inf))
+    with pytest.raises(m.InvalidParameterError):
+        m.build_model("iid-baseline", amplitude=inf)
+    with pytest.raises(m.InvalidParameterError):
+        m.build_model("block-repeat", spike_frac=nan)
+    with pytest.raises(m.InvalidParameterError):
+        m.model_from_config({"family": "block-repeat", "m": 2.7})
+    with pytest.raises(m.InvalidParameterError):
+        m.row_rng(2**64, 8, 0)
+
+
+def test_innovation_is_the_drawn_law():
+    assert m.build_model("two-scale", alpha=ALPHA).innovation == "rademacher"
+    assert m.build_model("tail-coupled").innovation == "normal"
+    assert m.build_model("moving-average", innovation="normal").innovation == "normal"
+    assert [mod.is_discrete for mod, _ in small_catalogue()] == [True] * 5 + [False]
+
+
 def test_family_shapes():
     ts = m.build_model("two-scale", alpha=ALPHA)
     assert ts.m(100) == 1 and ts.length(100) == 100
@@ -363,3 +386,73 @@ def test_outcome_table_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "prob,x_1,x_2,x_3"
     assert len(lines) == 1 + 8
+
+
+# ---------------------------------------------------------------------------
+# the linear declaration
+
+
+def _discrete_enumerable():
+    from test_martingale import oracle_models
+
+    return (
+        discrete_catalogue()
+        + oracle_models()
+        + [(m.build_model("moving-average", coeffs=(1.0, 0.3, 0.3)), 5)]
+    )
+
+
+@pytest.mark.parametrize("model,n", _discrete_enumerable())
+def test_marginal_atoms_are_the_enumerated_values(model, n):
+    # the oracle partitions outcomes on exact row values, so entries equal
+    # in exact arithmetic must be bit-equal and match the law's atoms
+    rows = m.enumerate_outcomes(model, n).rows
+    for i in range(rows.shape[1]):
+        values = np.unique(rows[:, i])
+        assert np.all(np.diff(values) > 1e-12), (i, values)
+        assert np.array_equal(values, m.marginal_law(model, n, i + 1).values), i
+
+
+@st.composite
+def linear_models(draw):
+    family = draw(st.sampled_from(m.models.FAMILIES))
+    params = {"amplitude": draw(st.floats(0.25, 4.0))}
+    innovation = draw(st.sampled_from(m.models.INNOVATIONS))
+    mn = draw(st.integers(1, 3))
+    if family == "two-scale":
+        params["alpha"] = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+        n = draw(st.integers(1, 5))
+    elif family == "block-repeat":
+        params.update(m_schedule=mn, innovation=innovation)
+        params["spike_frac"] = draw(st.sampled_from([0.0, draw(st.floats(0.05, 0.95))]))
+        n = draw(st.integers(2 * mn, 9))
+    elif family == "tail-coupled":
+        params["m_schedule"] = mn
+        n = draw(st.integers(1, 8))
+    elif family == "moving-average":
+        tap = st.builds(lambda s, c: s * c, st.sampled_from([-1.0, 1.0]), st.floats(0.05, 2.0))
+        coeffs = draw(st.lists(st.one_of(tap, st.just(0.0)), min_size=0, max_size=2))
+        params.update(coeffs=(draw(tap), *coeffs), innovation=innovation)
+        n = draw(st.integers(1, 7))
+    else:
+        params["innovation"] = innovation
+        n = draw(st.integers(1, 8))
+    return m.build_model(family, **params), n
+
+
+@given(linear_models())
+@settings(max_examples=60, deadline=None)
+def test_declaration_second_moments_agree(case):
+    model, n = case
+    N = model.length(n)
+    cov = np.array(
+        [[m.exact_cov(model, n, i, j) for j in range(1, N + 1)] for i in range(1, N + 1)]
+    )
+    sigma2 = m.exact_sigma2(model, n)
+    assert sigma2 == pytest.approx(cov.sum(), rel=1e-12)
+    if model.is_discrete:
+        table = m.enumerate_outcomes(model, n)
+        assert table.var_sum() == pytest.approx(sigma2, abs=1e-10)
+        for i in range(1, N + 1):
+            for j in range(i, N + 1):
+                assert table.cov_entries(i, j) == pytest.approx(cov[i - 1, j - 1], abs=1e-12)
