@@ -13,12 +13,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import conditions as cond
 from . import martingale as mart
 from . import montecarlo as mc
 from .models import (
+    MODEL_CONFIG_KEYS,
     ArrayModel,
     InvalidParameterError,
     Schedule,
@@ -44,25 +46,13 @@ class ConfigError(ValueError):
 
 def parse_grid(text: str) -> list[int]:
     """Either comma-separated sizes ("64,256,1024") or a dyadic exponent
-    range ("6..14" meaning 2^6 .. 2^14)."""
-    text = text.strip()
-    try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return [2**k for k in range(lo, hi + 1)]
+    range ("6..14" meaning 2^6 .. 2^14); ValueError if neither."""
+    if ".." not in text:
         return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"cannot parse n-grid {text!r}") from None
-
-
-def parse_floats(text: str, name: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"cannot parse {name} list {text!r}") from None
+    lo, hi = (int(tok) for tok in text.split(".."))
+    if hi < lo:
+        raise ValueError("empty range")
+    return [2**k for k in range(lo, hi + 1)]
 
 
 def catalogue() -> dict[str, ArrayModel]:
@@ -266,11 +256,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MODEL_KEYS = ("family", "alpha", "beta", "m", "m_kind", "innovation", "coeffs", "spike_frac", "amplitude")
+def _integer(key: str, value) -> int:
+    if type(value) is not int:  # JSON integers only: no bools, no 300.0
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    try:
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _format(key: str, value) -> str:
+    if value not in ("json", "csv"):
+        raise ConfigError(f"{key} must be 'json' or 'csv', got {value!r}")
+    return value
+
+
+def _split_floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok]
+
+
+def _list_of(item, parse_text):
+    """Converter for a list setting given as a JSON list or as flag text."""
+
+    def convert(key: str, value) -> list:
+        if isinstance(value, str):
+            try:
+                value = parse_text(value.strip())
+            except ValueError:
+                raise ConfigError(f"cannot parse {key} {value!r}") from None
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [item(key, v) for v in value]
+
+    return convert
+
+
+#: run setting -> converter(key, value) raising ConfigError; each name is a
+#: config key and, where the setting has a flag, its argparse destination
+SETTINGS = {
+    "n_grid": _list_of(_integer, parse_grid),
+    "reps": _integer,
+    "seed": _integer,
+    "eps": _list_of(_number, _split_floats),
+    "r": _list_of(_number, _split_floats),
+    "ks_threshold": _number,
+    "out": _string,
+    "format": _format,
+}
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return raw
 
 
 def resolve_config(args) -> dict:
-    """Merge defaults, config file, and flags (flags win)."""
+    """Merge defaults, config file, and flags (flags win).
+
+    Every run setting, from the config and then from its flag, goes
+    through the one converter SETTINGS holds for it; range checks are
+    left to the engines."""
     default_grid = {"sweep": SWEEP_N_GRID, "clt": CLT_N_GRID}.get(args.cmd, cond.DEFAULT_N_GRID)
     settings: dict = {
         "n_grid": list(default_grid),
@@ -281,58 +347,22 @@ def resolve_config(args) -> dict:
         "format": "json",
         "out": None,
         "ks_threshold": DEFAULT_KS_THRESHOLD,
-        "model_cfg": None,
     }
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        model_cfg = {k: raw.pop(k) for k in list(raw) if k in _MODEL_KEYS}
-        if model_cfg:
-            settings["model_cfg"] = model_cfg
-        if "n_grid" in raw:
-            grid = raw.pop("n_grid")
-            settings["n_grid"] = parse_grid(grid) if isinstance(grid, str) else [int(v) for v in grid]
-        for key in ("reps", "seed", "ks_threshold"):
-            if key in raw:
-                settings[key] = raw.pop(key)
-        for key in ("eps", "r"):
-            if key in raw:
-                settings[key] = [float(v) for v in raw.pop(key)]
-        for key in ("out", "format"):
-            if key in raw:
-                settings[key] = raw.pop(key)
-        if raw:
-            raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    if args.model:
-        if settings["model_cfg"] and settings["model_cfg"].get("family") == args.model:
-            pass  # keep config parameters for the same family
-        else:
-            settings["model_cfg"] = {"family": args.model}
-    if args.n_grid:
-        settings["n_grid"] = parse_grid(args.n_grid)
-    if args.reps is not None:
-        settings["reps"] = args.reps
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.eps:
-        settings["eps"] = parse_floats(args.eps, "eps")
-    if args.r:
-        settings["r"] = parse_floats(args.r, "r")
-    if args.out:
-        settings["out"] = args.out
-    if args.format:
-        settings["format"] = args.format
+    raw = _read_config(args.config) if args.config else {}
+    model_cfg = {k: raw.pop(k) for k in list(raw) if k in MODEL_CONFIG_KEYS}
+    for key, convert in SETTINGS.items():
+        if key in raw:
+            settings[key] = convert(key, raw.pop(key))
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[key] = convert(key, flag)
+    if raw:
+        raise ConfigError(f"unknown config keys: {sorted(raw)}")
+    if args.model and model_cfg.get("family") != args.model:
+        model_cfg = {"family": args.model}  # config parameters only for the same family
+    settings["model_cfg"] = model_cfg
     if not settings["n_grid"]:
-        raise ConfigError("n-grid must be nonempty")
-    if settings["format"] not in ("json", "csv"):
-        raise ConfigError(f"unknown format {settings['format']!r}")
+        raise ConfigError("n_grid must be nonempty")
     return settings
 
 
@@ -350,36 +380,30 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = resolve_config(args)
-        command = args.cmd
-        if command == "conditions":
-            model = _model_from_settings(settings)
-            payload = conditions_payload(model, settings["n_grid"], settings["eps"], settings["r"])
-            failed = False
-        elif command == "oracle":
-            model = _model_from_settings(settings)
-            payload = oracle_payload(model, settings["n_grid"], settings["eps"])
-            failed = not payload["passed"]
-        elif command == "clt":
-            model = _model_from_settings(settings)
-            payload = clt_payload(
-                model,
-                settings["n_grid"],
-                settings["reps"],
-                settings["seed"],
-                settings["ks_threshold"],
-            )
-            failed = not payload["passed"]
+        grid, eps, r = settings["n_grid"], settings["eps"], settings["r"]
+        if args.cmd == "sweep":
+            payload = sweep_payload(grid, eps, r)
         else:
-            payload = sweep_payload(settings["n_grid"], settings["eps"], settings["r"])
-            failed = False
-        text = (
-            payload_to_json(payload)
-            if settings["format"] == "json"
-            else payload_to_csv(command, payload)
-        )
+            model = _model_from_settings(settings)
+            if args.cmd == "conditions":
+                payload = conditions_payload(model, grid, eps, r)
+            elif args.cmd == "oracle":
+                payload = oracle_payload(model, grid, eps)
+            else:
+                payload = clt_payload(
+                    model, grid, settings["reps"], settings["seed"], settings["ks_threshold"]
+                )
+        failed = not payload.get("passed", True)
+        if settings["format"] == "json":
+            text = payload_to_json(payload)
+        else:
+            text = payload_to_csv(args.cmd, payload)
         if settings["out"]:
-            with open(settings["out"], "w") as fh:
-                fh.write(text)
+            try:
+                with open(settings["out"], "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write out file {settings['out']}: {exc.strerror}") from None
         else:
             sys.stdout.write(text)
         return 1 if failed else 0

@@ -22,9 +22,6 @@ romano-wolf         RW1, RW3, RW5, RW6, RWvar
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -415,16 +412,3 @@ def report_to_dict(report: ConditionReport) -> dict:
         "slope_std_err": report.slope_std_err,
         "verdict": report.verdict,
     }
-
-
-def report_to_json(report: ConditionReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=True) + "\n"
-
-
-def report_to_csv(report: ConditionReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["condition_id", "eq", "n", "value", "method", "mc_std_err"])
-    for n, cv in report.grid:
-        writer.writerow([cv.condition_id, cv.eq, n, repr(cv.value), cv.method, repr(cv.mc_std_err)])
-    return buf.getvalue()

@@ -26,6 +26,7 @@ from .models import (
     ContinuousModelError,
     EnumerationTooLargeError,
     OutcomeTable,
+    _check_n,
     _enumeration_bits,
     _spike_scale,
     draw_innovations,
@@ -89,27 +90,39 @@ class MartingaleTrace:
         return float(self.table.probs @ s**2)
 
 
+def _require_trace_size(model: ArrayModel, n: int) -> None:
+    """Raise unless build_trace fits both the outcome cap and the trace
+    tensor cap; decided from the declaration, before any enumeration."""
+    _check_n(model, n)
+    bits = _enumeration_bits(model, n)
+    count = 2**bits
+    N = model.length(n)
+    if count > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(
+            f"{model.describe()} at n={n} needs 2^{bits} outcomes (cap {ENUMERATION_CAP})"
+        )
+    if count * N * (N + 1) > TRACE_CELL_CAP:
+        raise EnumerationTooLargeError(
+            f"trace tensor would hold {count * N * (N + 1)} cells (cap {TRACE_CELL_CAP})"
+        )
+
+
 def trace_feasible(model: ArrayModel, n: int) -> bool:
     """Whether build_trace can run: finite support within both the outcome
     cap and the trace tensor cap."""
     try:
-        bits = _enumeration_bits(model, n)
-    except ContinuousModelError:
+        _require_trace_size(model, n)
+    except (ContinuousModelError, EnumerationTooLargeError):
         return False
-    count = 2**bits
-    N = model.length(n)
-    return count <= ENUMERATION_CAP and count * N * (N + 1) <= TRACE_CELL_CAP
+    return True
 
 
 def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     """Enumerate the row and compute W, M, dM, Q, q exactly."""
+    _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
     rows, probs = table.rows, table.probs
     n_out, N = rows.shape
-    if n_out * N * (N + 1) > TRACE_CELL_CAP:
-        raise EnumerationTooLargeError(
-            f"trace tensor would hold {n_out * N * (N + 1)} cells (cap {TRACE_CELL_CAP})"
-        )
     W = np.empty((n_out, N, N + 1))
     prefix_ids = []
     for k in range(N + 1):
@@ -299,13 +312,13 @@ def check_truncation(model: ArrayModel, n: int, eps: float, tol: float = 1e-12) 
     err = np.maximum(np.abs(mean_lo), np.abs(mean_hi))
     results.append(_result("split-centred", err, tol, names=("i",)))
 
+    idx = np.arange(N)
+    beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
     worst = 0.0
     for part in (x_lo, x_hi):
-        mu = probs @ part
-        for i in range(N):
-            for j in range(i + m + 1, N):
-                cov = float(probs @ ((part[:, i] - mu[i]) * (part[:, j] - mu[j])))
-                worst = max(worst, abs(cov))
+        centred = part - probs @ part
+        cov = (centred * probs[:, None]).T @ centred
+        worst = max(worst, float(np.abs(cov[beyond_band]).max(initial=0.0)))
     results.append(_result("split-banded", np.array([worst]), tol, ("",)))
 
     s_hi = x_hi.sum(axis=1)

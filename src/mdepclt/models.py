@@ -53,6 +53,11 @@ INNOVATIONS = ("rademacher", "normal")
 #: families whose innovation kind is fixed rather than a parameter
 _FIXED_INNOVATION = {"two-scale": "rademacher", "tail-coupled": "normal"}
 
+#: keys of a model config (model_to_config / model_from_config)
+MODEL_CONFIG_KEYS = (
+    "family", "alpha", "beta", "m", "m_kind", "innovation", "coeffs", "spike_frac", "amplitude",
+)
+
 #: hard cap on exhaustively enumerated outcomes
 ENUMERATION_CAP = 2**22
 
@@ -666,26 +671,20 @@ def model_to_config(model: ArrayModel) -> dict:
 
 def model_from_config(cfg: dict) -> ArrayModel:
     """Inverse of model_to_config; unknown keys are rejected."""
-    cfg = dict(cfg)
-    try:
-        family = cfg.pop("family")
-    except KeyError:
-        raise InvalidParameterError("config is missing the 'family' key") from None
+    unknown = sorted(set(cfg) - set(MODEL_CONFIG_KEYS))
+    _require(not unknown, f"unknown config keys: {unknown}")
+    _require("family" in cfg, "config is missing the 'family' key")
     # build_model validates and converts these
     keys = ("amplitude", "alpha", "innovation", "coeffs", "spike_frac")
-    params = {key: cfg.pop(key) for key in keys if key in cfg}
-    sched = None
+    params = {key: cfg[key] for key in keys if key in cfg}
     if "m" in cfg:
-        m = cfg.pop("m")
+        m = cfg["m"]
         is_int = type(m) in (int, float) and float(m).is_integer()
         _require(is_int, f"m must be an integer, got {m!r}")
-        sched = Schedule("constant", int(m))
+        params["m_schedule"] = Schedule("constant", int(m))
     if "beta" in cfg:
-        sched = Schedule("power", _finite(cfg.pop("beta"), "beta"))
-    if cfg.pop("m_kind", None) == "log":
-        sched = Schedule("log")
-    if sched is not None:
-        params["m_schedule"] = sched
-    if cfg:
-        raise InvalidParameterError(f"unknown config keys: {sorted(cfg)}")
-    return build_model(family, **params)
+        params["m_schedule"] = Schedule("power", _finite(cfg["beta"], "beta"))
+    if "m_kind" in cfg:
+        _require(cfg["m_kind"] == "log", f"m_kind must be 'log', got {cfg['m_kind']!r}")
+        params["m_schedule"] = Schedule("log")
+    return build_model(cfg["family"], **params)

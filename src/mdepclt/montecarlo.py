@@ -9,9 +9,6 @@ without any rate theory.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -119,16 +116,3 @@ def report_to_dict(report: ConvergenceReport) -> dict:
         "monotone_trend": report.monotone_trend,
         "final_ks": report.final_ks,
     }
-
-
-def report_to_json(report: ConvergenceReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-
-
-def report_to_csv(report: ConvergenceReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "ks_stat", "reps", "seed"])
-    for row in report.grid:
-        writer.writerow([row["n"], repr(row["ks_stat"]), row["reps"], row["seed"]])
-    return buf.getvalue()

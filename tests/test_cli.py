@@ -1,10 +1,13 @@
 """Command-line interface: commands, exit codes, output identity."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdepclt import cli
 
@@ -284,3 +287,87 @@ def test_negative_seed_is_exit_2(capsys):
         "--reps", "100", "--seed", "-1",
     )
     _assert_config_error(code, capsys, "seed")
+
+
+@pytest.mark.parametrize(
+    "config, flags, needle",
+    [
+        ({"reps": "300"}, (), "reps"),
+        ({"reps": 300.5}, (), "reps"),
+        ({"reps": True}, (), "reps"),
+        ({"ks_threshold": "0.1"}, (), "ks_threshold"),
+        ({"seed": "x"}, (), "seed"),
+        ({"seed": 1.5}, (), "seed"),
+        ({"eps": 0.5}, (), "eps"),
+        ({"eps": [math.inf]}, (), "eps"),
+        ({"n_grid": 5}, (), "n_grid"),
+        ({"n_grid": [64.7, 128]}, (), "n_grid"),
+        ({"out": 5}, (), "out"),
+        ({"format": "xml"}, (), "format"),
+        ({"family": "block-repeat", "m_kind": "linear"}, (), "m_kind"),
+        ({}, ("--out", "no-such-dir/x.json"), "cannot write out file"),
+    ],
+)
+def test_bad_run_setting_is_exit_2(tmp_path, monkeypatch, capsys, config, flags, needle):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "iid-baseline", **config}))
+    code = run_cli("--cmd", "conditions", "--config", str(path), "--n-grid", "6..9", *flags)
+    _assert_config_error(code, capsys, needle)
+
+
+def _resolve(*argv):
+    return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
+
+
+def test_list_setting_text_uses_flag_syntax(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_grid": "6..8", "eps": "0.1,0.5", "r": "46"}))
+    resolved = _resolve("--cmd", "sweep", "--config", str(path))
+    assert resolved["n_grid"] == [64, 128, 256]
+    assert resolved["eps"] == [0.1, 0.5]
+    assert resolved["r"] == [46.0]  # one order, not the characters 4 and 6
+    assert _resolve("--cmd", "sweep", "--config", str(path), "--r", "4,6")["r"] == [4.0, 6.0]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["6..8", "8..6", "64,128", "0.1,0.5", "nan", "1,inf", "json", "csv"])
+)
+_JSON_VALUES = (
+    _JSON_SCALARS
+    | st.lists(_JSON_SCALARS, max_size=4)
+    | st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=6,
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    return path, cli.build_parser().parse_args(["--cmd", "conditions", "--config", str(path)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(cli.SETTINGS)), value=_JSON_VALUES)
+def test_resolve_config_returns_declared_types_or_rejects(fuzz_config, key, value):
+    path, args = fuzz_config
+    path.write_text(json.dumps({key: value}))
+    try:
+        resolved = cli.resolve_config(args)
+    except cli.ConfigError:
+        return
+    assert resolved["n_grid"] and all(type(n) is int for n in resolved["n_grid"])
+    for key in ("eps", "r"):
+        assert all(type(x) is float and math.isfinite(x) for x in resolved[key])
+    assert type(resolved["reps"]) is int and type(resolved["seed"]) is int
+    assert type(resolved["ks_threshold"]) is float and math.isfinite(resolved["ks_threshold"])
+    assert resolved["out"] is None or type(resolved["out"]) is str
+    assert resolved["format"] in ("json", "csv")

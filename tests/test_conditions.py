@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdepclt as m
+from mdepclt import cli
 from mdepclt import conditions as c
 from mdepclt.laws import normal_tail_second_moment
 
@@ -439,10 +440,11 @@ def test_condition_value_validation():
 def test_report_round_trips_to_json_and_csv():
     ts = m.build_model("two-scale", alpha=0.25)
     rep = c.condition_report(m.orey_ratio, ts, GRID)
-    blob = c.report_to_json(rep)
+    payload = {"reports": [c.report_to_dict(rep)]}
+    blob = cli.payload_to_json(payload)
     assert '"verdict": "diverges"' in blob
     assert '"eq": "cond+"' in blob
-    csv_text = c.report_to_csv(rep)
+    csv_text = cli.payload_to_csv("conditions", payload)
     lines = csv_text.strip().splitlines()
-    assert lines[0] == "condition_id,eq,n,value,method,mc_std_err"
+    assert lines[0] == "condition_id,eq,n,value,method,mc_std_err,verdict"
     assert len(lines) == 1 + len(GRID)

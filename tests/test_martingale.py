@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mdepclt as m
+from mdepclt import martingale as mart
 from mdepclt.martingale import increments_from_innovations, trace_to_csv
 from mdepclt.models import _enumeration_bits
 
@@ -158,6 +159,17 @@ def test_trace_feasibility_predicate():
         m.build_trace(ts, 10)
 
 
+def test_trace_size_is_checked_before_enumerating(monkeypatch):
+    def enumerate_outcomes(*args, **kwargs):
+        raise AssertionError("enumerated before the size check")
+
+    monkeypatch.setattr(mart, "enumerate_outcomes", enumerate_outcomes)
+    with pytest.raises(m.EnumerationTooLargeError):
+        m.build_trace(m.build_model("two-scale", alpha=0.25), 10)
+    with pytest.raises(m.ContinuousModelError):
+        m.build_trace(m.build_model("tail-coupled", m_schedule=2), 6)
+
+
 def test_degenerate_moving_average_is_independent():
     # a single tap means dependence range zero; increments are the entries
     ma0 = m.build_model("moving-average", coeffs=(2.0,))
@@ -196,6 +208,35 @@ def test_truncation_identities_all_models(model, n):
     for eps in (0.2, 0.7):
         chk = m.check_truncation(model, n, eps)
         assert chk.passed, [str(r) for r in chk.results]
+
+
+def _max_covariance_beyond_band(model, n, eps, band):
+    """Loop reference for the split-banded check: the largest |Cov| of
+    either split part over all pairs i < j with j - i > band."""
+    table = m.enumerate_outcomes(model, n)
+    probs = table.probs
+    N = table.rows.shape[1]
+    worst = 0.0
+    for part in m.truncated_model(model, n, eps).split_rows(table.rows):
+        mu = probs @ part
+        for i in range(N):
+            for j in range(i + band + 1, N):
+                cov = float(probs @ ((part[:, i] - mu[i]) * (part[:, j] - mu[j])))
+                worst = max(worst, abs(cov))
+    return worst
+
+
+def test_split_banded_fails_when_the_band_is_too_narrow(monkeypatch):
+    # the two-scale row is 1-dependent; claiming m = 0 must trip only the
+    # covariance-band check, at the value the pairwise loop gives
+    ts = m.build_model("two-scale", alpha=0.25)
+    monkeypatch.setattr(m.ArrayModel, "m", lambda self, n: 0)
+    chk = m.check_truncation(ts, 6, eps=0.4)
+    by_name = {r.name: r for r in chk.results}
+    assert not chk.passed and not by_name["split-banded"].passed
+    assert all(r.passed for name, r in by_name.items() if name != "split-banded")
+    expected = _max_covariance_beyond_band(ts, 6, 0.4, band=0)
+    assert by_name["split-banded"].max_abs_err == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

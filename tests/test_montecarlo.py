@@ -7,7 +7,8 @@ import pytest
 from scipy.stats import norm
 
 import mdepclt as m
-from mdepclt.montecarlo import plot_data, report_to_csv, report_to_json, write_plot_data
+from mdepclt import cli
+from mdepclt.montecarlo import plot_data, report_to_dict, write_plot_data
 
 
 def test_simulation_reproducible_and_sorted():
@@ -164,8 +165,9 @@ def test_plot_data_columns(tmp_path):
 def test_report_serialization():
     iid = m.build_model("iid-baseline")
     report = m.convergence_sweep(iid, [64, 128], reps=500, seed=1)
-    blob = report_to_json(report)
+    payload = report_to_dict(report)
+    blob = cli.payload_to_json(payload)
     assert '"final_ks"' in blob and '"iid-baseline"' in blob
-    lines = report_to_csv(report).strip().splitlines()
+    lines = cli.payload_to_csv("clt", payload).strip().splitlines()
     assert lines[0] == "n,ks_stat,reps,seed"
     assert len(lines) == 3
