@@ -73,8 +73,10 @@ def catalogue() -> dict[str, ArrayModel]:
 # payload builders (library surface mirrored by the CLI)
 
 
-def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
-    """All condition reports for one model over one grid."""
+def condition_reports(model: ArrayModel, n_grid, eps_list, r_list, deltas) -> list:
+    """Every condition report for one model over one grid, in payload
+    order: classic and m-adapted Lindeberg per eps, Lyapunov per r, Orey,
+    Rio, then the Berk and Romano-Wolf components per delta."""
     reports = []
     for eps in eps_list:
         reports.append(cond.condition_report(cond.lindeberg_classic, model, n_grid, eps=eps))
@@ -85,29 +87,25 @@ def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
         reports.append(cond.condition_report(cond.lyapunov_ratio, model, n_grid, r=r))
     reports.append(cond.condition_report(cond.orey_ratio, model, n_grid))
     reports.append(cond.condition_report(cond.rio_functional, model, n_grid))
-    for r in r_list:
-        delta = r - 2
-        reports.extend(
-            cond.component_reports(cond.berk_check, model, n_grid, delta=delta).values()
-        )
-        reports.extend(
-            cond.component_reports(
-                cond.romano_wolf_check, model, n_grid, delta=delta, gamma=0.0
-            ).values()
-        )
+    for delta in deltas:
+        reports.extend(cond.component_reports(cond.berk_check, model, n_grid, delta=delta).values())
+        rw = cond.component_reports(cond.romano_wolf_check, model, n_grid, delta=delta, gamma=0.0)
+        reports.extend(rw.values())
+    return reports
+
+
+def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
+    """All condition reports for one model over one grid."""
+    reports = condition_reports(model, n_grid, eps_list, r_list, [r - 2 for r in r_list])
     return {
         "model": model_to_config(model),
         "reports": [cond.report_to_dict(rep) for rep in reports],
     }
 
 
-def _enumerable_ns(model: ArrayModel, n_grid) -> list[int]:
-    return [n for n in n_grid if mart.trace_feasible(model, n)]
-
-
 def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     """Structure, tower, bound, and truncation checks at enumerable sizes."""
-    ns = _enumerable_ns(model, n_grid)
+    ns = [n for n in n_grid if mart.trace_feasible(model, n)]
     if not ns:
         raise ConfigError("no grid point is exactly enumerable for this model")
     traces = []
@@ -140,40 +138,16 @@ def clt_payload(model: ArrayModel, n_grid, reps, seed, threshold) -> dict:
 
 
 def sweep_payload(n_grid, eps_list, r_list) -> dict:
-    """Which condition sets hold on which catalogued models."""
+    """Which condition sets hold on which catalogued models.
+
+    A set is a condition id without its eps argument or :component
+    suffix; it holds when every report in it holds."""
     rows = []
     for name, model in catalogue().items():
         entry = {"model": name, "config": model_to_config(model)}
-        lind = [
-            cond.condition_report(cond.lindeberg_classic, model, n_grid, eps=eps).verdict
-            == "tends-to-zero"
-            for eps in eps_list
-        ]
-        entry["lindeberg-classic"] = all(lind)
-        lmd = [
-            cond.condition_report(
-                cond.lindeberg_mdep, model, n_grid, eps=eps, zero_m="promote"
-            ).verdict
-            == "tends-to-zero"
-            for eps in eps_list
-        ]
-        entry["lindeberg-mdep"] = all(lmd)
-        for r in r_list:
-            rep = cond.condition_report(cond.lyapunov_ratio, model, n_grid, r=r)
-            entry[f"lyapunov(r={r:g})"] = rep.verdict == "tends-to-zero"
-        orey = cond.condition_report(cond.orey_ratio, model, n_grid)
-        entry["orey"] = orey.verdict in ("bounded", "tends-to-zero")
-        rio = cond.condition_report(cond.rio_functional, model, n_grid)
-        entry["rio"] = rio.verdict == "tends-to-zero"
-        delta = 2.0
-        entry["berk(delta=2)"] = cond.berk_holds(
-            cond.component_reports(cond.berk_check, model, n_grid, delta=delta)
-        )
-        entry["romano-wolf(delta=2,gamma=0)"] = cond.romano_wolf_holds(
-            cond.component_reports(
-                cond.romano_wolf_check, model, n_grid, delta=delta, gamma=0.0
-            )
-        )
+        for rep in condition_reports(model, n_grid, eps_list, r_list, [2.0]):
+            column = rep.condition_id.split(":")[0].split("(eps=")[0]
+            entry[column] = entry.get(column, True) and cond.holds(rep)
         rows.append(entry)
     return {"n_grid": list(n_grid), "eps": list(eps_list), "r": list(r_list), "rows": rows}
 
@@ -361,8 +335,9 @@ def resolve_config(args) -> dict:
     if args.model and model_cfg.get("family") != args.model:
         model_cfg = {"family": args.model}  # config parameters only for the same family
     settings["model_cfg"] = model_cfg
-    if not settings["n_grid"]:
-        raise ConfigError("n_grid must be nonempty")
+    for key in ("n_grid", "eps"):
+        if not settings[key]:
+            raise ConfigError(f"{key} must be nonempty")
     return settings
 
 

@@ -7,23 +7,30 @@ fallback exists for laws without closed forms.  Verdicts over an n-grid
 are rendered by an ordinary least-squares fit of log(value) against
 log(n).
 
-Identifier tokens carried in the ``eq`` field:
+Identifier tokens carried in the ``eq`` field, and the verdicts under
+which each functional's hypothesis holds (HOLDING_VERDICTS; ``holds``):
 
-==================  ======
-lindeberg-classic   tmL
-lindeberg-mdep      tmnL
-lyapunov(r)         lyap
-orey                cond+
-rio                 rio
-berk components     berki, berkiii, berkiv
-romano-wolf         RW1, RW3, RW5, RW6, RWvar
-==================  ======
+====================  ===============  ===================================
+condition             eq               holds when the verdict is
+====================  ===============  ===================================
+lindeberg-classic     tmL              tends-to-zero
+lindeberg-mdep        tmnL             tends-to-zero
+lyapunov(r)           lyap             tends-to-zero
+orey                  cond+            bounded or tends-to-zero
+rio                   rio              tends-to-zero
+berk moment           berki            bounded or tends-to-zero
+berk variance-ratio   berkiii          bounded
+berk m-growth         berkiv           tends-to-zero
+romano-wolf           RW1, RW5, RWvar  bounded or tends-to-zero
+romano-wolf RW3       RW3              bounded or tends-to-zero, and <= 1
+romano-wolf RW6       RW6              tends-to-zero
+====================  ===============  ===================================
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,10 +50,21 @@ DEFAULT_R_GRID = (3.0, 4.0, 6.0)
 DEFAULT_N_GRID = tuple(2**k for k in range(6, 15))
 
 VERDICTS = ("tends-to-zero", "bounded", "diverges", "inconclusive")
+#: smallest verdict margin on the fitted log-log slope
+SLOPE_ATOL = 0.02
+#: largest 2 * slope std err that still reads "bounded" rather than "inconclusive"
+STABLE_SE = 0.05
+
+#: eq token -> the verdicts under which that functional's hypothesis holds
+HOLDING_VERDICTS = {
+    **dict.fromkeys(("tmL", "tmnL", "lyap", "rio", "berkiv", "RW6"), ("tends-to-zero",)),
+    **dict.fromkeys(("cond+", "berki", "RW1", "RW3", "RW5", "RWvar"), ("bounded", "tends-to-zero")),
+    "berkiii": ("bounded",),  # sigma_n^2/N_n must converge to a positive constant
+}
 
 
 class DegenerateVarianceError(ValueError):
-    """sigma_n^2 is zero (or negative) at the requested n."""
+    """sigma_n^2 is zero, negative or not finite at the requested n."""
 
 
 class ZeroDependenceError(ValueError):
@@ -69,8 +87,10 @@ class ConditionValue:
     eq: str = ""
 
     def __post_init__(self):
-        if self.value < 0 and not math.isnan(self.value):
-            raise ValueError(f"condition value must be >= 0, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(
+                f"{self.condition_id} at n={self.n} must be a finite float >= 0, got {self.value!r}"
+            )
         if self.method == "monte-carlo" and not self.mc_std_err > 0:
             raise ValueError("monte-carlo values must carry a positive std err")
 
@@ -89,13 +109,10 @@ class ConditionReport:
     def values(self) -> np.ndarray:
         return np.array([cv.value for _, cv in self.grid])
 
-    def ns(self) -> np.ndarray:
-        return np.array([n for n, _ in self.grid])
-
 
 def _sigma(model: ArrayModel, n: int) -> float:
     s2 = exact_sigma2(model, n)
-    if not s2 > 0.0:
+    if not 0.0 < s2 < math.inf:
         raise DegenerateVarianceError(f"sigma_n^2 = {s2} at n = {n}")
     return math.sqrt(s2)
 
@@ -218,35 +235,10 @@ def berk_check(model: ArrayModel, n: int, delta: float) -> list[ConditionValue]:
     ]
 
 
-def sup_moment_preset(model: ArrayModel, delta: float):
-    """Delta_n preset: the exact supremum of E|X_i|^(2+delta) over the row."""
-
-    def delta_n(n: int) -> float:
-        return max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
-
-    return delta_n
-
-
-def variance_ratio_preset(model: ArrayModel, gamma: float):
-    """L_n preset: sigma_n^2/(N_n m_n^gamma), the largest admissible choice."""
-
-    def l_n(n: int) -> float:
-        return exact_sigma2(model, n) / (model.length(n) * max(model.m(n), 1) ** gamma)
-
-    return l_n
-
-
-def romano_wolf_check(
-    model: ArrayModel,
-    n: int,
-    delta: float,
-    gamma: float,
-    Delta_n=None,
-    L_n=None,
-) -> list[ConditionValue]:
+def romano_wolf_check(model: ArrayModel, n: int, delta: float, gamma: float) -> list[ConditionValue]:
     """Evaluate the growing-m block-criterion inequalities at one n.
 
-    Components (all "holds" when bounded, except RW6 which must vanish):
+    Components (HOLDING_VERDICTS says when each holds):
 
     RW1    sup_i E|X_i|^(2+delta) / Delta_n
     RW3    L_n * N_n * m_n^gamma / sigma_n^2           (<= 1 required)
@@ -258,31 +250,24 @@ def romano_wolf_check(
     RWvar combines the criterion's window-variance growth bound with RW3;
     it is the component that rules out rows in which one shared variable
     occupies a whole window, no matter how Delta_n and L_n are chosen.
-    Delta_n and L_n are caller-supplied maps n -> value; the defaults are
-    sup_moment_preset and variance_ratio_preset.
+    Delta_n is the exact supremum of E|X_i|^(2+delta) over the row and L_n
+    is sigma_n^2/(N_n m_n^gamma), the largest admissible choice.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     if not -1.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [-1, 1), got {gamma}")
-    if Delta_n is None:
-        Delta_n = sup_moment_preset(model, delta)
-    if L_n is None:
-        L_n = variance_ratio_preset(model, gamma)
     sigma2 = _sigma(model, n) ** 2
     N = model.length(n)
     m = max(model.m(n), 1)
-    dn = float(Delta_n(n)) if callable(Delta_n) else float(Delta_n)
-    ln = float(L_n(n)) if callable(L_n) else float(L_n)
-    if not (dn > 0 and ln > 0):
-        raise ValueError("Delta_n and L_n must be positive")
     sup_mom = max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
+    ln = exact_sigma2(model, n) / (N * m**gamma)
     wvar = window_variance_max(model, n, m)
     tag = f"romano-wolf(delta={delta:g},gamma={gamma:g})"
     return [
-        ConditionValue(f"{tag}:RW1", n, sup_mom / dn, eq="RW1"),
+        ConditionValue(f"{tag}:RW1", n, sup_mom / sup_mom, eq="RW1"),
         ConditionValue(f"{tag}:RW3", n, ln * N * m**gamma / sigma2, eq="RW3"),
-        ConditionValue(f"{tag}:RW5", n, dn / ln ** ((2 + delta) / 2), eq="RW5"),
+        ConditionValue(f"{tag}:RW5", n, sup_mom / ln ** ((2 + delta) / 2), eq="RW5"),
         ConditionValue(f"{tag}:RW6", n, m ** (1 + (1 - gamma) * (1 + 2 / delta)) / N, eq="RW6"),
         ConditionValue(
             f"{tag}:window-variance", n, wvar * N * m**gamma / (m ** (1 + gamma) * sigma2),
@@ -295,8 +280,7 @@ def romano_wolf_check(
 # grid evaluation and verdicts
 
 
-def _ols_loglog(ns: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    x = np.log(ns.astype(float))
+def _ols_loglog(x: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     y = np.log(values)
     xc = x - x.mean()
     yc = y - y.mean()
@@ -308,14 +292,12 @@ def _ols_loglog(ns: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     return slope, se
 
 
-def asymptotic_verdict(
-    series, *, slope_atol: float = 0.02, stable_se: float = 0.05
-) -> ConditionReport:
+def asymptotic_verdict(series) -> ConditionReport:
     """Fit log(value) against log(n) and classify the trend.
 
-    The verdict margin is max(2 * slope std err, slope_atol): a slope below
+    The verdict margin is max(2 * slope std err, SLOPE_ATOL): a slope below
     minus the margin reads "tends-to-zero", above it "diverges", otherwise
-    "bounded" when the fit is stable (2 se <= stable_se) and
+    "bounded" when the fit is stable (2 se <= STABLE_SE) and
     "inconclusive" when it is not.  Any exact zero in the series
     short-circuits to "tends-to-zero".
     """
@@ -325,6 +307,9 @@ def asymptotic_verdict(
     ns = np.array([cv.n for cv in series])
     if not np.all(np.diff(ns) > 0):
         raise InsufficientGridError("grid must be strictly increasing in n")
+    log_ns = np.log(ns.astype(float))
+    if not np.ptp(log_ns) > 0:
+        raise InsufficientGridError("grid points share one float value of log n")
     values = np.array([cv.value for cv in series])
     if np.any(values < 0):
         raise ValueError("condition values must be >= 0")
@@ -333,22 +318,30 @@ def asymptotic_verdict(
     grid = tuple((cv.n, cv) for cv in series)
     if np.any(values == 0.0):
         return ConditionReport(cid, grid, float("nan"), float("nan"), "tends-to-zero", eq)
-    slope, se = _ols_loglog(ns, values)
-    margin = max(2.0 * se, slope_atol)
+    slope, se = _ols_loglog(log_ns, values)
+    margin = max(2.0 * se, SLOPE_ATOL)
     if slope < -margin:
         verdict = "tends-to-zero"
     elif slope > margin:
         verdict = "diverges"
-    elif 2.0 * se <= stable_se:
+    elif 2.0 * se <= STABLE_SE:
         verdict = "bounded"
     else:
         verdict = "inconclusive"
     return ConditionReport(cid, grid, slope, se, verdict, eq)
 
 
-def condition_series(func, model: ArrayModel, n_grid, **kwargs) -> list[ConditionValue]:
-    """Evaluate a scalar condition functional over an n-grid."""
-    return [func(model, n, **kwargs) for n in n_grid]
+def condition_series(func, model: ArrayModel, n_grid, **kwargs) -> list:
+    """Evaluate a condition functional over an n-grid.  A float overflow,
+    or a divisor that underflowed to zero, is a ValueError naming the call."""
+    series = []
+    for n in n_grid:
+        try:
+            series.append(func(model, n, **kwargs))
+        except (OverflowError, ZeroDivisionError) as exc:
+            call = f"{func.__name__}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
+            raise ValueError(f"{call} at n={n} leaves the float range: {exc.args[-1]}") from None
+    return series
 
 
 def condition_report(func, model: ArrayModel, n_grid, **kwargs) -> ConditionReport:
@@ -358,7 +351,7 @@ def condition_report(func, model: ArrayModel, n_grid, **kwargs) -> ConditionRepo
 
 def component_reports(func, model: ArrayModel, n_grid, **kwargs) -> dict[str, ConditionReport]:
     """Verdicts for vector-valued checks keyed by component id."""
-    per_n = [func(model, n, **kwargs) for n in n_grid]
+    per_n = condition_series(func, model, n_grid, **kwargs)
     out: dict[str, ConditionReport] = {}
     for idx in range(len(per_n[0])):
         series = [row[idx] for row in per_n]
@@ -366,48 +359,31 @@ def component_reports(func, model: ArrayModel, n_grid, **kwargs) -> dict[str, Co
     return out
 
 
+def holds(report: ConditionReport) -> bool:
+    """Whether the report's verdict is one under which its functional's
+    hypothesis holds (HOLDING_VERDICTS); RW3 must also stay <= 1."""
+    within_rw3_bound = report.eq != "RW3" or bool(np.all(report.values() <= 1.0 + 1e-9))
+    return report.verdict in HOLDING_VERDICTS[report.eq] and within_rw3_bound
+
+
 def berk_holds(reports: dict[str, ConditionReport]) -> bool:
-    """All three block-criterion components behave as required."""
-    by_eq = {rep.eq: rep for rep in reports.values()}
-    return (
-        by_eq["berki"].verdict in ("bounded", "tends-to-zero")
-        and by_eq["berkiii"].verdict == "bounded"
-        and by_eq["berkiv"].verdict == "tends-to-zero"
-    )
+    """Every component report of a block criterion (berk_check or
+    romano_wolf_check) holds."""
+    return all(holds(rep) for rep in reports.values())
 
 
-def romano_wolf_holds(reports: dict[str, ConditionReport]) -> bool:
-    """All five components behave as required (RW6 vanishing, rest bounded)."""
-    by_eq = {rep.eq: rep for rep in reports.values()}
-    ok_bounded = ("bounded", "tends-to-zero")
-    if by_eq["RW6"].verdict != "tends-to-zero":
-        return False
-    if any(by_eq[tag].verdict not in ok_bounded for tag in ("RW1", "RW5", "RWvar")):
-        return False
-    rw3 = by_eq["RW3"]
-    return rw3.verdict in ok_bounded and bool(np.all(rw3.values() <= 1.0 + 1e-9))
+romano_wolf_holds = berk_holds
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def value_to_dict(cv: ConditionValue) -> dict:
-    return {
-        "condition_id": cv.condition_id,
-        "n": cv.n,
-        "value": cv.value,
-        "method": cv.method,
-        "mc_std_err": cv.mc_std_err,
-        "eq": cv.eq,
-    }
-
-
 def report_to_dict(report: ConditionReport) -> dict:
     return {
         "condition_id": report.condition_id,
         "eq": report.eq,
-        "grid": [value_to_dict(cv) for _, cv in report.grid],
+        "grid": [asdict(cv) for _, cv in report.grid],
         "loglog_slope": report.loglog_slope,
         "slope_std_err": report.slope_std_err,
         "verdict": report.verdict,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (
-    ENUMERATION_CAP,
     ArrayModel,
     ContinuousModelError,
     EnumerationTooLargeError,
@@ -38,10 +37,13 @@ from .models import (
 
 #: cap on outcomes * N * (N+1) entries of the stored tensor (~128 MiB)
 TRACE_CELL_CAP = 2**24
+#: HH2 holds when the mean of Q_n/sigma_n^2 at the largest n is this close to 1
+HH2_Q_TOL = 0.05
 
 
 class HypothesisViolationError(ValueError):
-    """The row is not bounded by eps/m_n, so the bound checks do not apply."""
+    """The bound checks do not apply: the row is not bounded by eps/m_n, or
+    eps^2 sigma_n^2 is not a positive float."""
 
 
 class UnsupportedFamilyError(ValueError):
@@ -94,13 +96,8 @@ def _require_trace_size(model: ArrayModel, n: int) -> None:
     """Raise unless build_trace fits both the outcome cap and the trace
     tensor cap; decided from the declaration, before any enumeration."""
     _check_n(model, n)
-    bits = _enumeration_bits(model, n)
-    count = 2**bits
+    count = 2 ** _enumeration_bits(model, n)
     N = model.length(n)
-    if count > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
-            f"{model.describe()} at n={n} needs 2^{bits} outcomes (cap {ENUMERATION_CAP})"
-        )
     if count * N * (N + 1) > TRACE_CELL_CAP:
         raise EnumerationTooLargeError(
             f"trace tensor would hold {count * N * (N + 1)} cells (cap {TRACE_CELL_CAP})"
@@ -229,6 +226,9 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list
         raise HypothesisViolationError(
             f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})"
         )
+    s2 = trace.sigma2
+    if not eps**2 * s2 > 0:
+        raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps**2 * s2:.6g} is not a positive float")
     results = []
 
     err = np.maximum(np.abs(trace.W) - bound, 0.0)
@@ -249,7 +249,6 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list
     err = np.maximum(gap - 2.0 * eps, 0.0)
     results.append(_result("prefix-gap", err, tol, names=("outcome", "i")))
 
-    s2 = trace.sigma2
     eq = float(probs @ trace.Q)
     results.append(_result("mean-quadratic-variation", np.array([abs(eq - s2)]), 1e-10, ("",)))
 
@@ -413,17 +412,11 @@ class HHReport:
         )
 
 
-def check_hh_hypotheses(
-    model: ArrayModel,
-    n_grid,
-    reps: int = 2000,
-    seed: int = 0,
-    q_tol: float = 0.05,
-) -> HHReport:
+def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int = 0) -> HHReport:
     """Monte Carlo check of the three martingale-CLT hypotheses.
 
     For each n: max_k |dM_k|/sigma_n should trend to zero (HH1),
-    Q_n/sigma_n^2 should concentrate at 1 (HH2, within q_tol at the
+    Q_n/sigma_n^2 should concentrate at 1 (HH2, within HH2_Q_TOL at the
     largest n), and E[max_k dM_k^2]/sigma_n^2 should stay bounded (HH3).
     """
     n_grid = sorted(n_grid)
@@ -447,7 +440,7 @@ def check_hh_hypotheses(
             }
         )
     hh1 = rows[-1]["max_dm_q95"] < rows[0]["max_dm_q95"] or rows[-1]["max_dm_q95"] < 0.05
-    hh2 = abs(rows[-1]["q_mean"] - 1.0) <= q_tol
+    hh2 = abs(rows[-1]["q_mean"] - 1.0) <= HH2_Q_TOL
     first, last = rows[0]["max_dm2_mean"], rows[-1]["max_dm2_mean"]
     hh3 = last <= max(first, 1.0)
     return HHReport(model, reps, seed, rows, hh1, hh2, hh3)

@@ -41,6 +41,7 @@ the truncation centring all follow from this declaration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,7 +317,9 @@ def build_model(family: str, **params) -> ArrayModel:
         _require(sched.kind != "constant" or sched.param >= 1, "tail-coupled needs m_n >= 1")
         out["m_schedule"] = sched
     else:  # moving-average
-        coeffs = tuple(_finite(c, "coeffs") for c in p.pop("coeffs", (1.0, 0.5)))
+        coeffs = p.pop("coeffs", (1.0, 0.5))
+        _require(isinstance(coeffs, (list, tuple)), f"coeffs must be a list, got {coeffs!r}")
+        coeffs = tuple(_finite(c, "coeffs") for c in coeffs)
         _require(len(coeffs) >= 1 and coeffs[0] != 0.0, "coeffs must start with c_0 != 0")
         innovation = p.pop("innovation", "rademacher")
         _require(innovation in INNOVATIONS, f"unknown innovation {innovation!r}")
@@ -329,6 +332,8 @@ def build_model(family: str, **params) -> ArrayModel:
 def _check_n(model: ArrayModel, n: int) -> None:
     if n < 1:
         raise InvalidParameterError(f"row index n must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise InvalidParameterError(f"row index n exceeds the float range ({n.bit_length()} bits)")
     if model.family == "block-repeat":
         spike = model.params.get("spike_frac", 0.0)
         if spike > 0 and model.blocks(n) < 2:
@@ -597,22 +602,24 @@ def window_variance_max(model: ArrayModel, n: int, k: int) -> float:
 
 
 def _enumeration_bits(model: ArrayModel, n: int) -> int:
+    """Innovation count of row n; its 2^bits outcomes must fit ENUMERATION_CAP."""
     if not model.is_discrete:
         raise ContinuousModelError(
             f"{model.describe()} has continuous marginals; enumeration undefined"
         )
-    return _innovation_count(model, n)
+    bits = _innovation_count(model, n)
+    if bits > ENUMERATION_CAP.bit_length() - 1:
+        raise EnumerationTooLargeError(
+            f"{model.describe()} at n={n} needs 2^{bits} outcomes (cap {ENUMERATION_CAP})"
+        )
+    return bits
 
 
-def enumerate_outcomes(model: ArrayModel, n: int, cap: int = ENUMERATION_CAP) -> OutcomeTable:
+def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
     """All outcomes of a finitely supported model row with probabilities."""
     _check_n(model, n)
     bits = _enumeration_bits(model, n)
     count = 2**bits
-    if count > cap:
-        raise EnumerationTooLargeError(
-            f"{model.describe()} at n={n} needs 2^{bits} outcomes (cap {cap})"
-        )
     idx = np.arange(count, dtype=np.uint64)
     signs = ((idx[:, None] >> np.arange(bits, dtype=np.uint64)) & 1).astype(float)
     signs = signs * 2.0 - 1.0
@@ -677,6 +684,8 @@ def model_from_config(cfg: dict) -> ArrayModel:
     # build_model validates and converts these
     keys = ("amplitude", "alpha", "innovation", "coeffs", "spike_frac")
     params = {key: cfg[key] for key in keys if key in cfg}
+    schedules = [key for key in ("m", "beta", "m_kind") if key in cfg]
+    _require(len(schedules) <= 1, f"config names more than one m_n schedule: {schedules}")
     if "m" in cfg:
         m = cfg["m"]
         is_int = type(m) in (int, float) and float(m).is_integer()

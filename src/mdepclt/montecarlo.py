@@ -53,7 +53,10 @@ def simulate_normalized_sums(
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
-    sigma = math.sqrt(exact_sigma2(model, n))
+    s2 = exact_sigma2(model, n)
+    if not 0.0 < s2 < math.inf:
+        raise ValueError(f"sigma_n^2 = {s2} at n = {n}")
+    sigma = math.sqrt(s2)
     out = np.empty(reps)
     for r in range(reps):
         out[r] = sample_row(model, n, seed=seed, replicate=r).values.sum() / sigma

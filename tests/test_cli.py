@@ -1,15 +1,18 @@
 """Command-line interface: commands, exit codes, output identity."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdepclt import cli
+from mdepclt import conditions as cond
 
 
 def run_cli(*argv):
@@ -181,6 +184,33 @@ def test_sweep_reproduces_inclusion_narrative(sweep_payload_cached):
     assert br["lindeberg-mdep"] and br["berk(delta=2)"] and br["romano-wolf(delta=2,gamma=0)"]
 
 
+def test_sweep_rows_are_holds_of_the_condition_reports(tmp_path):
+    grid = "6..12"
+    out = tmp_path / "sweep.json"
+    assert run_cli("--cmd", "sweep", "--n-grid", grid, "--r", "4", "--out", str(out)) == 0
+    for row in json.loads(out.read_text())["rows"]:
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(row["config"]))
+        report_file = tmp_path / "conditions.json"
+        code = run_cli(
+            "--cmd", "conditions", "--config", str(cfg), "--n-grid", grid, "--r", "4",
+            "--out", str(report_file),
+        )
+        assert code == 0
+        sets: dict = {}
+        for rep in json.loads(report_file.read_text())["reports"]:
+            report = cond.ConditionReport(
+                rep["condition_id"],
+                tuple((cv["n"], cond.ConditionValue(**cv)) for cv in rep["grid"]),
+                rep["loglog_slope"], rep["slope_std_err"], rep["verdict"], rep["eq"],
+            )
+            column = rep["condition_id"].split(":")[0].split("(eps=")[0]
+            sets.setdefault(column, []).append(cond.holds(report))
+        assert {k: v for k, v in row.items() if k not in ("model", "config")} == {
+            column: all(held) for column, held in sets.items()
+        }, row["model"]
+
+
 def test_sweep_csv_table(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli("--cmd", "sweep", "--n-grid", "6..14", "--r", "4", "--out", str(out), "--format", "csv")
@@ -306,6 +336,8 @@ def test_negative_seed_is_exit_2(capsys):
         ({"format": "xml"}, (), "format"),
         ({"family": "block-repeat", "m_kind": "linear"}, (), "m_kind"),
         ({}, ("--out", "no-such-dir/x.json"), "cannot write out file"),
+        ({"eps": []}, (), "eps must be nonempty"),
+        ({"family": "block-repeat", "m": 2, "beta": 0.5}, (), "more than one m_n schedule"),
     ],
 )
 def test_bad_run_setting_is_exit_2(tmp_path, monkeypatch, capsys, config, flags, needle):
@@ -371,3 +403,90 @@ def test_resolve_config_returns_declared_types_or_rejects(fuzz_config, key, valu
     assert type(resolved["ks_threshold"]) is float and math.isfinite(resolved["ks_threshold"])
     assert resolved["out"] is None or type(resolved["out"]) is str
     assert resolved["format"] in ("json", "csv")
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over whole runs
+
+_ODD = st.sampled_from([-1, 0, 0.0, 1e-200, 1e300, math.inf, math.nan, "cauchy", None, True])
+_INNOVATION = st.sampled_from(["rademacher", "normal"])
+#: family -> parameter strategies that mostly stay in range
+_FAMILY_PARAMS = {
+    "iid-baseline": {},
+    "two-scale": {"alpha": st.floats(0.05, 0.45)},
+    "block-repeat": {
+        "m": st.integers(1, 3), "innovation": _INNOVATION, "spike_frac": st.floats(0.0, 0.6),
+    },
+    "tail-coupled": {"beta": st.floats(0.1, 0.5), "m_kind": st.just("log")},
+    "moving-average": {
+        "coeffs": st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+        "innovation": _INNOVATION,
+    },
+}
+#: command -> largest drawn n: sampling and enumeration cost grows with n
+_SIZES = {"conditions": 2**20, "oracle": 6, "clt": 64}
+#: sizes near the float limits, for the commands that never build a row of
+#: that length (sampling does)
+_HUGE_SIZES = st.sampled_from([2**40, 2**62, 2**1030])
+
+
+@st.composite
+def _runs(draw):
+    def rarely():  # hypothesis favours 0, so the top value is the rare one
+        return draw(st.integers(0, 7)) == 7
+
+    cmd = draw(st.sampled_from(sorted(_SIZES)))
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS) + ["no-such-family"]))
+    config = {"family": family}
+    for key, good in _FAMILY_PARAMS.get(family, {}).items():
+        if key == "alpha" or draw(st.booleans()):
+            config[key] = draw(_ODD) if rarely() else draw(good)
+    if rarely():
+        config[draw(st.sampled_from(["m", "beta", "amplitude", "alpha"]))] = draw(
+            st.floats(0.1, 4.0) | _ODD
+        )
+    sizes = st.integers(1, _SIZES[cmd])
+    grid = draw(st.lists(sizes, min_size=1 if rarely() else 4, max_size=6, unique=True))
+    if cmd != "clt" and rarely():
+        grid.append(draw(_HUGE_SIZES))
+    config["n_grid"] = grid if rarely() else sorted(grid)
+    eps = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=3)
+    config["eps"] = draw(st.sampled_from([[], [0.0], [0.5, -1.0]])) if rarely() else draw(eps)
+    orders = st.floats(2.01, 12.0) | st.sampled_from([2.0001, 400.0, 1.5])
+    config["r"] = draw(st.lists(orders, max_size=3))
+    config["reps"] = 90 if rarely() else draw(st.integers(100, 200))
+    config["ks_threshold"] = draw(st.floats(0.0, 0.5))
+    return cmd, config
+
+
+@pytest.fixture(scope="module")
+def run_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("runs") / "cfg.json"
+
+
+def _two_scale(**settings):
+    return {"family": "two-scale", "alpha": 0.25, **settings}
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_runs())
+@example(run=("conditions", {"family": "iid-baseline", "n_grid": [2**k for k in range(1030, 1034)]}))
+@example(run=("conditions", {"family": "iid-baseline", "n_grid": [2**62 + i for i in range(4)]}))
+@example(run=("conditions", _two_scale(r=[400.0])))
+@example(run=("conditions", _two_scale(eps=[], n_grid=[2**k for k in range(6, 10)])))
+@example(run=("conditions", {"family": "block-repeat", "m": 2, "beta": 0.5}))
+def test_run_keeps_the_exit_code_contract(run_config, run):
+    """Exit 0 or 1 with a payload whose `passed` matches, or exit 2 with
+    one `error:` line; never an exception out of `run`."""
+    cmd, config = run
+    run_config.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["--cmd", cmd, "--config", str(run_config)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert json.loads(out.getvalue()).get("passed", True) is (code == 0)

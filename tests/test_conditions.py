@@ -433,6 +433,21 @@ def test_condition_value_validation():
     assert cv.mc_std_err == 0.01
 
 
+def test_every_emitted_eq_token_has_a_holding_rule():
+    model = m.build_model("block-repeat", m_schedule=2)
+    values = [
+        c.lindeberg_classic(model, 64, eps=0.5),
+        c.lindeberg_mdep(model, 64, eps=0.5),
+        c.lyapunov_ratio(model, 64, r=4.0),
+        c.orey_ratio(model, 64),
+        c.rio_functional(model, 64),
+        *c.berk_check(model, 64, delta=2.0),
+        *c.romano_wolf_check(model, 64, delta=2.0, gamma=0.0),
+    ]
+    assert {cv.eq for cv in values} == set(c.HOLDING_VERDICTS)
+    assert all(set(ok) <= set(c.VERDICTS) for ok in c.HOLDING_VERDICTS.values())
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

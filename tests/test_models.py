@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdepclt as m
-from mdepclt.models import _spike_scale
+from mdepclt.models import _enumeration_bits, _spike_scale
 
 ALPHA = 0.25
 
@@ -210,6 +210,15 @@ def test_enumeration_rejects_continuous_and_large():
         m.enumerate_outcomes(m.build_model("block-repeat", m_schedule=2, innovation="normal"), 8)
     with pytest.raises(m.EnumerationTooLargeError):
         m.enumerate_outcomes(m.build_model("iid-baseline"), 23)
+
+
+def test_enumeration_cap_is_checked_on_the_exponent():
+    # 2^bits is never built, so a huge n is rejected at once
+    iid = m.build_model("iid-baseline")
+    assert _enumeration_bits(iid, 22) == 22
+    for n in (23, 2**62):
+        with pytest.raises(m.EnumerationTooLargeError):
+            _enumeration_bits(iid, n)
 
 
 # ---------------------------------------------------------------------------
