@@ -115,24 +115,32 @@ def trace_feasible(model: ArrayModel, n: int) -> bool:
 
 
 def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
-    """Enumerate the row and compute W, M, dM, Q, q exactly."""
+    """Enumerate the row and compute W, M, dM, Q, q exactly.
+
+    The prefix partitions are refined one column at a time: the cell of an
+    outcome at k is the pair (cell at k-1, X_k), numbered by np.unique of
+    cell * (distinct values of X_k) + rank of X_k.  Cells at k-1 are
+    numbered in lexicographic prefix order and ranks in value order, so the
+    numbering is the one np.unique(rows[:, :k], axis=0) gives, without
+    sorting whole prefixes.  Cell means come from per-column weighted
+    bincounts, which add in outcome order as np.add.at does.
+    """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
     rows, probs = table.rows, table.probs
     n_out, N = rows.shape
     W = np.empty((n_out, N, N + 1))
+    inv = np.zeros(n_out, dtype=np.intp)
     prefix_ids = []
     for k in range(N + 1):
-        if k == 0:
-            inv = np.zeros(n_out, dtype=np.intp)
-        else:
-            _, inv = np.unique(rows[:, :k], axis=0, return_inverse=True)
-            inv = inv.astype(np.intp).ravel()
-        ncells = int(inv.max()) + 1
-        cellp = np.bincount(inv, weights=probs, minlength=ncells)
-        wsum = np.zeros((ncells, N))
-        np.add.at(wsum, inv, probs[:, None] * rows)
-        W[:, :, k] = wsum[inv] / cellp[inv, None]
+        if k > 0:
+            values, rank = np.unique(rows[:, k - 1], return_inverse=True)
+            _, inv = np.unique(inv * len(values) + rank, return_inverse=True)
+        cellp = np.bincount(inv, weights=probs)
+        means = np.empty((len(cellp), N))
+        for j in range(N):
+            means[:, j] = np.bincount(inv, weights=probs * rows[:, j]) / cellp
+        W[:, :, k] = means[inv]
         prefix_ids.append(inv)
     M = W.sum(axis=1)
     dM = np.diff(M, axis=1)
@@ -158,6 +166,24 @@ def _result(name: str, err: np.ndarray, tol: float, names=("outcome", "i", "k"))
     return CheckResult(name, False, worst, detail)
 
 
+def _sliced_result(name: str, err_at, N: int, tol: float) -> CheckResult:
+    """_result of err[o, i, k] = err_at(k)[o, i] for k = 0..N, built one
+    k slice at a time.  On a failure the slices that hold the worst value
+    are rebuilt to name its first (outcome, i, k) in C order, the index
+    np.argmax of the whole tensor gives."""
+    maxima = np.array([err_at(k).max() for k in range(N + 1)])
+    worst = float(maxima.max())
+    if worst <= tol:
+        return CheckResult(name, True, worst)
+    hits = []
+    for k in np.flatnonzero((maxima == worst) | np.isnan(maxima)):
+        err = err_at(k)
+        o, i = np.unravel_index(int(np.argmax(err)), err.shape)
+        hits.append((int(o), int(i), int(k), float(err[o, i])))
+    o, i, k, e = min(hits)
+    return CheckResult(name, False, worst, {"outcome": o, "i": i, "k": k, "err": e, "identity": name})
+
+
 def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckResult]:
     """Assert the four structural identities of the martingale, per outcome.
 
@@ -166,6 +192,9 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
     window-difference   dM_k = sum_{i=k}^{k+m} (W[i, k] - W[i, k-1])
     partial-sum-form    M_k = sum_{i<=k} X_i + sum_{i=k+1}^{k+m} W[i, k]
     endpoint            M_0 = 0 and M_N = S_n
+
+    The first two are checked one W[:, :, k] slice at a time, so no
+    temporary as large as W is built.
     """
     rows = trace.table.rows
     n_out, N = rows.shape
@@ -173,15 +202,13 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
     W, M, dM = trace.W, trace.M, trace.dM
     results = []
 
-    ii = np.arange(1, N + 1)
-    kk = np.arange(0, N + 1)
-    past = ii[:, None] <= kk[None, :]  # (N, N+1)
-    err = np.abs(W - rows[:, :, None]) * past[None, :, :]
-    results.append(_result("measurable-past", err, tol))
-
-    future = ii[:, None] > (kk[None, :] + m)
-    err = np.abs(W) * future[None, :, :]
-    results.append(_result("independent-future", err, tol))
+    ii = np.arange(N)  # W index i holds X_{i+1}
+    results.append(
+        _sliced_result("measurable-past", lambda k: np.abs(W[:, :, k] - rows) * (ii < k), N, tol)
+    )
+    results.append(
+        _sliced_result("independent-future", lambda k: np.abs(W[:, :, k]) * (ii >= k + m), N, tol)
+    )
 
     recon = np.zeros((n_out, N))
     for k in range(1, N + 1):
@@ -231,8 +258,10 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list
         raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps**2 * s2:.6g} is not a positive float")
     results = []
 
-    err = np.maximum(np.abs(trace.W) - bound, 0.0)
-    results.append(_result("conditional-bound", err, tol))
+    W = trace.W
+    results.append(
+        _sliced_result("conditional-bound", lambda k: np.maximum(np.abs(W[:, :, k]) - bound, 0.0), N, tol)
+    )
 
     dm_max = float(np.abs(trace.dM).max())
     err = np.maximum(np.abs(trace.dM) - 4.0 * eps, 0.0)

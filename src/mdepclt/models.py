@@ -61,6 +61,9 @@ MODEL_CONFIG_KEYS = (
 
 #: hard cap on exhaustively enumerated outcomes
 ENUMERATION_CAP = 2**22
+#: hard cap on the innovations drawn and the entries built for one sampled
+#: row (512 MiB of floats each)
+SAMPLE_CAP = 2**26
 
 # fixed second word of the Philox key; separates this stream universe from
 # other Philox users with small integer seeds
@@ -73,6 +76,10 @@ class InvalidParameterError(ValueError):
 
 class EnumerationTooLargeError(ValueError):
     """Exhaustive enumeration would exceed ENUMERATION_CAP outcomes."""
+
+
+class SampleTooLargeError(ValueError):
+    """One sampled row would draw or build more than SAMPLE_CAP values."""
 
 
 class ContinuousModelError(ValueError):
@@ -258,7 +265,8 @@ def _require(cond: bool, msg: str) -> None:
 
 def _finite(value, name: str) -> float:
     try:
-        x = float(value)
+        # a JSON boolean is not a number, although Python's bool is an int
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     _require(math.isfinite(x), f"{name} must be finite, got {value!r}")
@@ -453,6 +461,20 @@ def _row_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.nd
         parts.append(np.repeat(part, repeat, axis=-1) if repeat > 1 else part)
     row = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     return (model.amplitude * scale) * row
+
+
+def _check_sample_size(model: ArrayModel, n: int) -> None:
+    """Raise unless row n draws at most SAMPLE_CAP innovations into at most
+    SAMPLE_CAP entries; decided from the declaration, before anything is
+    drawn.  The entries can outnumber the innovations (block-repeat repeats
+    one innovation per block, tail-coupled shares one across m entries)."""
+    _check_n(model, n)
+    count, _, segments = linear_row(model, n)
+    N = sum(c for c, _, _ in segments)
+    if max(count, N) > SAMPLE_CAP:
+        raise SampleTooLargeError(
+            f"{model.describe()} at n={n} draws {count} innovations into {N} entries per row (cap {SAMPLE_CAP})"
+        )
 
 
 def sample_row(model: ArrayModel, n: int, seed: int = 0, replicate: int = 0) -> RowSample:

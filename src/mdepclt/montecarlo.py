@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogi, ndtr
 
-from .models import ArrayModel, exact_sigma2, model_to_config, sample_row
+from .models import ArrayModel, _check_sample_size, exact_sigma2, model_to_config, sample_row
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ def simulate_normalized_sums(
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
+    _check_sample_size(model, n)
     s2 = exact_sigma2(model, n)
     if not 0.0 < s2 < math.inf:
         raise ValueError(f"sigma_n^2 = {s2} at n = {n}")
@@ -89,6 +90,8 @@ def convergence_sweep(
     n_grid = list(n_grid)
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be nonempty and strictly increasing")
+    for n in n_grid:
+        _check_sample_size(model, n)
     rows = []
     for n in n_grid:
         emp = simulate_normalized_sums(model, n, reps, seed)

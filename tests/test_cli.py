@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mdepclt import cli
 from mdepclt import conditions as cond
+from mdepclt import montecarlo as mc
 
 
 def run_cli(*argv):
@@ -152,6 +153,30 @@ def test_clt_csv(tmp_path, two_scale_config):
     )
     assert code in (0, 1)
     assert out.read_text().splitlines()[0] == "n,ks_stat,reps,seed"
+
+
+@pytest.mark.parametrize(
+    "model,needle",
+    [
+        ({"family": "iid-baseline"}, "1099511627776 innovations into 1099511627776 entries"),
+        # 16 blocks of m = n^0.9: few innovations, 2^40 entries
+        ({"family": "block-repeat", "beta": 0.9}, "16 innovations into 1099511627776 entries"),
+    ],
+    ids=["iid-baseline", "block-repeat"],
+)
+def test_clt_row_beyond_the_sample_cap_is_exit_2(tmp_path, capsys, monkeypatch, model, needle):
+    # the whole grid is checked before the first replicate is drawn
+    def sample_row(*args, **kwargs):
+        raise AssertionError("drew a row before the size check")
+
+    monkeypatch.setattr(mc, "sample_row", sample_row)
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(model))
+    code = run_cli(
+        "--cmd", "clt", "--config", str(config),
+        "--n-grid", "64,1099511627776", "--reps", "100",
+    )
+    _assert_config_error(code, capsys, f"{needle} per row (cap 67108864)")
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +342,25 @@ def test_negative_seed_is_exit_2(capsys):
         "--reps", "100", "--seed", "-1",
     )
     _assert_config_error(code, capsys, "seed")
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"family": "iid-baseline", "amplitude": True}, "amplitude"),
+        ({"family": "block-repeat", "spike_frac": False}, "spike_frac"),
+        ({"family": "moving-average", "coeffs": [True, 0.5]}, "coeffs"),
+        ({"family": "tail-coupled", "beta": True}, "beta"),
+    ],
+)
+def test_boolean_model_parameter_is_exit_2(tmp_path, capsys, config, key):
+    # JSON true/false are not numbers, although Python's bool is an int
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code = run_cli("--cmd", "conditions", "--config", str(bad), "--n-grid", "6..8")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

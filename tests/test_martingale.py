@@ -1,10 +1,13 @@
 """Martingale oracle: exact identities, bounds, truncation, sampled checks."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdepclt as m
 from mdepclt import martingale as mart
@@ -99,6 +102,82 @@ def test_corruption_detected_in_every_index_region(traces, i, k):
     bad = copy.deepcopy(trace)
     bad.W[11, i - 1, k] += 1e-3
     assert not all(res.passed for res in m.check_structure(bad))
+
+
+def _reference_partition_and_W(table):
+    """prefix_ids and W the sort-whole-prefix way: np.unique of every
+    prefix, cell sums by np.add.at, cell means gathered per outcome."""
+    rows, probs = table.rows, table.probs
+    n_out, N = rows.shape
+    W = np.empty((n_out, N, N + 1))
+    ids = []
+    for k in range(N + 1):
+        if k == 0:
+            inv = np.zeros(n_out, dtype=np.intp)
+        else:
+            _, inv = np.unique(rows[:, :k], axis=0, return_inverse=True)
+            inv = inv.ravel()
+        cellp = np.bincount(inv, weights=probs)
+        wsum = np.zeros((len(cellp), N))
+        np.add.at(wsum, inv, probs[:, None] * rows)
+        W[:, :, k] = wsum[inv] / cellp[inv, None]
+        ids.append(inv)
+    return ids, W
+
+
+@pytest.mark.parametrize(
+    "model,n",
+    oracle_models() + [(m.build_model("two-scale", alpha=0.25), 7)],
+    ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v),
+)
+def test_prefix_refinement_is_the_whole_prefix_partition(model, n):
+    # refining cell_{k-1} by X_k gives the cells, the cell numbering and
+    # the cell means of np.unique over whole prefixes, exactly
+    trace = m.build_trace(model, n)
+    ids, W = _reference_partition_and_W(trace.table)
+    assert len(trace.prefix_ids) == len(ids)
+    for k, (got, want) in enumerate(zip(trace.prefix_ids, ids)):
+        assert np.array_equal(got, want), f"k={k}"
+    assert np.array_equal(trace.W, W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sign=st.sampled_from([1.0, -1.0]))
+def test_structure_failure_names_the_perturbed_entry(traces, data, sign):
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    n_out, N, _ = trace.W.shape
+    o = data.draw(st.integers(0, n_out - 1), label="outcome")
+    i = data.draw(st.integers(0, N - 1), label="i")  # W index: entry X_{i+1}
+    k = data.draw(st.integers(0, N), label="k")
+    W = trace.W.copy()
+    W[o, i, k] += sign * 1e-3
+    results = {res.name: res for res in m.check_structure(dataclasses.replace(trace, W=W))}
+    assert not all(res.passed for res in results.values())
+    if i + 1 <= k:
+        region = "measurable-past"
+    elif i + 1 > k + trace.m:
+        region = "independent-future"
+    else:
+        return  # active window: the difference and partial-sum forms fail
+    detail = results[region].detail
+    assert (detail["outcome"], detail["i"], detail["k"]) == (o, i, k)
+    assert detail["identity"] == region
+
+
+def test_structure_failure_names_the_first_worst_entry_in_c_order(traces):
+    # two equal worst errors in different W[:, :, k] slices: the one first
+    # in (outcome, i, k) order is named, as argmax over the whole tensor does
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    rows = trace.table.rows
+    later = (9, 0, 2)  # scanned first: slice k = 2
+    x = rows[later[0], later[1]]
+    first = next((o, 3, 4) for o in range(later[0]) if rows[o, 3] == x)
+    W = trace.W.copy()
+    for o, i, k in (first, later):
+        W[o, i, k] = x + 1e-3
+    res = m.check_structure(dataclasses.replace(trace, W=W))[0]
+    assert res.name == "measurable-past" and not res.passed
+    assert (res.detail["outcome"], res.detail["i"], res.detail["k"]) == first
 
 
 # ---------------------------------------------------------------------------

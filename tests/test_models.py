@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdepclt as m
-from mdepclt.models import _enumeration_bits, _spike_scale
+from mdepclt.models import _check_sample_size, _enumeration_bits, _spike_scale
 
 ALPHA = 0.25
 
@@ -260,6 +260,24 @@ def test_two_scale_sample_support():
         round(s / 2.0 + d * 4**-ALPHA, 12) for s in (-1, 1) for d in (-2, 0, 2)
     }
     assert {round(v, 12) for v in row} <= support
+
+
+def test_sample_size_is_capped_on_the_declaration():
+    iid = m.build_model("iid-baseline")
+    _check_sample_size(iid, m.SAMPLE_CAP)
+    with pytest.raises(m.SampleTooLargeError):
+        _check_sample_size(iid, m.SAMPLE_CAP + 1)
+    ts = m.build_model("two-scale", alpha=0.25)  # 2n + 1 innovations
+    with pytest.raises(m.SampleTooLargeError):
+        _check_sample_size(ts, m.SAMPLE_CAP // 2)
+    # more entries than innovations: N = n + m_n, and J blocks of m_n
+    tc = m.build_model("tail-coupled", m_schedule=m.Schedule("power", 0.25))
+    with pytest.raises(m.SampleTooLargeError):
+        _check_sample_size(tc, m.SAMPLE_CAP - 1)
+    br = m.build_model("block-repeat", m_schedule=m.Schedule("power", 0.9))
+    _check_sample_size(br, m.SAMPLE_CAP)  # N <= n
+    with pytest.raises(m.SampleTooLargeError):
+        _check_sample_size(br, 2 * m.SAMPLE_CAP)  # 6 innovations
 
 
 @pytest.mark.parametrize(
