@@ -2,10 +2,9 @@
 
 Each functional maps (model, n) to a nonnegative scalar whose convergence
 to zero (or boundedness) is the hypothesis of one of the limit theorems
-under study.  Exact values come from the per-variable laws; a Monte Carlo
-fallback exists for laws without closed forms.  Verdicts over an n-grid
-are rendered by an ordinary least-squares fit of log(value) against
-log(n).
+under study.  Values are exact, from the per-variable laws.  Verdicts
+over an n-grid are rendered by an ordinary least-squares fit of
+log(value) against log(n).
 
 Identifier tokens carried in the ``eq`` field, and the verdicts under
 which each functional's hypothesis holds (HOLDING_VERDICTS; ``holds``):
@@ -38,7 +37,6 @@ from .models import (
     ArrayModel,
     exact_sigma2,
     marginal_law_groups,
-    sample_row,
     window_variance_max,
 )
 
@@ -82,7 +80,7 @@ class ConditionValue:
     condition_id: str
     n: int
     value: float
-    method: str = "closed-form"  # closed-form | monte-carlo
+    method: str = "closed-form"  # always; kept with mc_std_err for payload stability
     mc_std_err: float = 0.0
     eq: str = ""
 
@@ -91,8 +89,6 @@ class ConditionValue:
             raise ValueError(
                 f"{self.condition_id} at n={self.n} must be a finite float >= 0, got {self.value!r}"
             )
-        if self.method == "monte-carlo" and not self.mc_std_err > 0:
-            raise ValueError("monte-carlo values must carry a positive std err")
 
 
 @dataclass(frozen=True)
@@ -115,35 +111,6 @@ def _sigma(model: ArrayModel, n: int) -> float:
     if not 0.0 < s2 < math.inf:
         raise DegenerateVarianceError(f"sigma_n^2 = {s2} at n = {n}")
     return math.sqrt(s2)
-
-
-# ---------------------------------------------------------------------------
-# single-variable tail moments
-
-
-def tail_second_moment(model: ArrayModel, n: int, i: int, t: float) -> float:
-    """E[X_{n,i}^2 1{|X_{n,i}| > t}], exact from the entry law."""
-    if t < 0:
-        raise ValueError("threshold must be >= 0")
-    from .models import marginal_law
-
-    return marginal_law(model, n, i).tail_second_moment(t)
-
-
-def tail_second_moment_mc(
-    model: ArrayModel, n: int, i: int, t: float, reps: int = 4000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the same functional, with its standard error.
-
-    Fallback path for laws without closed forms; also serves as an
-    independent cross-check of the exact path.
-    """
-    vals = np.empty(reps)
-    for r in range(reps):
-        x = sample_row(model, n, seed=seed, replicate=r).values[i - 1]
-        vals[r] = x * x if abs(x) > t else 0.0
-    se = float(vals.std(ddof=1) / math.sqrt(reps))
-    return float(vals.mean()), max(se, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -22,10 +21,14 @@ def _phi(x: float) -> float:
 
 
 def normal_tail_second_moment(t: float) -> float:
-    """E[Z^2 1{|Z| > t}] for standard normal Z: 2*(t*phi(t) + 1 - Phi(t))."""
+    """E[Z^2 1{|Z| > t}] for standard normal Z: 2*(t*phi(t) + 1 - Phi(t)).
+
+    1 - Phi(t) is taken as erfc(t/sqrt(2))/2, which keeps full relative
+    precision in the far tail, where subtracting Phi(t) from 1 cancels.
+    """
     if t <= 0.0:
         return 1.0
-    return 2.0 * (t * _phi(t) + (1.0 - float(ndtr(t))))
+    return 2.0 * (t * _phi(t) + 0.5 * math.erfc(t / math.sqrt(2.0)))
 
 
 def normal_abs_moment(r: float) -> float:
@@ -143,11 +146,6 @@ class GaussianLaw:
 
     def capped_second_moment(self, a: float) -> float:
         return self.sd**2 * normal_capped_second_moment(a * self.sd)
-
-
-def rademacher_law(a: float) -> DiscreteLaw:
-    """Two-point law on {-a, +a} with equal weights."""
-    return DiscreteLaw.from_points([-a, a], [0.5, 0.5])
 
 
 def tap_sum(coeffs, terms):

@@ -26,6 +26,7 @@ from .models import (
     EnumerationTooLargeError,
     OutcomeTable,
     _check_n,
+    _check_sample_size,
     _enumeration_bits,
     _spike_scale,
     draw_innovations,
@@ -449,6 +450,8 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
     largest n), and E[max_k dM_k^2]/sigma_n^2 should stay bounded (HH3).
     """
     n_grid = sorted(n_grid)
+    for n in n_grid:
+        _check_sample_size(model, n)
     rows = []
     for n in n_grid:
         sigma = math.sqrt(exact_sigma2(model, n))
@@ -506,21 +509,3 @@ def trace_summary(trace: MartingaleTrace, eps: float | None = None) -> dict:
         slack = bounds[-1].detail or {}
         out.update(slack)
     return out
-
-
-def trace_to_csv(trace: MartingaleTrace, path) -> None:
-    """Dump the full W tensor for debugging; refused for rows longer than 8."""
-    n_out, N, _ = trace.W.shape
-    if N > 8:
-        raise ValueError("full tensor dump limited to rows of length <= 8")
-    with open(path, "w") as fh:
-        fh.write("outcome,prob,i,k,w,m_k,dm_k\n")
-        for o in range(n_out):
-            p = trace.table.probs[o]
-            for i in range(1, N + 1):
-                for k in range(N + 1):
-                    dm = trace.dM[o, k - 1] if k >= 1 else 0.0
-                    fh.write(
-                        f"{o},{p!r},{i},{k},{trace.W[o, i - 1, k]!r},"
-                        f"{trace.M[o, k]!r},{dm!r}\n"
-                    )

@@ -162,14 +162,6 @@ class ArrayModel:
         """True when every row has finite support (Rademacher built)."""
         return self.innovation == "rademacher"
 
-    def scaled(self, c: float) -> "ArrayModel":
-        """The model with every entry multiplied by c > 0."""
-        if not c > 0:
-            raise InvalidParameterError("scaling factor must be positive")
-        params = dict(self.params)
-        params["amplitude"] = self.amplitude * c
-        return ArrayModel(self.family, params)
-
     def describe(self) -> str:
         p = self.params
         fam = self.family
@@ -205,29 +197,10 @@ class OutcomeTable:
     def row_sums(self) -> np.ndarray:
         return self.rows.sum(axis=1)
 
-    def mean_sum(self) -> float:
-        return float(self.probs @ self.row_sums())
-
     def var_sum(self) -> float:
         s = self.row_sums()
         mu = self.probs @ s
         return float(self.probs @ (s - mu) ** 2)
-
-    def mean_entry(self, i: int) -> float:
-        return float(self.probs @ self.rows[:, i - 1])
-
-    def cov_entries(self, i: int, j: int) -> float:
-        xi = self.rows[:, i - 1]
-        xj = self.rows[:, j - 1]
-        mi = self.probs @ xi
-        mj = self.probs @ xj
-        return float(self.probs @ ((xi - mi) * (xj - mj)))
-
-    def to_csv(self, path) -> None:
-        n_cols = self.rows.shape[1]
-        header = "prob," + ",".join(f"x_{i}" for i in range(1, n_cols + 1))
-        data = np.column_stack([self.probs, self.rows])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
 @dataclass(frozen=True)
@@ -240,9 +213,6 @@ class TruncationSplit:
     sum recovers X exactly on every outcome.
     """
 
-    model: ArrayModel
-    n: int
-    eps: float
     threshold: float
     mu: np.ndarray
 
@@ -666,7 +636,7 @@ def truncated_model(model: ArrayModel, n: int, eps: float) -> TruncationSplit:
     a = model.amplitude * scale
     laws = [_tap_law(model, a, tuple(c for _, c in taps)) for _, taps, _ in segments]
     mu = np.repeat([law.truncated_mean(t) for law in laws], [count for count, _, _ in segments])
-    return TruncationSplit(model, n, eps, t, mu)
+    return TruncationSplit(t, mu)
 
 
 # ---------------------------------------------------------------------------

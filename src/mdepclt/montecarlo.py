@@ -100,17 +100,6 @@ def convergence_sweep(
     return ConvergenceReport(model, tuple(rows), monotone, rows[-1]["ks_stat"])
 
 
-def plot_data(emp: EmpiricalDistribution) -> np.ndarray:
-    """Two columns (z, empirical CDF minus Phi) for external plotting."""
-    r = emp.reps
-    ecdf = np.arange(1, r + 1) / r
-    return np.column_stack([emp.samples, ecdf - ndtr(emp.samples)])
-
-
-def write_plot_data(emp: EmpiricalDistribution, path) -> None:
-    np.savetxt(path, plot_data(emp), delimiter=",", header="z,ecdf_minus_phi", comments="")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -33,17 +33,17 @@ def catalogue():
 
 
 def test_tail_second_moment_rademacher_atoms():
-    iid = m.build_model("iid-baseline")
+    law = m.marginal_law(m.build_model("iid-baseline"), 9, 1)
     a2 = 1 / 9  # squared atom at n = 9
-    assert m.tail_second_moment(iid, 9, 1, 0.2) == pytest.approx(a2, abs=1e-15)
-    assert m.tail_second_moment(iid, 9, 1, 1 / 3) == 0.0
+    assert law.tail_second_moment(0.2) == pytest.approx(a2, abs=1e-15)
+    assert law.tail_second_moment(1 / 3) == 0.0
     # t = 0 returns the full second moment
-    assert m.tail_second_moment(iid, 9, 1, 0.0) == pytest.approx(a2, abs=1e-15)
+    assert law.tail_second_moment(0.0) == pytest.approx(a2, abs=1e-15)
 
 
 def test_tail_second_moment_gaussian_closed_form():
     tc = m.build_model("tail-coupled", m_schedule=2)
-    assert m.tail_second_moment(tc, 16, 1, 1.0) == pytest.approx(
+    assert m.marginal_law(tc, 16, 1).tail_second_moment(1.0) == pytest.approx(
         normal_tail_second_moment(1.0), abs=1e-14
     )
 
@@ -57,9 +57,14 @@ def test_tail_second_moment_gaussian_closed_form():
     ],
 )
 def test_tail_second_moment_mc_agrees_with_exact(model, n, i, t):
-    exact = m.tail_second_moment(model, n, i, t)
-    est, se = m.tail_second_moment_mc(model, n, i, t, reps=4000, seed=5)
-    assert abs(est - exact) <= 4 * se
+    exact = m.marginal_law(model, n, i).tail_second_moment(t)
+    reps = 4000
+    vals = np.empty(reps)
+    for r in range(reps):
+        x = m.sample_row(model, n, seed=5, replicate=r).values[i - 1]
+        vals[r] = x * x if abs(x) > t else 0.0
+    se = vals.std(ddof=1) / math.sqrt(reps)
+    assert abs(vals.mean() - exact) <= 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +228,7 @@ def test_ordering_chain_fuzz(alpha, eps, n, r):
 @settings(max_examples=20, deadline=None)
 def test_functionals_are_scale_free(factor):
     base = m.build_model("two-scale", alpha=0.3)
-    scaled = base.scaled(factor)
+    scaled = m.build_model("two-scale", alpha=0.3, amplitude=factor)
     n = 128
     assert m.lindeberg_classic(scaled, n, 0.3).value == pytest.approx(
         m.lindeberg_classic(base, n, 0.3).value, rel=1e-10, abs=1e-15
@@ -428,9 +433,9 @@ def test_condition_value_validation():
     with pytest.raises(ValueError):
         c.ConditionValue("x", 8, -0.1)
     with pytest.raises(ValueError):
-        c.ConditionValue("x", 8, 0.1, method="monte-carlo", mc_std_err=0.0)
-    cv = c.ConditionValue("x", 8, 0.1, method="monte-carlo", mc_std_err=0.01)
-    assert cv.mc_std_err == 0.01
+        c.ConditionValue("x", 8, math.inf)
+    cv = c.ConditionValue("x", 8, 0.1)
+    assert (cv.method, cv.mc_std_err) == ("closed-form", 0.0)
 
 
 def test_every_emitted_eq_token_has_a_holding_rule():

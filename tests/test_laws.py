@@ -14,7 +14,6 @@ from mdepclt.laws import (
     normal_abs_moment,
     normal_capped_second_moment,
     normal_tail_second_moment,
-    rademacher_law,
     sign_combination_law,
 )
 
@@ -26,6 +25,28 @@ def test_normal_tail_second_moment_vs_quadrature(t):
     oracle, err = quad(lambda x: x * x * norm.pdf(x), t, 50.0, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-11
     assert normal_tail_second_moment(t) == pytest.approx(2 * oracle, abs=1e-10)
+
+
+# E[Z^2 1{|Z| > t}] to 50 digits, rounded to the nearest double:
+#   import mpmath as mp; mp.mp.dps = 50
+#   float(2 * (t * mp.npdf(t) + mp.ncdf(-t)))  # t as mp.mpf
+NORMAL_TAIL_REFERENCE = {
+    0.5: 0.9691404042162732,
+    2.0: 0.2614641299491106,
+    5.0: 1.5440498291101365e-05,
+    7.0: 1.30445710804876e-10,
+    8.0: 8.208052945144464e-14,
+    9.0: 1.8729310110194814e-17,
+    12.0: 5.1868506078328985e-31,
+}
+
+
+@pytest.mark.parametrize("t", sorted(NORMAL_TAIL_REFERENCE))
+def test_normal_tail_second_moment_far_tail_relative(t):
+    # 1 - Phi(t) by subtraction keeps at most two digits beyond t ~ 8; the
+    # quadrature test's absolute tolerance cannot see that
+    expect = NORMAL_TAIL_REFERENCE[t]
+    assert normal_tail_second_moment(t) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("r", [2.0, 2.5, 3.0, 4.0, 6.0])
@@ -66,7 +87,7 @@ def test_gaussian_law_scales():
 
 
 def test_rademacher_two_point():
-    law = rademacher_law(0.25)
+    law = DiscreteLaw.from_points([-0.25, 0.25], [0.5, 0.5])
     assert law.tail_second_moment(0.2) == pytest.approx(0.0625)
     assert law.tail_second_moment(0.25) == 0.0  # strict inequality at the atom
     assert law.tail_second_moment(0.3) == 0.0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mdepclt as m
 from mdepclt import martingale as mart
-from mdepclt.martingale import increments_from_innovations, trace_to_csv
+from mdepclt.martingale import increments_from_innovations
 from mdepclt.models import _enumeration_bits
 
 
@@ -412,6 +412,16 @@ def test_hh_unsupported_family():
         m.check_hh_hypotheses(ma, [64, 128, 256], reps=200)
 
 
+def test_hh_grid_beyond_the_sample_cap_raises_before_drawing(monkeypatch):
+    def draw_innovations(*args, **kwargs):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(mart, "draw_innovations", draw_innovations)
+    iid = m.build_model("iid-baseline")
+    with pytest.raises(m.SampleTooLargeError):
+        m.check_hh_hypotheses(iid, [64, 2**27], reps=200)
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -424,19 +434,3 @@ def test_trace_summary_fields(traces):
         assert key in summary
     assert summary["structure_passed"] and summary["tower_passed"] and summary["bounds_passed"]
     assert summary["sum_q"] == pytest.approx(summary["sigma2"], abs=1e-10)
-
-
-def test_trace_csv_dump(tmp_path, traces):
-    _, _, trace = traces["block-repeat(rademacher, m=2)"]
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    n_out, N = trace.table.rows.shape
-    assert len(lines) == 1 + n_out * N * (N + 1)
-
-
-def test_trace_csv_refuses_long_rows():
-    iid = m.build_model("iid-baseline")
-    trace = m.build_trace(iid, 9)
-    with pytest.raises(ValueError):
-        trace_to_csv(trace, "/tmp/should-not-exist.csv")

@@ -160,16 +160,18 @@ def test_exact_cov_index_errors():
 @pytest.mark.parametrize("model,n", discrete_catalogue())
 def test_enumeration_matches_closed_forms(model, n):
     table = m.enumerate_outcomes(model, n)
-    assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert abs(table.mean_sum()) < 1e-12
+    probs, rows = table.probs, table.rows
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert abs(probs @ table.row_sums()) < 1e-12
     assert table.var_sum() == pytest.approx(m.exact_sigma2(model, n), abs=1e-10)
+    means = probs @ rows
+    assert np.abs(means).max() < 1e-12
+    centred = rows - means
+    cov = centred.T @ (probs[:, None] * centred)
     N = model.length(n)
     for i in range(1, N + 1):
-        assert abs(table.mean_entry(i)) < 1e-12
         for j in range(i, N + 1):
-            assert table.cov_entries(i, j) == pytest.approx(
-                m.exact_cov(model, n, i, j), abs=1e-12
-            )
+            assert cov[i - 1, j - 1] == pytest.approx(m.exact_cov(model, n, i, j), abs=1e-12)
 
 
 def test_two_scale_outcome_count_and_support():
@@ -349,7 +351,8 @@ def test_truncation_requires_positive_eps():
 @settings(max_examples=25, deadline=None)
 def test_amplitude_scales_sigma(c):
     ts = m.build_model("two-scale", alpha=ALPHA)
-    assert m.exact_sigma2(ts.scaled(c), 32) == pytest.approx(
+    scaled = m.build_model("two-scale", alpha=ALPHA, amplitude=c)
+    assert m.exact_sigma2(scaled, 32) == pytest.approx(
         c * c * m.exact_sigma2(ts, 32), rel=1e-12
     )
 
@@ -404,15 +407,6 @@ def test_config_rejects_unknown_keys():
         m.model_from_config({"family": "iid-baseline", "frobnicate": 1})
     with pytest.raises(m.InvalidParameterError):
         m.model_from_config({"alpha": 0.25})
-
-
-def test_outcome_table_csv(tmp_path):
-    table = m.enumerate_outcomes(m.build_model("iid-baseline"), 3)
-    path = tmp_path / "outcomes.csv"
-    table.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "prob,x_1,x_2,x_3"
-    assert len(lines) == 1 + 8
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +474,9 @@ def test_declaration_second_moments_agree(case):
     if model.is_discrete:
         table = m.enumerate_outcomes(model, n)
         assert table.var_sum() == pytest.approx(sigma2, abs=1e-10)
+        probs, rows = table.probs, table.rows
+        centred = rows - probs @ rows
+        enum_cov = centred.T @ (probs[:, None] * centred)
         for i in range(1, N + 1):
             for j in range(i, N + 1):
-                assert table.cov_entries(i, j) == pytest.approx(cov[i - 1, j - 1], abs=1e-12)
+                assert enum_cov[i - 1, j - 1] == pytest.approx(cov[i - 1, j - 1], abs=1e-12)

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 import mdepclt as m
 from mdepclt import cli
-from mdepclt.montecarlo import plot_data, report_to_dict, write_plot_data
+from mdepclt.montecarlo import report_to_dict
 
 
 def test_simulation_reproducible_and_sorted():
@@ -149,17 +149,6 @@ def test_sweep_monotone_trend_flag():
 
 # ---------------------------------------------------------------------------
 # export
-
-
-def test_plot_data_columns(tmp_path):
-    iid = m.build_model("iid-baseline")
-    emp = m.simulate_normalized_sums(iid, 256, reps=500, seed=2)
-    data = plot_data(emp)
-    assert data.shape == (500, 2)
-    assert np.abs(data[:, 1]).max() < 0.2
-    path = tmp_path / "plot.csv"
-    write_plot_data(emp, path)
-    assert path.read_text().splitlines()[0] == "z,ecdf_minus_phi"
 
 
 def test_report_serialization():
