@@ -119,7 +119,7 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
         for eps in eps_list:
             chk = mart.check_truncation(model, n, eps)
             trunc.append({"n": n, "eps": eps, "passed": chk.passed, **chk.values})
-    passed = all(t["structure_passed"] and t["tower_passed"] and t.get("bounds_passed", True) for t in traces)
+    passed = all(t["structure_passed"] and t["tower_passed"] and t["bounds_passed"] for t in traces)
     passed = passed and all(t["passed"] for t in trunc)
     return {
         "model": model_to_config(model),

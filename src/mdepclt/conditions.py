@@ -33,8 +33,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import (
+from .models import (  # DegenerateVarianceError is re-exported
     ArrayModel,
+    DegenerateVarianceError,
+    _sigma,
     exact_sigma2,
     marginal_law_groups,
     window_variance_max,
@@ -59,10 +61,6 @@ HOLDING_VERDICTS = {
     **dict.fromkeys(("cond+", "berki", "RW1", "RW3", "RW5", "RWvar"), ("bounded", "tends-to-zero")),
     "berkiii": ("bounded",),  # sigma_n^2/N_n must converge to a positive constant
 }
-
-
-class DegenerateVarianceError(ValueError):
-    """sigma_n^2 is zero, negative or not finite at the requested n."""
 
 
 class ZeroDependenceError(ValueError):
@@ -104,13 +102,6 @@ class ConditionReport:
 
     def values(self) -> np.ndarray:
         return np.array([cv.value for _, cv in self.grid])
-
-
-def _sigma(model: ArrayModel, n: int) -> float:
-    s2 = exact_sigma2(model, n)
-    if not 0.0 < s2 < math.inf:
-        raise DegenerateVarianceError(f"sigma_n^2 = {s2} at n = {n}")
-    return math.sqrt(s2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ form, the partial-sum form, the quadratic-variation identity, and the
 variance and increment bounds -- can be asserted outcome by outcome.
 
 Large rows (where enumeration is impossible) are handled by a Monte Carlo
-path that evaluates the same martingale through per-family closed forms of
-the conditional expectations.
+path that evaluates the same martingale through closed-form conditional
+expectations: one rule for every row whose segments hold one tap each,
+and a decoding of the two-scale row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +28,10 @@ from .models import (
     _check_n,
     _check_sample_size,
     _enumeration_bits,
-    _spike_scale,
+    _sigma,
     draw_innovations,
     enumerate_outcomes,
-    exact_sigma2,
+    linear_row,
     row_rng,
     truncated_model,
 )
@@ -48,7 +48,7 @@ class HypothesisViolationError(ValueError):
 
 
 class UnsupportedFamilyError(ValueError):
-    """No closed-form conditional expectations for this family."""
+    """No closed-form conditional expectations for this model."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class MartingaleTrace:
 def _require_trace_size(model: ArrayModel, n: int) -> None:
     """Raise unless build_trace fits both the outcome cap and the trace
     tensor cap; decided from the declaration, before any enumeration."""
-    _check_n(model, n)
+    _check_n(n)
     count = 2 ** _enumeration_bits(model, n)
     N = model.length(n)
     if count * N * (N + 1) > TRACE_CELL_CAP:
@@ -371,15 +371,18 @@ def check_truncation(model: ArrayModel, n: int, eps: float, tol: float = 1e-12) 
 
 
 def increments_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """(dM_1, ..., dM_N) from raw innovations via closed-form conditional
-    expectations.  The innovation layout matches sample_row; supported
-    families are the ones whose conditional expectations are available
-    analytically."""
-    fam = model.family
+    """(dM_1, ..., dM_N) from raw innovations, in sample_row's layout, via
+    closed-form conditional expectations.
+
+    In a row whose segments hold one tap each, every block of `repeat`
+    entries is one innovation times c != 0, and different blocks draw
+    different innovations.  So the first entry of a block reveals its whole
+    contribution amplitude * scale * repeat * c * zeta_j to S_n, and dM
+    is zero everywhere else.  The two-scale row is decoded in closed form;
+    any other row raises UnsupportedFamilyError.
+    """
     amp = model.amplitude
-    if fam == "iid-baseline":
-        return amp * n**-0.5 * innov
-    if fam == "two-scale":
+    if model.family == "two-scale":
         alpha = model.params["alpha"]
         xi = innov[:n]
         eta = innov[n:]
@@ -393,28 +396,19 @@ def increments_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) ->
         w_next[-1] = 0.0  # X_{n+1} := 0
         w_prev = np.concatenate([[0.0], w_next[:-1]])  # E(X_k | prefix k-1)
         return amp * (x + w_next - w_prev)
-    if fam == "block-repeat":
-        m = model.m(n)
-        y = innov.copy()
-        y[0] *= _spike_scale(model, n)
-        dm = np.zeros(y.size * m)
-        dm[::m] = y  # the martingale jumps by Y_j when block j is first seen
-        return amp * dm
-    if fam == "tail-coupled":
-        m = model.m(n)
-        dm = np.zeros(n + m)
-        dm[:n] = innov[:n]
-        dm[n] = m * innov[n]  # all m copies of eta become known at index n+1
-        return amp * dm
-    raise UnsupportedFamilyError(
-        f"no closed-form conditional expectations for family {fam!r}"
-    )
-
-
-def _hh_increments(model: ArrayModel, n: int, rng) -> np.ndarray:
-    """One replicate of the increments, drawing innovations in the same
-    order as sample_row."""
-    return increments_from_innovations(model, n, draw_innovations(model, n, rng))
+    _, scale, segments = linear_row(model, n)
+    if any(len(taps) > 1 for _, taps, _ in segments):
+        raise UnsupportedFamilyError(
+            f"no closed-form conditional expectations for {model.describe()}"
+        )
+    parts = []
+    for count, ((j, c),), repeat in segments:
+        # scale * repeat is (1/m) * m on block-repeat rows, which rounds to
+        # 1.0 for small m: a block's increment then carries no extra rounding
+        part = np.zeros(count)
+        part[::repeat] = (amp * (scale * repeat)) * (c * innov[j : j + count // repeat])
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -450,15 +444,20 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
     largest n), and E[max_k dM_k^2]/sigma_n^2 should stay bounded (HH3).
     """
     n_grid = sorted(n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must be nonempty")
+    if reps < 100:
+        raise ValueError(f"reps must be >= 100, got {reps}")
     for n in n_grid:
         _check_sample_size(model, n)
+    sigmas = [_sigma(model, n) for n in n_grid]
     rows = []
-    for n in n_grid:
-        sigma = math.sqrt(exact_sigma2(model, n))
+    for n, sigma in zip(n_grid, sigmas):
         max_abs = np.empty(reps)
         q_norm = np.empty(reps)
         for r in range(reps):
-            dm = _hh_increments(model, n, row_rng(seed, n, r)) / sigma
+            innov = draw_innovations(model, n, row_rng(seed, n, r))
+            dm = increments_from_innovations(model, n, innov) / sigma
             max_abs[r] = np.abs(dm).max()
             q_norm[r] = dm @ dm
         rows.append(
@@ -482,10 +481,12 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
 # export
 
 
-def trace_summary(trace: MartingaleTrace, eps: float | None = None) -> dict:
-    """Compact JSON-ready summary of a trace and its checks."""
+def trace_summary(trace: MartingaleTrace, eps: float) -> dict:
+    """Compact JSON-ready summary of a trace and its checks, the bound
+    checks at eps included."""
     structure = check_structure(trace)
     tower = check_tower(trace)
+    bounds = check_bounds(trace, eps)
     probs = trace.table.probs
     eq = float(probs @ trace.Q)
     var_q = float(probs @ (trace.Q - eq) ** 2)
@@ -499,13 +500,9 @@ def trace_summary(trace: MartingaleTrace, eps: float | None = None) -> dict:
         "max_abs_dm": float(np.abs(trace.dM).max()),
         "structure_passed": all(r.passed for r in structure),
         "tower_passed": all(r.passed for r in tower),
-        "checks": {r.name: r.passed for r in structure + tower},
+        "checks": {r.name: r.passed for r in structure + tower + bounds},
+        "eps": eps,
+        "bounds_passed": all(r.passed for r in bounds),
     }
-    if eps is not None:
-        bounds = check_bounds(trace, eps)
-        out["eps"] = eps
-        out["bounds_passed"] = all(r.passed for r in bounds)
-        out["checks"].update({r.name: r.passed for r in bounds})
-        slack = bounds[-1].detail or {}
-        out.update(slack)
+    out.update(bounds[-1].detail)
     return out

@@ -86,6 +86,10 @@ class ContinuousModelError(ValueError):
     """Requested exact enumeration of a model with continuous marginals."""
 
 
+class DegenerateVarianceError(ValueError):
+    """sigma_n^2 is zero, negative or not finite at the requested n."""
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Integer-valued map n -> value, serializable as (kind, param).
@@ -307,15 +311,11 @@ def build_model(family: str, **params) -> ArrayModel:
     return ArrayModel(family, out)
 
 
-def _check_n(model: ArrayModel, n: int) -> None:
+def _check_n(n: int) -> None:
     if n < 1:
         raise InvalidParameterError(f"row index n must be >= 1, got {n}")
     if n > sys.float_info.max:
         raise InvalidParameterError(f"row index n exceeds the float range ({n.bit_length()} bits)")
-    if model.family == "block-repeat":
-        spike = model.params.get("spike_frac", 0.0)
-        if spike > 0 and model.blocks(n) < 2:
-            raise InvalidParameterError("spike block-repeat needs at least 2 blocks")
 
 
 def _spike_scale(model: ArrayModel, n: int) -> float:
@@ -347,6 +347,8 @@ def linear_row(model: ArrayModel, n: int) -> tuple:
         return 2 * n + 1, 1.0, ((n, ((0, n**-0.5), (n, -a), (n + 1, a)), 1),)
     if fam == "block-repeat":
         m, J = model.m(n), model.blocks(n)
+        if J < 2 and model.params.get("spike_frac", 0.0) > 0:
+            raise InvalidParameterError("spike block-repeat needs at least 2 blocks")
         segments = ((m, ((0, _spike_scale(model, n)),), m),)
         if J > 1:
             segments += (((J - 1) * m, ((1, 1.0),), m),)
@@ -438,7 +440,7 @@ def _check_sample_size(model: ArrayModel, n: int) -> None:
     SAMPLE_CAP entries; decided from the declaration, before anything is
     drawn.  The entries can outnumber the innovations (block-repeat repeats
     one innovation per block, tail-coupled shares one across m entries)."""
-    _check_n(model, n)
+    _check_n(n)
     count, _, segments = linear_row(model, n)
     N = sum(c for c, _, _ in segments)
     if max(count, N) > SAMPLE_CAP:
@@ -450,7 +452,7 @@ def _check_sample_size(model: ArrayModel, n: int) -> None:
 def sample_row(model: ArrayModel, n: int, seed: int = 0, replicate: int = 0) -> RowSample:
     """Draw one full row from the model law, deterministically from
     (seed, n, replicate)."""
-    _check_n(model, n)
+    _check_n(n)
     innov = draw_innovations(model, n, row_rng(seed, n, replicate))
     return RowSample(n, _row_from_innovations(model, n, innov))
 
@@ -462,9 +464,17 @@ def sample_row(model: ArrayModel, n: int, seed: int = 0, replicate: int = 0) -> 
 def exact_sigma2(model: ArrayModel, n: int) -> float:
     """Var S_n = (amplitude * scale)^2 * sum(count * w^2) over the S_n
     weight groups."""
-    _check_n(model, n)
+    _check_n(n)
     a = model.amplitude * linear_row(model, n)[1]
     return a * a * sum(count * w * w for count, w in sum_weight_groups(model, n))
+
+
+def _sigma(model: ArrayModel, n: int) -> float:
+    """sigma_n, raising DegenerateVarianceError unless 0 < sigma_n^2 < inf."""
+    s2 = exact_sigma2(model, n)
+    if not 0.0 < s2 < math.inf:
+        raise DegenerateVarianceError(f"sigma_n^2 = {s2} at n = {n}")
+    return math.sqrt(s2)
 
 
 def _entry_taps(model: ArrayModel, n: int) -> tuple:
@@ -483,7 +493,7 @@ def _entry_taps(model: ArrayModel, n: int) -> tuple:
 
 def cov_band(model: ArrayModel, n: int, d: int) -> np.ndarray:
     """Vector of Cov(X_{n,i}, X_{n,i+d}) for i = 1..N_n-d, exact."""
-    _check_n(model, n)
+    _check_n(n)
     if d < 0:
         raise IndexError("lag d must be >= 0")
     N = model.length(n)
@@ -526,7 +536,7 @@ def marginal_law_groups(model: ArrayModel, n: int) -> list:
     functionals sum over at most one law per segment instead of over all
     N_n indices.
     """
-    _check_n(model, n)
+    _check_n(n)
     _, scale, segments = linear_row(model, n)
     counts: dict = {}
     for count, taps, _ in segments:
@@ -544,7 +554,7 @@ def _sliding_sum(x: np.ndarray, width: int) -> np.ndarray:
 def window_variance_max_generic(model: ArrayModel, n: int, k: int) -> float:
     """max over a of Var(X_{n,a} + ... + X_{n,a+k-1}) via the covariance
     band; exact for every model but O(N_n * m_n) in time."""
-    _check_n(model, n)
+    _check_n(n)
     N = model.length(n)
     k = min(max(k, 1), N)
     total = _sliding_sum(cov_band(model, n, 0), k)
@@ -556,23 +566,23 @@ def window_variance_max_generic(model: ArrayModel, n: int, k: int) -> float:
 def window_variance_max(model: ArrayModel, n: int, k: int) -> float:
     """max over a of Var(X_{n,a} + ... + X_{n,a+k-1}), exact.
 
-    Closed forms where available (verified against the generic band
-    computation in the test suite), banded fallback otherwise.
+    Two closed forms follow from the declaration (each verified against the
+    generic band computation in the test suite): a single-tap row whose
+    largest-|c| block holds k entries, and a stationary row.  Other rows
+    take the banded fallback.
     """
-    _check_n(model, n)
+    _check_n(n)
     N = model.length(n)
     k = min(max(k, 1), N)
-    amp2 = model.amplitude**2
-    fam = model.family
-    mn = model.m(n)
-    if fam == "block-repeat" and k <= mn:
-        # the best window sits inside the highest-variance block
-        c = max(_spike_scale(model, n), 1.0)
-        return amp2 * (c * k / mn) ** 2
-    if fam == "tail-coupled" and k <= mn:
-        # a window of k copies of the shared tail variable has variance k^2
-        return amp2 * k * k
     _, scale, segments = linear_row(model, n)
+    if all(len(taps) == 1 for _, taps, _ in segments):
+        # every block is one innovation times c, so a window overlapping
+        # blocks by o_b entries has variance (amplitude * scale)^2 *
+        # sum(c_b^2 o_b^2) <= (amplitude * scale * c_max * k)^2, with
+        # equality inside a block of the largest |c| that holds k entries
+        c_max = max(abs(taps[0][1]) for _, taps, _ in segments)
+        if any(abs(taps[0][1]) == c_max and repeat >= k for _, taps, repeat in segments):
+            return (model.amplitude * scale * c_max * k) ** 2
     if len(segments) == 1 and segments[0][2] == 1:
         # stationary row: taps (j, c) and (j2, c2) meet at lag d = j - j2,
         # and a window of k entries holds k - d such pairs
@@ -609,7 +619,7 @@ def _enumeration_bits(model: ArrayModel, n: int) -> int:
 
 def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
     """All outcomes of a finitely supported model row with probabilities."""
-    _check_n(model, n)
+    _check_n(n)
     bits = _enumeration_bits(model, n)
     count = 2**bits
     idx = np.arange(count, dtype=np.uint64)
@@ -628,7 +638,7 @@ def truncated_model(model: ArrayModel, n: int, eps: float) -> TruncationSplit:
     """Split each entry at threshold eps*sigma_n/max(m_n,1) and re-centre."""
     if not eps > 0:
         raise InvalidParameterError("eps must be positive")
-    _check_n(model, n)
+    _check_n(n)
     sigma = math.sqrt(exact_sigma2(model, n))
     m_eff = max(model.m(n), 1)
     t = eps * sigma / m_eff
@@ -649,7 +659,7 @@ def model_to_config(model: ArrayModel) -> dict:
     p = model.params
     if model.amplitude != 1.0:
         cfg["amplitude"] = model.amplitude
-    if model.family == "two-scale":
+    if "alpha" in p:
         cfg["alpha"] = p["alpha"]
     if p.get("innovation", "rademacher") != "rademacher":
         cfg["innovation"] = p["innovation"]

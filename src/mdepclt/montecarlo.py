@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogi, ndtr
 
-from .models import ArrayModel, _check_sample_size, exact_sigma2, model_to_config, sample_row
+from .models import ArrayModel, _check_sample_size, _sigma, model_to_config, sample_row
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,7 @@ def simulate_normalized_sums(
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     _check_sample_size(model, n)
-    s2 = exact_sigma2(model, n)
-    if not 0.0 < s2 < math.inf:
-        raise ValueError(f"sigma_n^2 = {s2} at n = {n}")
-    sigma = math.sqrt(s2)
+    sigma = _sigma(model, n)
     out = np.empty(reps)
     for r in range(reps):
         out[r] = sample_row(model, n, seed=seed, replicate=r).values.sum() / sigma

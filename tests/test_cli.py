@@ -91,6 +91,22 @@ def test_oracle_command_passes_on_catalogued_models(tmp_path):
     assert all(t["var_q_over_eps2_sigma2"] <= 48.0 for t in payload["traces"])
 
 
+def test_oracle_csv(tmp_path):
+    out = tmp_path / "oracle.csv"
+    code = run_cli(
+        "--cmd", "oracle", "--model", "iid-baseline",
+        "--n-grid", "4,6", "--eps", "0.5", "--format", "csv", "--out", str(out),
+    )
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["n", "check", "passed"]
+    pairs = [(n, check) for n, check, _ in rows]
+    assert len(set(pairs)) == len(pairs)
+    assert {c for n, c in pairs if n == "4"} == {c for n, c in pairs if n == "6"}
+    assert sorted(n for n, check in pairs if check == "truncation(eps=0.5)") == ["4", "6"]
+    assert all(passed == "True" for _, _, passed in rows)
+
+
 def test_oracle_rejects_unenumerable_model():
     code = run_cli("--cmd", "oracle", "--model", "tail-coupled", "--n-grid", "4,6")
     assert code == 2
@@ -327,6 +343,13 @@ def test_fractional_m_is_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"family": "block-repeat", "m": 2.7}))
     code = run_cli("--cmd", "conditions", "--config", str(bad), "--n-grid", "6..10")
     _assert_config_error(code, capsys, "m must be an integer")
+
+
+def test_spiked_block_repeat_with_one_block_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"family": "block-repeat", "m": 8, "spike_frac": 0.5}))
+    code = run_cli("--cmd", "conditions", "--config", str(bad), "--n-grid", "8,16,32,64")
+    _assert_config_error(code, capsys, "at least 2 blocks")
 
 
 def test_non_finite_coeffs_is_exit_2(tmp_path, capsys):

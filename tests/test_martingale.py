@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,8 @@ def test_split_banded_fails_when_the_band_is_too_narrow(monkeypatch):
         (m.build_model("two-scale", alpha=0.25), 4),
         (m.build_model("block-repeat", m_schedule=2), 6),
         (m.build_model("block-repeat", m_schedule=3, spike_frac=0.5), 9),
+        (m.build_model("moving-average", coeffs=(0.7,)), 6),
+        (m.build_model("block-repeat", m_schedule=m.Schedule("power", 0.5), spike_frac=0.3), 9),
     ],
 )
 def test_closed_form_increments_match_enumeration(model, n):
@@ -350,6 +353,13 @@ def test_closed_form_rejects_moving_average():
     ma = m.build_model("moving-average", coeffs=(1.0, 0.5))
     with pytest.raises(m.UnsupportedFamilyError):
         increments_from_innovations(ma, 8, np.ones(9))
+
+
+def test_unsupported_row_error_names_the_model():
+    ma = m.build_model("moving-average", coeffs=(1.0, 0.0, -0.5), innovation="normal")
+    with pytest.raises(m.UnsupportedFamilyError) as exc:
+        increments_from_innovations(ma, 8, np.ones(10))
+    assert ma.describe() in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +430,28 @@ def test_hh_grid_beyond_the_sample_cap_raises_before_drawing(monkeypatch):
     iid = m.build_model("iid-baseline")
     with pytest.raises(m.SampleTooLargeError):
         m.check_hh_hypotheses(iid, [64, 2**27], reps=200)
+
+
+@pytest.mark.parametrize(
+    "amplitude,n_grid,reps,error,needle",
+    [
+        (1.0, [], 200, ValueError, "n_grid must be nonempty"),
+        (1.0, [64, 256], 1, ValueError, "reps must be >= 100"),
+        (1e-200, [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = 0.0"),
+        (1e160, [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = inf"),
+    ],
+    ids=["empty-grid", "one-rep", "sigma2-underflow", "sigma2-overflow"],
+)
+def test_hh_rejects_what_it_cannot_handle_before_drawing(monkeypatch, amplitude, n_grid, reps, error, needle):
+    # unchecked, these end in an IndexError, q_sd = nan, or inf/nan and
+    # all-zero rows that still read max_square_bounded
+    def draw_innovations(*args, **kwargs):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(mart, "draw_innovations", draw_innovations)
+    iid = m.build_model("iid-baseline", amplitude=amplitude)
+    with pytest.raises(error, match=re.escape(needle)):
+        m.check_hh_hypotheses(iid, n_grid, reps=reps)
 
 
 # ---------------------------------------------------------------------------

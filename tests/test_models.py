@@ -385,6 +385,10 @@ def test_window_variance_max_tail_coupled():
         (m.build_model("block-repeat", m_schedule=3), 30, 2),
         (m.build_model("tail-coupled", m_schedule=4), 40, 4),
         (m.build_model("tail-coupled", m_schedule=4), 40, 3),
+        (m.build_model("block-repeat", m_schedule=3, spike_frac=0.05), 30, 3),
+        (m.build_model("block-repeat", m_schedule=3, spike_frac=0.6), 30, 4),
+        (m.build_model("tail-coupled", m_schedule=4), 2, 4),
+        (m.build_model("iid-baseline"), 50, 1),
     ],
 )
 def test_window_variance_fast_paths_match_generic(model, n, k):
@@ -395,11 +399,33 @@ def test_window_variance_fast_paths_match_generic(model, n, k):
     )
 
 
-@pytest.mark.parametrize("model,_n", small_catalogue())
+@pytest.mark.parametrize(
+    "model,_n",
+    small_catalogue()
+    + [
+        (m.build_model("tail-coupled", m_schedule=m.Schedule("log")), None),
+        (
+            m.build_model(
+                "block-repeat",
+                innovation="normal",
+                m_schedule=m.Schedule("power", 0.25),
+                spike_frac=0.4,
+            ),
+            None,
+        ),
+        (m.build_model("iid-baseline", amplitude=2.5), None),
+    ],
+)
 def test_config_round_trip(model, _n):
     cfg = m.model_to_config(model)
     back = m.model_from_config(cfg)
     assert back == model
+
+
+def test_schedule_describe():
+    assert m.Schedule("constant", 3).describe() == "m=3"
+    assert m.Schedule("power", 0.25).describe() == "m=floor(n^0.25)"
+    assert m.Schedule("log").describe() == "m=floor(ln n)"
 
 
 def test_config_rejects_unknown_keys():
@@ -480,3 +506,34 @@ def test_declaration_second_moments_agree(case):
         for i in range(1, N + 1):
             for j in range(i, N + 1):
                 assert enum_cov[i - 1, j - 1] == pytest.approx(cov[i - 1, j - 1], abs=1e-12)
+
+
+@given(linear_models())
+@settings(max_examples=60, deadline=None)
+def test_single_tap_segments_draw_disjoint_innovations(case):
+    # the closed-form increments and window variances of single-tap rows
+    # rest on this: every block is one innovation times c != 0, and no two
+    # blocks share an innovation
+    model, n = case
+    total, _, segments = m.models.linear_row(model, n)
+    if any(len(taps) != 1 for _, taps, _ in segments):
+        return
+    spans = []
+    for count, ((j, c),), repeat in segments:
+        assert c != 0.0 and count % repeat == 0
+        spans.append((j, j + count // repeat))
+    spans.sort()
+    assert 0 <= spans[0][0] and spans[-1][1] <= total
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [m.exact_sigma2, lambda model, n: model.length(n), m.sample_row],
+    ids=["exact_sigma2", "length", "sample_row"],
+)
+def test_spiked_block_repeat_with_one_block_is_rejected(call):
+    # block 1 carries spike_frac of Var S_n only against other blocks
+    br = m.build_model("block-repeat", m_schedule=8, spike_frac=0.5)
+    with pytest.raises(m.InvalidParameterError, match="at least 2 blocks"):
+        call(br, 8)
