@@ -155,17 +155,26 @@ def tap_sum(coeffs, terms):
     Sums of signs are exact, so c*(s1 + s2) gives one value wherever the
     exact value is the same; c*s1 + c*s2 could round two ways.  A factor
     of exactly 1 is not applied, so the result may be one of the terms.
+    Scaling and accumulation run in place on arrays allocated here, never
+    on a caller's term; x *= f rounds as f * x does, so the values are the
+    same either way.
     """
     groups: dict = {}
     for c, x in zip(coeffs, terms):
         groups.setdefault(abs(c), []).append((c, x))
-    total = None
+    total = total_buf = None
     for (f, part), *rest in groups.values():
+        buf = None  # storage allocated here for part; out=None allocates it
         for c, x in rest:
-            part = part + x if (c < 0) == (f < 0) else part - x
+            op = np.add if (c < 0) == (f < 0) else np.subtract
+            part = buf = op(part, x, out=buf)
         if f != 1.0:
-            part = f * part  # rebinding frees the unscaled sum before the next allocation
-        total = part if total is None else total + part
+            part = buf = np.multiply(f, part, out=buf)
+        if total is None:
+            total, total_buf = part, buf
+        else:
+            out = total_buf if total_buf is not None else buf
+            total = total_buf = np.add(total, part, out=out)
     return total
 
 

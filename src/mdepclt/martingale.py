@@ -38,6 +38,10 @@ from .models import (
 
 #: cap on outcomes * N * (N+1) entries of the stored tensor (~128 MiB)
 TRACE_CELL_CAP = 2**24
+#: HH1 needs the 95% quantile of max|dM|/sigma_n to fall by more than this
+#: relative margin from the smallest to the largest n, so that last-bit
+#: rounding of a constant quantile does not read as a decrease
+HH1_Q95_MARGIN = 1e-9
 #: HH2 holds when the mean of Q_n/sigma_n^2 at the largest n is this close to 1
 HH2_Q_TOL = 0.05
 
@@ -370,45 +374,57 @@ def check_truncation(model: ArrayModel, n: int, eps: float, tol: float = 1e-12) 
 # closed-form martingale increments for sampled rows
 
 
-def increments_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """(dM_1, ..., dM_N) from raw innovations, in sample_row's layout, via
-    closed-form conditional expectations.
+def _two_scale_increments(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
+    """The two-scale row decoded in closed form."""
+    alpha = model.params["alpha"]
+    xi = innov[:n]
+    eta = innov[n:]
+    d = eta[1:] - eta[:-1]
+    x = n**-0.5 * xi + n**-alpha * d
+    # eta_k is knowable from the prefix once any increment was nonzero;
+    # before that the conditional expectation of eta_k vanishes
+    seen = np.maximum.accumulate(d != 0.0)
+    eta_hat = np.where(seen, eta[1:], 0.0)
+    w_next = -(n**-alpha) * eta_hat  # E(X_{k+1} | prefix k), k = 1..n
+    w_next[-1] = 0.0  # X_{n+1} := 0
+    w_prev = np.concatenate([[0.0], w_next[:-1]])  # E(X_k | prefix k-1)
+    return model.amplitude * (x + w_next - w_prev)
 
-    In a row whose segments hold one tap each, every block of `repeat`
+
+def _single_tap_increments(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
+    """In a row whose segments hold one tap each, every block of `repeat`
     entries is one innovation times c != 0, and different blocks draw
     different innovations.  So the first entry of a block reveals its whole
     contribution amplitude * scale * repeat * c * zeta_j to S_n, and dM
-    is zero everywhere else.  The two-scale row is decoded in closed form;
-    any other row raises UnsupportedFamilyError.
-    """
-    amp = model.amplitude
-    if model.family == "two-scale":
-        alpha = model.params["alpha"]
-        xi = innov[:n]
-        eta = innov[n:]
-        d = eta[1:] - eta[:-1]
-        x = n**-0.5 * xi + n**-alpha * d
-        # eta_k is knowable from the prefix once any increment was nonzero;
-        # before that the conditional expectation of eta_k vanishes
-        seen = np.maximum.accumulate(d != 0.0)
-        eta_hat = np.where(seen, eta[1:], 0.0)
-        w_next = -(n**-alpha) * eta_hat  # E(X_{k+1} | prefix k), k = 1..n
-        w_next[-1] = 0.0  # X_{n+1} := 0
-        w_prev = np.concatenate([[0.0], w_next[:-1]])  # E(X_k | prefix k-1)
-        return amp * (x + w_next - w_prev)
+    is zero everywhere else."""
     _, scale, segments = linear_row(model, n)
-    if any(len(taps) > 1 for _, taps, _ in segments):
-        raise UnsupportedFamilyError(
-            f"no closed-form conditional expectations for {model.describe()}"
-        )
     parts = []
     for count, ((j, c),), repeat in segments:
         # scale * repeat is (1/m) * m on block-repeat rows, which rounds to
         # 1.0 for small m: a block's increment then carries no extra rounding
         part = np.zeros(count)
-        part[::repeat] = (amp * (scale * repeat)) * (c * innov[j : j + count // repeat])
+        part[::repeat] = (model.amplitude * (scale * repeat)) * (c * innov[j : j + count // repeat])
         parts.append(part)
     return np.concatenate(parts)
+
+
+def _increment_rule(model: ArrayModel, n: int):
+    """The closed-form increments of row n: the two-scale decoding, or the
+    rule for rows of single-tap segments.  Any other row raises
+    UnsupportedFamilyError, decided from the declaration alone."""
+    if model.family == "two-scale":
+        return _two_scale_increments
+    if any(len(taps) > 1 for _, taps, _ in linear_row(model, n)[2]):
+        raise UnsupportedFamilyError(
+            f"no closed-form conditional expectations for {model.describe()}"
+        )
+    return _single_tap_increments
+
+
+def increments_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
+    """(dM_1, ..., dM_N) from raw innovations, in sample_row's layout, via
+    closed-form conditional expectations (see _increment_rule)."""
+    return _increment_rule(model, n)(model, n, innov)
 
 
 @dataclass(frozen=True)
@@ -439,7 +455,8 @@ class HHReport:
 def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int = 0) -> HHReport:
     """Monte Carlo check of the three martingale-CLT hypotheses.
 
-    For each n: max_k |dM_k|/sigma_n should trend to zero (HH1),
+    For each n: max_k |dM_k|/sigma_n should trend to zero (HH1, a fall of
+    its 95% quantile by more than HH1_Q95_MARGIN, or a value below 0.05),
     Q_n/sigma_n^2 should concentrate at 1 (HH2, within HH2_Q_TOL at the
     largest n), and E[max_k dM_k^2]/sigma_n^2 should stay bounded (HH3).
     """
@@ -450,6 +467,7 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
         raise ValueError(f"reps must be >= 100, got {reps}")
     for n in n_grid:
         _check_sample_size(model, n)
+        _increment_rule(model, n)
     sigmas = [_sigma(model, n) for n in n_grid]
     rows = []
     for n, sigma in zip(n_grid, sigmas):
@@ -470,7 +488,8 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
                 "max_dm2_mean": float((max_abs**2).mean()),
             }
         )
-    hh1 = rows[-1]["max_dm_q95"] < rows[0]["max_dm_q95"] or rows[-1]["max_dm_q95"] < 0.05
+    q95_first, q95_last = rows[0]["max_dm_q95"], rows[-1]["max_dm_q95"]
+    hh1 = q95_last < q95_first * (1.0 - HH1_Q95_MARGIN) or q95_last < 0.05
     hh2 = abs(rows[-1]["q_mean"] - 1.0) <= HH2_Q_TOL
     first, last = rows[0]["max_dm2_mean"], rows[-1]["max_dm2_mean"]
     hh3 = last <= max(first, 1.0)

@@ -404,8 +404,15 @@ def row_rng(seed: int, n: int, replicate: int) -> Generator:
 
 
 def _innovations(rng: Generator, kind: str, size: int) -> np.ndarray:
+    """size innovations from rng.  Rademacher signs are read 64 per raw
+    Philox word, little-endian: sign i is +1 when bit i % 64 of word
+    i // 64 is set, so the layout does not depend on the host's byte order."""
     if kind == "rademacher":
-        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+        words = rng.bit_generator.random_raw(-(-size // 64)).astype("<u8")
+        signs = np.unpackbits(words.view(np.uint8), count=size, bitorder="little").astype(float)
+        signs *= 2.0
+        signs -= 1.0
+        return signs
     return rng.standard_normal(size)
 
 
@@ -432,7 +439,12 @@ def _row_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.nd
         part = tap_sum([c for _, c in taps], [innov[..., j : j + width] for j, _ in taps])
         parts.append(np.repeat(part, repeat, axis=-1) if repeat > 1 else part)
     row = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    return (model.amplitude * scale) * row
+    factor = model.amplitude * scale
+    if np.may_share_memory(row, innov):
+        return factor * row  # a new array even when factor is 1.0
+    if factor != 1.0:
+        row *= factor  # rounds as factor * row does
+    return row
 
 
 def _check_sample_size(model: ArrayModel, n: int) -> None:

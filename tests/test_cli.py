@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -329,6 +331,30 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert '"reports"' in proc.stdout
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy.special costs about half of a CLI process's start-up, and only
+    # the library-only kolmogorov_band needs it
+    script = """
+import contextlib, io, sys
+import mdepclt.cli as cli
+assert "scipy" not in sys.modules, "import"
+for argv in (
+    ["--cmd", "conditions", "--model", "moving-average", "--n-grid", "6..9"],
+    ["--cmd", "oracle", "--model", "iid-baseline", "--n-grid", "4"],
+    ["--cmd", "sweep", "--n-grid", "6..9"],
+    ["--cmd", "clt", "--model", "iid-baseline", "--n-grid", "16", "--reps", "100"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) in (0, 1), argv  # a verdict, not a configuration error
+    assert "scipy" not in sys.modules, argv[1]
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert round(mc.kolmogorov_band(10_000), 6) == 0.016276
 
 
 def _assert_config_error(code, capsys, needle):

@@ -432,26 +432,55 @@ def test_hh_grid_beyond_the_sample_cap_raises_before_drawing(monkeypatch):
         m.check_hh_hypotheses(iid, [64, 2**27], reps=200)
 
 
+_MA = m.build_model("moving-average", coeffs=(1.0, 0.5))
+
+
 @pytest.mark.parametrize(
-    "amplitude,n_grid,reps,error,needle",
+    "model,n_grid,reps,error,needle",
     [
-        (1.0, [], 200, ValueError, "n_grid must be nonempty"),
-        (1.0, [64, 256], 1, ValueError, "reps must be >= 100"),
-        (1e-200, [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = 0.0"),
-        (1e160, [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = inf"),
+        (m.build_model("iid-baseline"), [], 200, ValueError, "n_grid must be nonempty"),
+        (m.build_model("iid-baseline"), [64, 256], 1, ValueError, "reps must be >= 100"),
+        (m.build_model("iid-baseline", amplitude=1e-200), [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = 0.0"),
+        (m.build_model("iid-baseline", amplitude=1e160), [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = inf"),
+        (_MA, [64, 256], 200, m.UnsupportedFamilyError, _MA.describe()),
     ],
-    ids=["empty-grid", "one-rep", "sigma2-underflow", "sigma2-overflow"],
+    ids=["empty-grid", "one-rep", "sigma2-underflow", "sigma2-overflow", "multi-tap-moving-average"],
 )
-def test_hh_rejects_what_it_cannot_handle_before_drawing(monkeypatch, amplitude, n_grid, reps, error, needle):
-    # unchecked, these end in an IndexError, q_sd = nan, or inf/nan and
-    # all-zero rows that still read max_square_bounded
+def test_hh_rejects_what_it_cannot_handle_before_drawing(monkeypatch, model, n_grid, reps, error, needle):
+    # unchecked, these end in an IndexError, q_sd = nan, inf/nan and
+    # all-zero rows that still read max_square_bounded, or an error raised
+    # only after the first row was drawn
     def draw_innovations(*args, **kwargs):
         raise AssertionError("a row was drawn")
 
     monkeypatch.setattr(mart, "draw_innovations", draw_innovations)
-    iid = m.build_model("iid-baseline", amplitude=amplitude)
     with pytest.raises(error, match=re.escape(needle)):
-        m.check_hh_hypotheses(iid, n_grid, reps=reps)
+        m.check_hh_hypotheses(model, n_grid, reps=reps)
+
+
+def test_hh1_needs_more_than_rounding_to_read_as_a_decrease():
+    # the spike block's increment is sqrt(spike_frac) * sigma_n at every n,
+    # so the 95% quantile of max|dM|/sigma_n is constant up to rounding
+    spiked = m.build_model("block-repeat", m_schedule=5, spike_frac=0.3)
+    rep = m.check_hh_hypotheses(spiked, [100, 400, 1600], reps=200, seed=0)
+    q95 = [row["max_dm_q95"] for row in rep.rows]
+    assert q95 == pytest.approx([math.sqrt(0.3)] * 3, rel=1e-14)
+    assert not rep.max_increment_vanishes
+
+
+def test_hh1_margin_absorbs_a_last_bit_decrease(monkeypatch):
+    # a rounding-sized fall of the quantile at the largest n is not a trend
+    increments = mart.increments_from_innovations
+
+    def rounded_down(model, n, innov):
+        dm = increments(model, n, innov)
+        return dm * (1.0 - 2.0**-52) if n == 1600 else dm
+
+    monkeypatch.setattr(mart, "increments_from_innovations", rounded_down)
+    spiked = m.build_model("block-repeat", m_schedule=5, spike_frac=0.3)
+    rep = m.check_hh_hypotheses(spiked, [100, 400, 1600], reps=200, seed=0)
+    assert rep.rows[-1]["max_dm_q95"] < rep.rows[0]["max_dm_q95"]
+    assert not rep.max_increment_vanishes
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdepclt as m
-from mdepclt.models import _check_sample_size, _enumeration_bits, _spike_scale
+from mdepclt import models
+from mdepclt.models import (
+    _check_sample_size,
+    _enumeration_bits,
+    _innovation_count,
+    _innovations,
+    _row_from_innovations,
+    _spike_scale,
+    row_rng,
+)
 
 ALPHA = 0.25
 
@@ -262,6 +271,61 @@ def test_two_scale_sample_support():
         round(s / 2.0 + d * 4**-ALPHA, 12) for s in (-1, 1) for d in (-2, 0, 2)
     }
     assert {round(v, 12) for v in row} <= support
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 2 * 100 + 1])
+def test_rademacher_signs_are_the_raw_bits_little_endian(size):
+    # sign i is +1 exactly when bit i % 64 of raw Philox word i // 64 is set
+    words = row_rng(5, 100, 2).bit_generator.random_raw(-(-size // 64))
+    expected = [1.0 if int(words[i // 64]) >> (i % 64) & 1 else -1.0 for i in range(size)]
+    signs = _innovations(row_rng(5, 100, 2), "rademacher", size)
+    assert signs.dtype == np.float64
+    assert signs.tolist() == expected
+
+
+def test_two_scale_row_draws_its_signs_from_the_raw_stream():
+    ts = m.build_model("two-scale", alpha=ALPHA)
+    n = 100
+    words = row_rng(3, n, 1).bit_generator.random_raw(4)
+    bits = [int(words[i // 64]) >> (i % 64) & 1 for i in range(2 * n + 1)]
+    innov = np.array(bits, dtype=float) * 2.0 - 1.0
+    row = m.sample_row(ts, n, seed=3, replicate=1).values
+    assert np.array_equal(row, _row_from_innovations(ts, n, innov))
+
+
+@pytest.mark.parametrize(
+    "model,n",
+    [
+        (m.build_model("block-repeat", m_schedule=1), 1),
+        (m.build_model("block-repeat", m_schedule=1), 16),
+        (m.build_model("block-repeat", m_schedule=1, innovation="normal"), 1),
+        (m.build_model("tail-coupled", m_schedule=2), 1),
+        (m.build_model("tail-coupled", m_schedule=2), 16),
+        (m.build_model("iid-baseline"), 1),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v),
+)
+def test_sample_row_never_aliases_its_innovations(monkeypatch, model, n):
+    drawn, draw = [], models.draw_innovations
+
+    def draw_innovations(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(models, "draw_innovations", draw_innovations)
+    row = m.sample_row(model, n, seed=1).values
+    assert not np.shares_memory(row, drawn[0])
+
+
+@pytest.mark.parametrize("model,n", small_catalogue())
+def test_row_map_leaves_the_innovations_alone(model, n):
+    rng = np.random.default_rng(n)
+    innov = rng.standard_normal((3, _innovation_count(model, n)))
+    kept = innov.copy()
+    rows = _row_from_innovations(model, n, innov)
+    assert np.array_equal(innov, kept)
+    assert not np.shares_memory(rows, innov)
+    assert np.array_equal(rows[1], _row_from_innovations(model, n, innov[1]))
 
 
 def test_sample_size_is_capped_on_the_declaration():

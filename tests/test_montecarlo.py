@@ -59,6 +59,23 @@ def test_moment_sanity(model):
     assert abs(emp.samples.var() - 1.0) <= 4 * math.sqrt(2 / reps)
 
 
+def test_two_scale_row_sums_follow_the_enumerated_law():
+    # KS between the sampled row sums and the exact law of S_n (2^17
+    # outcomes); the band is distribution-free and conservative for a
+    # lattice law, at the confidence the benchmark gate uses
+    ts = m.build_model("two-scale", alpha=0.25)
+    n, reps = 8, 4000
+    table = m.enumerate_outcomes(ts, n)
+    order = np.argsort(table.row_sums())
+    atoms, cdf = table.row_sums()[order], np.cumsum(table.probs[order])
+    sums = np.sort([m.sample_row(ts, n, seed=2, replicate=r).values.sum() for r in range(reps)])
+    # both CDFs step only at the atoms; 1e-9 absorbs summation-order rounding
+    right = atoms + 1e-9
+    exact = cdf[np.searchsorted(atoms, right, side="right") - 1]
+    emp = np.searchsorted(sums, right, side="right") / reps
+    assert float(np.abs(emp - exact).max()) <= m.kolmogorov_band(reps, 1 - 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # KS statistic
 
