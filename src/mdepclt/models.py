@@ -403,6 +403,22 @@ def row_rng(seed: int, n: int, replicate: int) -> Generator:
     return Generator(Philox(key=key, counter=counter))
 
 
+def replicate_streams(seed: int, n: int, reps: int):
+    """Yield, for replicate r = 0..reps-1, a generator on the stream of
+    row_rng(seed, n, r).
+
+    One Philox is re-keyed per replicate by setting its state, which costs
+    about a fifth of building a new generator.  Each yielded generator is
+    the same object, valid until the next one is requested.
+    """
+    rng = row_rng(seed, n, 0)
+    state = rng.bit_generator.state  # a fresh stream: empty buffer
+    for r in range(reps):
+        state["state"]["counter"][3] = r
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _innovations(rng: Generator, kind: str, size: int) -> np.ndarray:
     """size innovations from rng.  Rademacher signs are read 64 per raw
     Philox word, little-endian: sign i is +1 when bit i % 64 of word

@@ -1,5 +1,15 @@
 """Monte Carlo study of normalized row sums against the standard normal.
 
+Every row is linear in independent innovations, so S_n is drawn straight
+from its weight groups (models.sum_weight_groups) instead of summing a
+sampled row: S_n = a * sum(w * zeta) over groups of c innovations sharing
+the weight w, with a = amplitude * scale.  A Rademacher group contributes
+w * (2B - c) with B ~ Bin(c, 1/2), one binomial draw per group with w != 0;
+a Gaussian row is one standard normal times a * sqrt(sum(c * w^2)).  The
+cost of a replicate does not grow with n.  models.sample_row stays the
+independent reference: the tests check that its row sums and these draws
+agree in law.
+
 Row sums are normalized by the exact closed-form standard deviation (never
 the sample one), so the empirical distribution targets exactly the object
 whose limit is claimed.  Distance to N(0,1) is the Kolmogorov-Smirnov
@@ -10,11 +20,20 @@ without any rate theory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ArrayModel, _check_sample_size, _sigma, model_to_config, sample_row
+from .models import (
+    ArrayModel,
+    _check_sample_size,
+    _sigma,
+    linear_row,
+    model_to_config,
+    replicate_streams,
+    sum_weight_groups,
+)
 
 
 @dataclass(frozen=True)
@@ -41,22 +60,34 @@ class ConvergenceReport:
     final_ks: float
 
 
+def _sum_sampler(model: ArrayModel, n: int):
+    """rng -> one draw of S_n from the nonzero weight groups of row n."""
+    a = model.amplitude * linear_row(model, n)[1]
+    groups = [(c, w) for c, w in sum_weight_groups(model, n) if w != 0.0]
+    if model.is_discrete:
+        return lambda rng: a * sum(w * (2 * rng.binomial(c, 0.5) - c) for c, w in groups)
+    sd = a * math.sqrt(sum(c * w * w for c, w in groups))
+    return lambda rng: sd * rng.standard_normal()
+
+
 def simulate_normalized_sums(
     model: ArrayModel, n: int, reps: int, seed: int = 0
 ) -> EmpiricalDistribution:
     """Draw reps independent values of S_n/sigma_n, sorted ascending.
 
-    Each replicate has its own counter-based stream keyed by
-    (seed, n, replicate), so the result is bit-identical however the
-    replicate range is partitioned across workers.
+    S_n is drawn from its weight groups (see the module docstring), not
+    summed from a sampled row.  Each replicate has its own counter-based
+    stream, that of row_rng(seed, n, replicate), so the result is
+    bit-identical however the replicate range is partitioned across
+    workers.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     _check_sample_size(model, n)
     sigma = _sigma(model, n)
-    out = np.empty(reps)
-    for r in range(reps):
-        out[r] = sample_row(model, n, seed=seed, replicate=r).values.sum() / sigma
+    draw = _sum_sampler(model, n)
+    out = np.fromiter((draw(rng) for rng in replicate_streams(seed, n, reps)), float, reps)
+    out /= sigma
     out.sort()
     return EmpiricalDistribution(n, reps, seed, out)
 
@@ -67,8 +98,10 @@ def ks_statistic(emp) -> float:
     r = len(samples)
     if r == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(samples).all():
+        raise ValueError("sample has a non-finite value")
     # Phi(x) = erfc(-x/sqrt(2))/2, as laws.normal_tail_second_moment takes it
-    cdf = 0.5 * np.array([math.erfc(v) for v in (-samples / math.sqrt(2.0)).tolist()])
+    cdf = 0.5 * np.fromiter(map(math.erfc, -samples / math.sqrt(2.0)), float, r)
     i = np.arange(1, r + 1)
     upper = np.max(i / r - cdf)
     lower = np.max(cdf - (i - 1) / r)
@@ -77,6 +110,10 @@ def ks_statistic(emp) -> float:
 
 def kolmogorov_band(reps: int, confidence: float = 0.99) -> float:
     """Threshold b with P(KS <= b) = confidence under the exact-normal null."""
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     from scipy.special import kolmogi  # scipy stays off the CLI's import path
 
     return float(kolmogi(1.0 - confidence)) / math.sqrt(reps)

@@ -59,21 +59,113 @@ def test_moment_sanity(model):
     assert abs(emp.samples.var() - 1.0) <= 4 * math.sqrt(2 / reps)
 
 
-def test_two_scale_row_sums_follow_the_enumerated_law():
-    # KS between the sampled row sums and the exact law of S_n (2^17
-    # outcomes); the band is distribution-free and conservative for a
-    # lattice law, at the confidence the benchmark gate uses
-    ts = m.build_model("two-scale", alpha=0.25)
-    n, reps = 8, 4000
-    table = m.enumerate_outcomes(ts, n)
-    order = np.argsort(table.row_sums())
-    atoms, cdf = table.row_sums()[order], np.cumsum(table.probs[order])
-    sums = np.sort([m.sample_row(ts, n, seed=2, replicate=r).values.sum() for r in range(reps)])
+def _ks_to_enumerated_law(model, n, draws):
+    """KS distance between draws of S_n/sigma_n and the law of S_n/sigma_n
+    enumerated outcome by outcome; the band is distribution-free and
+    conservative for a lattice law."""
+    table = m.enumerate_outcomes(model, n)
+    sums = table.row_sums() / math.sqrt(m.exact_sigma2(model, n))
+    order = np.argsort(sums)
+    atoms, cdf = sums[order], np.cumsum(table.probs[order])
     # both CDFs step only at the atoms; 1e-9 absorbs summation-order rounding
     right = atoms + 1e-9
     exact = cdf[np.searchsorted(atoms, right, side="right") - 1]
-    emp = np.searchsorted(sums, right, side="right") / reps
-    assert float(np.abs(emp - exact).max()) <= m.kolmogorov_band(reps, 1 - 1e-6)
+    emp = np.searchsorted(np.sort(draws), right, side="right") / len(draws)
+    return float(np.abs(emp - exact).max())
+
+
+def _two_sample_ks(a, b):
+    """sup |F_a - F_b|, both evaluated 1e-9 right of every point, so an
+    atom rounded differently on the two sides is still one atom."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b]) + 1e-9
+    fa = np.searchsorted(a, x, side="right") / len(a)
+    fb = np.searchsorted(b, x, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
+
+
+def _row_sums(model, n, reps, seed):
+    sigma = math.sqrt(m.exact_sigma2(model, n))
+    return np.array([m.sample_row(model, n, seed=seed, replicate=r).values.sum() for r in range(reps)]) / sigma
+
+
+def test_two_scale_row_sums_follow_the_enumerated_law():
+    # sampled rows (2^17 outcomes at n = 8), at the confidence the
+    # benchmark gate uses
+    ts = m.build_model("two-scale", alpha=0.25)
+    n, reps = 8, 4000
+    ks = _ks_to_enumerated_law(ts, n, _row_sums(ts, n, reps, seed=2))
+    assert ks <= m.kolmogorov_band(reps, 1 - 1e-6)
+
+
+@pytest.mark.parametrize(
+    "model,n",
+    [
+        (m.build_model("two-scale", alpha=0.25), 8),
+        (m.build_model("moving-average", coeffs=(1.0, 0.5), amplitude=3.0), 12),
+        (m.build_model("block-repeat", m_schedule=1, spike_frac=0.9), 16),
+        (m.build_model("iid-baseline", amplitude=0.5), 16),
+    ],
+    ids=["two-scale", "moving-average", "spiked-block-repeat", "iid-baseline"],
+)
+def test_direct_draws_follow_the_enumerated_law(model, n):
+    # every weight group, its binomial size and the amplitude enter S_n:
+    # dropping one, or drawing Bin(c - 1, 1/2), moves the law by far more
+    # than the band
+    reps = 4000
+    emp = m.simulate_normalized_sums(model, n, reps, seed=5)
+    assert _ks_to_enumerated_law(model, n, emp.samples) <= m.kolmogorov_band(reps, 1 - 1e-6)
+
+
+@pytest.mark.parametrize(
+    "model,n",
+    [
+        (m.build_model("tail-coupled", m_schedule=8, amplitude=2.0), 64),
+        (m.build_model("block-repeat", m_schedule=2, innovation="normal", spike_frac=0.5, amplitude=2.0), 64),
+    ],
+    ids=["tail-coupled", "normal-block-repeat"],
+)
+def test_gaussian_direct_draws_are_standard_normal(model, n):
+    # a Gaussian S_n is exactly normal; each weight group carries at least
+    # half the variance and the amplitude is 2, so losing either shows
+    reps = 4000
+    emp = m.simulate_normalized_sums(model, n, reps, seed=5)
+    assert m.ks_statistic(emp) <= m.kolmogorov_band(reps, 1 - 1e-6)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        m.build_model("two-scale", alpha=0.25),
+        m.build_model("block-repeat", m_schedule=1, spike_frac=0.9),
+        m.build_model("tail-coupled"),
+    ],
+    ids=["two-scale", "spiked-block-repeat", "tail-coupled"],
+)
+def test_row_sums_and_direct_draws_agree_in_law(model):
+    # sample_row stays an independent check of the direct draws at a size
+    # enumeration cannot reach; the seeds differ so the samples are
+    # independent, and sqrt(2) widens the band to two samples
+    n, reps = 2**10, 2000
+    rows = _row_sums(model, n, reps, seed=1)
+    direct = m.simulate_normalized_sums(model, n, reps, seed=2).samples
+    assert _two_sample_ks(rows, direct) <= math.sqrt(2) * m.kolmogorov_band(reps, 1 - 1e-6)
+
+
+def test_replicate_r_is_drawn_from_the_row_rng_stream():
+    # re-keying one generator per replicate gives the stream a fresh
+    # row_rng(seed, n, r) would: the partition-invariance promise rests on it
+    ts = m.build_model("two-scale", alpha=0.25)
+    n, reps, seed = 256, 150, 4
+    draw = m.montecarlo._sum_sampler(ts, n)
+    fresh = np.sort([draw(m.row_rng(seed, n, r)) for r in range(reps)])
+    fresh /= math.sqrt(m.exact_sigma2(ts, n))
+    assert np.array_equal(m.simulate_normalized_sums(ts, n, reps, seed).samples, fresh)
+    for r, rng in enumerate(m.models.replicate_streams(seed, n, 5)):
+        ref = m.row_rng(seed, n, r)
+        assert rng.binomial(n, 0.5) == ref.binomial(n, 0.5)
+        assert np.array_equal(rng.bit_generator.random_raw(3), ref.bit_generator.random_raw(3))
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +198,23 @@ def test_ks_matches_brute_force():
 def test_kolmogorov_band_value():
     # 99% two-sided quantile of the Kolmogorov distribution is ~1.6276
     assert m.kolmogorov_band(10_000) == pytest.approx(0.016276, abs=2e-5)
+
+
+@pytest.mark.parametrize(
+    "reps,confidence",
+    [(0, 0.99), (-5, 0.99), (100.0, 0.99), (True, 0.99), (100, 1.5), (100, 1.0), (100, 0.0), (100, math.nan)],
+    ids=["reps-0", "reps-negative", "reps-float", "reps-bool", "confidence-1.5", "confidence-1", "confidence-0", "confidence-nan"],
+)
+def test_kolmogorov_band_rejects_out_of_range_arguments(reps, confidence):
+    with pytest.raises(ValueError):
+        m.kolmogorov_band(reps, confidence)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    # a NaN statistic would read as a failed check, not as an error
+    with pytest.raises(ValueError, match="non-finite"):
+        m.ks_statistic(np.array([bad, 0.0]))
 
 
 def test_exact_normal_stays_below_conservative_band():
