@@ -390,6 +390,10 @@ def _tap_law(model: ArrayModel, a: float, coeffs: tuple):
 # sampling
 
 
+def _row_counter(n: int, replicate: int) -> np.ndarray:
+    return np.array([0, 0, np.uint64(n), np.uint64(replicate)], dtype=np.uint64)
+
+
 def row_rng(seed: int, n: int, replicate: int) -> Generator:
     """Counter-based stream for one (seed, n, replicate) cell.
 
@@ -399,24 +403,24 @@ def row_rng(seed: int, n: int, replicate: int) -> Generator:
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([np.uint64(seed), _KEY_SALT], dtype=np.uint64)
-    counter = np.array([0, 0, np.uint64(n), np.uint64(replicate)], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=counter))
+    return Generator(Philox(key=key, counter=_row_counter(n, replicate)))
 
 
-def replicate_streams(seed: int, n: int, reps: int):
-    """Yield, for replicate r = 0..reps-1, a generator on the stream of
-    row_rng(seed, n, r).
+def draw_replicates(seed: int, n: int, reps: int, draw) -> np.ndarray:
+    """[draw(row_rng(seed, n, r)) for r in range(reps)] as a float array.
 
     One Philox is re-keyed per replicate by setting its state, which costs
-    about a fifth of building a new generator.  Each yielded generator is
-    the same object, valid until the next one is requested.
+    about a fifth of building a new generator; draw must not keep the
+    generator it is given.
     """
     rng = row_rng(seed, n, 0)
     state = rng.bit_generator.state  # a fresh stream: empty buffer
+    out = np.empty(reps)
     for r in range(reps):
-        state["state"]["counter"][3] = r
+        state["state"]["counter"] = _row_counter(n, r)
         rng.bit_generator.state = state
-        yield rng
+        out[r] = draw(rng)
+    return out
 
 
 def _innovations(rng: Generator, kind: str, size: int) -> np.ndarray:

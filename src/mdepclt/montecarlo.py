@@ -1,18 +1,18 @@
 """Monte Carlo study of normalized row sums against the standard normal.
 
-Every row is linear in independent innovations, so S_n is drawn straight
-from its weight groups (models.sum_weight_groups) instead of summing a
-sampled row: S_n = a * sum(w * zeta) over groups of c innovations sharing
-the weight w, with a = amplitude * scale.  A Rademacher group contributes
+Every row is linear in independent innovations, so S_n/sigma_n is drawn
+straight from the weight groups of S_n (models.sum_weight_groups) instead of
+summing a sampled row: S_n = a * sum(w * zeta) over groups of c innovations
+sharing the weight w, with a = amplitude * scale, and sigma_n =
+a * sqrt(sum(c * w^2)), so a cancels.  A Rademacher group contributes
 w * (2B - c) with B ~ Bin(c, 1/2), one binomial draw per group with w != 0;
-a Gaussian row is one standard normal times a * sqrt(sum(c * w^2)).  The
-cost of a replicate does not grow with n.  models.sample_row stays the
-independent reference: the tests check that its row sums and these draws
-agree in law.
+a Gaussian S_n/sigma_n is one standard normal.  The cost of a replicate does
+not grow with n.  models.sample_row stays the independent reference: the
+tests check that its row sums and these draws agree in law.
 
-Row sums are normalized by the exact closed-form standard deviation (never
-the sample one), so the empirical distribution targets exactly the object
-whose limit is claimed.  Distance to N(0,1) is the Kolmogorov-Smirnov
+S_n is normalized by the exact closed-form sigma_n (never the sample
+standard deviation), so the empirical distribution targets exactly the
+object whose limit is claimed.  Distance to N(0,1) is the Kolmogorov-Smirnov
 sup-statistic, whose distribution-free null band gives usable thresholds
 without any rate theory.
 """
@@ -29,9 +29,8 @@ from .models import (
     ArrayModel,
     _check_sample_size,
     _sigma,
-    linear_row,
+    draw_replicates,
     model_to_config,
-    replicate_streams,
     sum_weight_groups,
 )
 
@@ -61,13 +60,12 @@ class ConvergenceReport:
 
 
 def _sum_sampler(model: ArrayModel, n: int):
-    """rng -> one draw of S_n from the nonzero weight groups of row n."""
-    a = model.amplitude * linear_row(model, n)[1]
+    """rng -> one draw of S_n/sigma_n from the nonzero weight groups of row n."""
+    if not model.is_discrete:
+        return lambda rng: rng.standard_normal()
     groups = [(c, w) for c, w in sum_weight_groups(model, n) if w != 0.0]
-    if model.is_discrete:
-        return lambda rng: a * sum(w * (2 * rng.binomial(c, 0.5) - c) for c, w in groups)
-    sd = a * math.sqrt(sum(c * w * w for c, w in groups))
-    return lambda rng: sd * rng.standard_normal()
+    sd = math.sqrt(sum(c * w * w for c, w in groups))
+    return lambda rng: sum(w * (2 * rng.binomial(c, 0.5) - c) for c, w in groups) / sd
 
 
 def simulate_normalized_sums(
@@ -75,19 +73,17 @@ def simulate_normalized_sums(
 ) -> EmpiricalDistribution:
     """Draw reps independent values of S_n/sigma_n, sorted ascending.
 
-    S_n is drawn from its weight groups (see the module docstring), not
-    summed from a sampled row.  Each replicate has its own counter-based
-    stream, that of row_rng(seed, n, replicate), so the result is
-    bit-identical however the replicate range is partitioned across
-    workers.
+    S_n/sigma_n is drawn from the weight groups of S_n (see the module
+    docstring), not summed from a sampled row and divided.  Each replicate
+    has its own counter-based stream, that of row_rng(seed, n, replicate),
+    so the result is bit-identical however the replicate range is
+    partitioned across workers.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     _check_sample_size(model, n)
-    sigma = _sigma(model, n)
-    draw = _sum_sampler(model, n)
-    out = np.fromiter((draw(rng) for rng in replicate_streams(seed, n, reps)), float, reps)
-    out /= sigma
+    _sigma(model, n)  # raises unless 0 < sigma_n^2 < inf
+    out = draw_replicates(seed, n, reps, _sum_sampler(model, n))
     out.sort()
     return EmpiricalDistribution(n, reps, seed, out)
 

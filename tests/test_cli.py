@@ -184,10 +184,10 @@ def test_clt_csv(tmp_path, two_scale_config):
 )
 def test_clt_row_beyond_the_sample_cap_is_exit_2(tmp_path, capsys, monkeypatch, model, needle):
     # the whole grid is checked before the first replicate is drawn
-    def replicate_streams(*args, **kwargs):
+    def draw_replicates(*args, **kwargs):
         raise AssertionError("drew before the size check")
 
-    monkeypatch.setattr(mc, "replicate_streams", replicate_streams)
+    monkeypatch.setattr(mc, "draw_replicates", draw_replicates)
     config = tmp_path / "model.json"
     config.write_text(json.dumps(model))
     code = run_cli(
