@@ -34,7 +34,7 @@ for model, n in cases:
         f"max|dM|/eps = {slack['max_dm_over_eps']:.3f} (bound 4)"
     )
 
-    chk = m.check_truncation(model, n, eps=0.5)
+    chk = m.check_truncation(trace, eps=0.5)
     print(
         f"  truncation at eps=0.5: tail E(S'')^2 = {chk.values['s_tail_second_moment']:.5f}"
         f" <= bound {chk.values['bound']:.5f} -> {'ok' if chk.passed else 'VIOLATED'}\n"

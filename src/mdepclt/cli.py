@@ -104,7 +104,7 @@ def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
 
 
 def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
-    """Structure, tower, bound, and truncation checks at enumerable sizes."""
+    """Structure, tower, bound, and truncation checks at enumerable sizes, on one trace per size."""
     ns = [n for n in n_grid if mart.trace_feasible(model, n)]
     if not ns:
         raise ConfigError("no grid point is exactly enumerable for this model")
@@ -112,12 +112,9 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     trunc = []
     for n in ns:
         trace = mart.build_trace(model, n)
-        # smallest eps with |X| <= eps/m on every outcome, so the bound
-        # checks apply
-        eps_auto = max(model.m(n), 1) * float(abs(trace.table.rows).max())
-        traces.append(mart.trace_summary(trace, eps=eps_auto))
+        traces.append(mart.trace_summary(trace))
         for eps in eps_list:
-            chk = mart.check_truncation(model, n, eps)
+            chk = mart.check_truncation(trace, eps)
             trunc.append({"n": n, "eps": eps, "passed": chk.passed, **chk.values})
     passed = all(t["structure_passed"] and t["tower_passed"] and t["bounds_passed"] for t in traces)
     passed = passed and all(t["passed"] for t in trunc)
@@ -384,7 +381,7 @@ def run(argv=None) -> int:
         return 1 if failed else 0
     except ValueError as exc:
         # ConfigError, model parameter errors, and the engines' own
-        # argument validation (eps > 0, r > 2, reps >= 100, grids)
+        # argument validation (eps > 0, r > 2, 100 <= reps <= SAMPLE_CAP, grids)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ from .models import (
     EnumerationTooLargeError,
     OutcomeTable,
     _check_n,
+    _check_reps,
     _check_sample_size,
     _enumeration_bits,
     _sigma,
@@ -322,19 +323,19 @@ class TruncationCheck:
     values: dict
 
 
-def check_truncation(model: ArrayModel, n: int, eps: float, tol: float = 1e-12) -> TruncationCheck:
-    """Verify the truncation split on the full enumeration.
+def check_truncation(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> TruncationCheck:
+    """Verify the truncation split on the full enumeration the trace holds.
 
     Checks that X' + X'' recovers X exactly, both parts are mean zero,
     both parts keep the banded covariance (m_n-dependence), and the tail
     sum obeys E[(S'')^2] <= (2 m_n + 1) * sum_i E[X_i^2 1{|X_i| > t}].
     """
-    table = enumerate_outcomes(model, n)
-    split = truncated_model(model, n, eps)
+    table = trace.table
+    split = truncated_model(trace.model, trace.n, eps)
     x_lo, x_hi = split.split_rows(table.rows)
     probs = table.probs
     N = table.rows.shape[1]
-    m = model.m(n)
+    m = trace.m
     results = []
 
     err = np.abs((x_lo + x_hi) - table.rows)
@@ -463,8 +464,7 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
     n_grid = sorted(n_grid)
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps}")
+    _check_reps(reps)
     for n in n_grid:
         _check_sample_size(model, n)
         _increment_rule(model, n)
@@ -500,9 +500,10 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
 # export
 
 
-def trace_summary(trace: MartingaleTrace, eps: float) -> dict:
+def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
-    checks at eps included."""
+    checks included at the smallest eps they apply to, max(m, 1) * max|X|."""
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
     structure = check_structure(trace)
     tower = check_tower(trace)
     bounds = check_bounds(trace, eps)

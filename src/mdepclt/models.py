@@ -481,6 +481,14 @@ def _check_sample_size(model: ArrayModel, n: int) -> None:
         )
 
 
+def _check_reps(reps: int) -> None:
+    """Raise unless 100 <= reps <= SAMPLE_CAP, before anything is allocated."""
+    if reps < 100:
+        raise ValueError(f"reps must be >= 100, got {reps}")
+    if reps > SAMPLE_CAP:
+        raise ValueError(f"reps must be <= {SAMPLE_CAP} (the sample cap), got {reps}")
+
+
 def sample_row(model: ArrayModel, n: int, seed: int = 0, replicate: int = 0) -> RowSample:
     """Draw one full row from the model law, deterministically from
     (seed, n, replicate)."""

@@ -27,6 +27,7 @@ import numpy as np
 
 from .models import (
     ArrayModel,
+    _check_reps,
     _check_sample_size,
     _sigma,
     draw_replicates,
@@ -79,8 +80,7 @@ def simulate_normalized_sums(
     so the result is bit-identical however the replicate range is
     partitioned across workers.
     """
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps}")
+    _check_reps(reps)
     _check_sample_size(model, n)
     _sigma(model, n)  # raises unless 0 < sigma_n^2 < inf
     out = draw_replicates(seed, n, reps, _sum_sampler(model, n))

@@ -157,7 +157,7 @@ def test_criterion_6_martingale_proof_oracle():
             assert slack["max_dm_over_eps"] <= 4.0
             # centred truncation split at a mid-support and a trivial eps
             for eps_t in (0.4, 5.0):
-                chk = m.check_truncation(model, n, eps_t)
+                chk = m.check_truncation(trace, eps_t)
                 assert chk.passed, (model.describe(), eps_t)
         assert time.perf_counter() - start < 30.0
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from mdepclt import cli
 from mdepclt import conditions as cond
+from mdepclt import martingale as mart
+from mdepclt import models
 from mdepclt import montecarlo as mc
 
 
@@ -107,6 +109,30 @@ def test_oracle_csv(tmp_path):
     assert {c for n, c in pairs if n == "4"} == {c for n, c in pairs if n == "6"}
     assert sorted(n for n, check in pairs if check == "truncation(eps=0.5)") == ["4", "6"]
     assert all(passed == "True" for _, _, passed in rows)
+
+
+def test_oracle_enumerates_each_grid_point_once(monkeypatch):
+    # every check at a grid point, the truncation check at each eps
+    # included, runs on the one trace built there
+    calls = []
+    original = models.enumerate_outcomes
+
+    def enumerate_outcomes(model, n):
+        calls.append(n)
+        return original(model, n)
+
+    for module in (models, mart):
+        monkeypatch.setattr(module, "enumerate_outcomes", enumerate_outcomes)
+    model = models.build_model("two-scale", alpha=0.25)
+    eps = cond.DEFAULT_EPS_GRID
+    assert len(eps) == 4
+    payload = cli.oracle_payload(model, [4, 8], eps)
+    assert payload["passed"] and len(payload["truncation"]) == 2 * len(eps)
+    assert calls == [4, 8]
+    trace = mart.build_trace(model, 4)
+    calls.clear()
+    assert mart.check_truncation(trace, 0.5).passed
+    assert calls == []
 
 
 def test_oracle_rejects_unenumerable_model():
@@ -568,6 +594,7 @@ def _two_scale(**settings):
 @example(run=("conditions", _two_scale(r=[400.0])))
 @example(run=("conditions", _two_scale(eps=[], n_grid=[2**k for k in range(6, 10)])))
 @example(run=("conditions", {"family": "block-repeat", "m": 2, "beta": 0.5}))
+@example(run=("clt", {"family": "iid-baseline", "n_grid": [64], "reps": 10**15}))
 def test_run_keeps_the_exit_code_contract(run_config, run):
     """Exit 0 or 1 with a payload whose `passed` matches, or exit 2 with
     one `error:` line; never an exception out of `run`."""

@@ -264,7 +264,7 @@ def test_degenerate_moving_average_is_independent():
 
 def test_truncation_trivial_above_support():
     iid = m.build_model("iid-baseline")
-    chk = m.check_truncation(iid, 6, eps=10.0)
+    chk = m.check_truncation(m.build_trace(iid, 6), eps=10.0)
     assert chk.passed
     assert chk.values["s_tail_second_moment"] == 0.0
     assert chk.values["bound"] == 0.0
@@ -277,16 +277,17 @@ def test_truncation_strict_inequality_two_scale():
     n = 6
     sigma = math.sqrt(m.exact_sigma2(ts, n))
     eps = 0.6 / sigma
-    chk = m.check_truncation(ts, n, eps)
+    chk = m.check_truncation(m.build_trace(ts, n), eps)
     assert chk.passed
     assert 0.0 < chk.values["s_tail_second_moment"] < chk.values["bound"]
     assert chk.values["mu_max_abs"] == 0.0  # symmetric entries
 
 
 @pytest.mark.parametrize("model,n", oracle_models())
-def test_truncation_identities_all_models(model, n):
+def test_truncation_identities_all_models(model, n, traces):
+    _, _, trace = traces[model.describe()]
     for eps in (0.2, 0.7):
-        chk = m.check_truncation(model, n, eps)
+        chk = m.check_truncation(trace, eps)
         assert chk.passed, [str(r) for r in chk.results]
 
 
@@ -306,12 +307,12 @@ def _max_covariance_beyond_band(model, n, eps, band):
     return worst
 
 
-def test_split_banded_fails_when_the_band_is_too_narrow(monkeypatch):
+def test_split_banded_fails_when_the_band_is_too_narrow():
     # the two-scale row is 1-dependent; claiming m = 0 must trip only the
     # covariance-band check, at the value the pairwise loop gives
     ts = m.build_model("two-scale", alpha=0.25)
-    monkeypatch.setattr(m.ArrayModel, "m", lambda self, n: 0)
-    chk = m.check_truncation(ts, 6, eps=0.4)
+    trace = dataclasses.replace(m.build_trace(ts, 6), m=0)
+    chk = m.check_truncation(trace, eps=0.4)
     by_name = {r.name: r for r in chk.results}
     assert not chk.passed and not by_name["split-banded"].passed
     assert all(r.passed for name, r in by_name.items() if name != "split-banded")
@@ -440,11 +441,12 @@ _MA = m.build_model("moving-average", coeffs=(1.0, 0.5))
     [
         (m.build_model("iid-baseline"), [], 200, ValueError, "n_grid must be nonempty"),
         (m.build_model("iid-baseline"), [64, 256], 1, ValueError, "reps must be >= 100"),
+        (m.build_model("iid-baseline"), [64, 256], 10**15, ValueError, f"reps must be <= {m.SAMPLE_CAP}"),
         (m.build_model("iid-baseline", amplitude=1e-200), [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = 0.0"),
         (m.build_model("iid-baseline", amplitude=1e160), [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = inf"),
         (_MA, [64, 256], 200, m.UnsupportedFamilyError, _MA.describe()),
     ],
-    ids=["empty-grid", "one-rep", "sigma2-underflow", "sigma2-overflow", "multi-tap-moving-average"],
+    ids=["empty-grid", "one-rep", "reps-beyond-cap", "sigma2-underflow", "sigma2-overflow", "multi-tap-moving-average"],
 )
 def test_hh_rejects_what_it_cannot_handle_before_drawing(monkeypatch, model, n_grid, reps, error, needle):
     # unchecked, these end in an IndexError, q_sd = nan, inf/nan and
@@ -489,8 +491,8 @@ def test_hh1_margin_absorbs_a_last_bit_decrease(monkeypatch):
 
 def test_trace_summary_fields(traces):
     model, n, trace = traces["two-scale(alpha=0.3)"]
-    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    summary = m.trace_summary(trace, eps=eps)
+    summary = m.trace_summary(trace)
+    assert summary["eps"] == max(trace.m, 1) * float(np.abs(trace.table.rows).max())
     for key in ("n", "sigma2", "sum_q", "var_q", "max_abs_dm", "structure_passed"):
         assert key in summary
     assert summary["structure_passed"] and summary["tower_passed"] and summary["bounds_passed"]

@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 import mdepclt as m
 from mdepclt import cli
+from mdepclt import montecarlo as mc
 from mdepclt.montecarlo import report_to_dict
 
 
@@ -33,6 +34,16 @@ def test_simulation_prefix_stability():
 def test_simulation_rejects_tiny_reps():
     with pytest.raises(ValueError):
         m.simulate_normalized_sums(m.build_model("iid-baseline"), 16, reps=10)
+
+
+def test_simulation_rejects_reps_beyond_the_sample_cap(monkeypatch):
+    # unchecked, the replicate array of 10^15 floats ends in a MemoryError
+    def draw_replicates(*args, **kwargs):
+        raise AssertionError("drew before the reps check")
+
+    monkeypatch.setattr(mc, "draw_replicates", draw_replicates)
+    with pytest.raises(ValueError, match=f"reps must be <= {m.SAMPLE_CAP}"):
+        m.simulate_normalized_sums(m.build_model("iid-baseline"), 64, reps=10**15)
 
 
 def test_iid_n1_samples_are_signs():
