@@ -52,6 +52,8 @@ def parse_grid(text: str) -> list[int]:
     lo, hi = (int(tok) for tok in text.split(".."))
     if hi < lo:
         raise ValueError("empty range")
+    if lo < 0 or hi > 1023:  # before the list is built: n >= 1, and 2^1024 exceeds the floats
+        raise ValueError("exponents must lie in 0..1023")
     return [2**k for k in range(lo, hi + 1)]
 
 

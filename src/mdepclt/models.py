@@ -41,6 +41,7 @@ the truncation centring all follow from this declaration.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -49,10 +50,7 @@ from numpy.random import Generator, Philox
 
 from .laws import DiscreteLaw, GaussianLaw, sign_combination_law, tap_sum
 
-FAMILIES = ("iid-baseline", "two-scale", "block-repeat", "tail-coupled", "moving-average")
 INNOVATIONS = ("rademacher", "normal")
-#: families whose innovation kind is fixed rather than a parameter
-_FIXED_INNOVATION = {"two-scale": "rademacher", "tail-coupled": "normal"}
 
 #: keys of a model config (model_to_config / model_from_config)
 MODEL_CONFIG_KEYS = (
@@ -95,19 +93,21 @@ class Schedule:
     """Integer-valued map n -> value, serializable as (kind, param).
 
     kinds: "constant" (param = value), "power" (max(1, floor(n**param))),
-    "log" (max(1, floor(ln n))).
+    "log" (max(1, floor(ln n))).  A model config names a schedule by one
+    key: m (constant), beta (power) or m_kind = "log".
     """
 
     kind: str
     param: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "power", "log"):
-            raise InvalidParameterError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "constant" and (self.param < 0 or self.param != int(self.param)):
-            raise InvalidParameterError("constant schedule needs an integer value >= 0")
-        if self.kind == "power" and not 0.0 < self.param < 1.0:
-            raise InvalidParameterError("power schedule exponent must lie in (0, 1)")
+        _require(self.kind in ("constant", "power", "log"), f"unknown schedule kind {self.kind!r}")
+        if self.kind == "constant":
+            ok = _whole(self.param) and self.param >= 0
+            _require(ok, "constant schedule needs an integer value >= 0")
+        if self.kind == "power":
+            ok = _is_real(self.param) and 0.0 < self.param < 1.0
+            _require(ok, "power schedule exponent must lie in (0, 1)")
 
     def __call__(self, n: int) -> int:
         if self.kind == "constant":
@@ -123,6 +123,31 @@ class Schedule:
             return f"m=floor(n^{self.param:g})"
         return "m=floor(ln n)"
 
+    __str__ = describe
+
+    def config(self) -> dict:
+        """The one model-config key that names this schedule."""
+        if self.kind == "constant":
+            return {"m": int(self.param)}
+        if self.kind == "power":
+            return {"beta": self.param}
+        return {"m_kind": "log"}
+
+    @classmethod
+    def from_config(cls, cfg: dict):
+        """The schedule a model config names, or None if it names none."""
+        keys = [key for key in ("m", "beta", "m_kind") if key in cfg]
+        _require(len(keys) <= 1, f"config names more than one m_n schedule: {keys}")
+        if "m" in cfg:
+            _require(_whole(cfg["m"]), f"m must be an integer, got {cfg['m']!r}")
+            return cls("constant", int(cfg["m"]))
+        if "beta" in cfg:
+            return cls("power", _finite(cfg["beta"], "beta"))
+        if "m_kind" in cfg:
+            _require(cfg["m_kind"] == "log", f"m_kind must be 'log', got {cfg['m_kind']!r}")
+            return cls("log")
+        return None
+
 
 @dataclass(frozen=True)
 class ArrayModel:
@@ -133,13 +158,6 @@ class ArrayModel:
 
     def m(self, n: int) -> int:
         """Dependence range of row n."""
-        fam = self.family
-        if fam == "iid-baseline":
-            return 0
-        if fam == "two-scale":
-            return 1
-        if fam == "moving-average":
-            return len(self.params["coeffs"]) - 1
         return self.params["m_schedule"](n)
 
     def length(self, n: int) -> int:
@@ -153,13 +171,12 @@ class ArrayModel:
 
     @property
     def amplitude(self) -> float:
-        return self.params.get("amplitude", 1.0)
+        return self.params["amplitude"]
 
     @property
     def innovation(self) -> str:
         """Law of the innovations the row is built from."""
-        default = self.params.get("innovation", "rademacher")
-        return _FIXED_INNOVATION.get(self.family, default)
+        return self.params["innovation"]
 
     @property
     def is_discrete(self) -> bool:
@@ -167,19 +184,9 @@ class ArrayModel:
         return self.innovation == "rademacher"
 
     def describe(self) -> str:
-        p = self.params
-        fam = self.family
-        if fam == "two-scale":
-            return f"two-scale(alpha={p['alpha']:g})"
-        if fam == "block-repeat":
-            sched = p["m_schedule"].describe()
-            extra = f", spike={p['spike_frac']:g}" if p.get("spike_frac") else ""
-            return f"block-repeat({p['innovation']}, {sched}{extra})"
-        if fam == "tail-coupled":
-            return f"tail-coupled({p['m_schedule'].describe()})"
-        if fam == "moving-average":
-            return f"moving-average(coeffs={tuple(p['coeffs'])}, {p['innovation']})"
-        return f"iid-baseline({p['innovation']})"
+        """family(the labels of the parameters it takes, in table order)"""
+        labels = ((_PARAMS[name][1], self.params[name]) for name in _FAMILIES[self.family][0])
+        return f"{self.family}({', '.join(label.format(v) for label, v in labels if label and v)})"
 
 
 @dataclass(frozen=True)
@@ -237,78 +244,110 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidParameterError(msg)
 
 
+def _is_real(value) -> bool:
+    # a JSON boolean is not a number, although Python's bool is an int
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _whole(value) -> bool:
+    return _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+
+
 def _finite(value, name: str) -> float:
     try:
-        # a JSON boolean is not a number, although Python's bool is an int
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+        x = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int beyond the float range
         x = math.nan
     _require(math.isfinite(x), f"{name} must be finite, got {value!r}")
     return x
 
 
-def _as_schedule(value) -> Schedule:
-    if isinstance(value, Schedule):
-        return value
-    if isinstance(value, int):
-        return Schedule("constant", value)
-    raise InvalidParameterError(f"expected Schedule or int, got {value!r}")
+def _amplitude(value, family: str) -> float:
+    amplitude = _finite(value, "amplitude")
+    _require(amplitude > 0, "amplitude must be positive")
+    return amplitude
+
+
+def _alpha(value, family: str) -> float:
+    alpha = _finite(value, "alpha")
+    _require(0.0 < alpha < 0.5, f"alpha must lie in (0, 1/2), got {alpha}")
+    return alpha
+
+
+def _innovation(value, family: str) -> str:
+    _require(value in INNOVATIONS, f"unknown innovation {value!r}")
+    return value
+
+
+def _m_schedule(value, family: str) -> Schedule:
+    if type(value) is int:  # not a bool
+        value = Schedule("constant", value)
+    _require(isinstance(value, Schedule), f"expected Schedule or int, got {value!r}")
+    _require(value.kind != "constant" or value.param >= 1, f"{family} needs m_n >= 1")
+    return value
+
+
+def _spike_frac(value, family: str) -> float:
+    spike = _finite(value, "spike_frac")
+    _require(0.0 <= spike < 1.0, "spike_frac must lie in [0, 1)")
+    return spike
+
+
+def _coeffs(value, family: str) -> tuple:
+    _require(isinstance(value, (list, tuple)), f"coeffs must be a list, got {value!r}")
+    coeffs = tuple(_finite(c, "coeffs") for c in value)
+    _require(len(coeffs) >= 1 and coeffs[0] != 0.0, "coeffs must start with c_0 != 0")
+    return coeffs
+
+
+#: parameter -> (check(value, family) returning the value stored, its
+#: describe() label or None, the value model_to_config leaves out), in
+#: config order
+_PARAMS = {
+    "amplitude": (_amplitude, None, 1.0),
+    "alpha": (_alpha, "alpha={:g}", None),
+    "innovation": (_innovation, "{}", "rademacher"),
+    "m_schedule": (_m_schedule, "{}", None),
+    "spike_frac": (_spike_frac, "spike={:g}", 0.0),
+    "coeffs": (_coeffs, "coeffs={}", None),
+}
+
+#: family -> (the parameters it takes with their defaults, in describe()
+#: order, None marking a required one; the values it fixes rather than
+#: takes).  Every family takes amplitude; an MA(q) row has m_n = q.
+_FAMILIES = {
+    family: ({"amplitude": 1.0, **takes}, fixes)
+    for family, takes, fixes in (
+        ("iid-baseline", {"innovation": "rademacher"}, {"m_schedule": Schedule("constant", 0)}),
+        ("two-scale", {"alpha": None}, {"innovation": "rademacher", "m_schedule": Schedule("constant", 1)}),
+        ("block-repeat", {"innovation": "rademacher", "m_schedule": 2, "spike_frac": 0.0}, {}),
+        ("tail-coupled", {"m_schedule": Schedule("power", 0.25)}, {"innovation": "normal"}),
+        ("moving-average", {"coeffs": (1.0, 0.5), "innovation": "rademacher"}, {}),
+    )
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def build_model(family: str, **params) -> ArrayModel:
     """Validate parameters and build an ArrayModel.
 
-    Family-specific parameters (all optional unless noted):
-
-    iid-baseline    innovation
-    two-scale       alpha (required, in (0, 1/2))
-    block-repeat    m_schedule (int or Schedule, >= 1), innovation,
-                    spike_frac in [0, 1) routing that fraction of the row
-                    variance into the first block
-    tail-coupled    m_schedule (int or Schedule, >= 1)
-    moving-average  coeffs (tuple of taps, c_0 != 0), innovation
-
-    Every family accepts amplitude > 0 multiplying all entries.
+    _FAMILIES declares the parameters each family takes, with their
+    defaults, and _PARAMS checks each one: alpha in (0, 1/2) (required by
+    two-scale), m_schedule an int or Schedule with m_n >= 1, innovation
+    one of INNOVATIONS, spike_frac in [0, 1) (that fraction of the row
+    variance goes into the first block), coeffs a list of taps with
+    c_0 != 0, and amplitude > 0 (every family) multiplying all entries.
     """
-    if family not in FAMILIES:
-        raise InvalidParameterError(f"unknown family {family!r}")
-    p = dict(params)
-    amplitude = _finite(p.pop("amplitude", 1.0), "amplitude")
-    _require(amplitude > 0, "amplitude must be positive")
-    out: dict = {"amplitude": amplitude}
-
-    if family == "iid-baseline":
-        innovation = p.pop("innovation", "rademacher")
-        _require(innovation in INNOVATIONS, f"unknown innovation {innovation!r}")
-        out["innovation"] = innovation
-    elif family == "two-scale":
-        _require("alpha" in p, "two-scale requires alpha")
-        alpha = _finite(p.pop("alpha"), "alpha")
-        _require(0.0 < alpha < 0.5, f"alpha must lie in (0, 1/2), got {alpha}")
-        out["alpha"] = alpha
-    elif family == "block-repeat":
-        sched = _as_schedule(p.pop("m_schedule", 2))
-        _require(sched.kind != "constant" or sched.param >= 1, "block-repeat needs m_n >= 1")
-        innovation = p.pop("innovation", "rademacher")
-        _require(innovation in INNOVATIONS, f"unknown innovation {innovation!r}")
-        spike = _finite(p.pop("spike_frac", 0.0), "spike_frac")
-        _require(0.0 <= spike < 1.0, "spike_frac must lie in [0, 1)")
-        out.update(m_schedule=sched, innovation=innovation, spike_frac=spike)
-    elif family == "tail-coupled":
-        sched = _as_schedule(p.pop("m_schedule", Schedule("power", 0.25)))
-        _require(sched.kind != "constant" or sched.param >= 1, "tail-coupled needs m_n >= 1")
-        out["m_schedule"] = sched
-    else:  # moving-average
-        coeffs = p.pop("coeffs", (1.0, 0.5))
-        _require(isinstance(coeffs, (list, tuple)), f"coeffs must be a list, got {coeffs!r}")
-        coeffs = tuple(_finite(c, "coeffs") for c in coeffs)
-        _require(len(coeffs) >= 1 and coeffs[0] != 0.0, "coeffs must start with c_0 != 0")
-        innovation = p.pop("innovation", "rademacher")
-        _require(innovation in INNOVATIONS, f"unknown innovation {innovation!r}")
-        out.update(coeffs=coeffs, innovation=innovation)
-
-    _require(not p, f"unknown parameters for {family}: {sorted(p)}")
-    return ArrayModel(family, out)
+    _require(family in _FAMILIES, f"unknown family {family!r}")
+    takes, fixes = _FAMILIES[family]
+    out: dict = {}
+    for name, default in takes.items():
+        _require(name in params or default is not None, f"{family} requires {name}")
+        out[name] = _PARAMS[name][0](params.pop(name, default), family)
+    _require(not params, f"unknown parameters for {family}: {sorted(params)}")
+    if "coeffs" in out:
+        out["m_schedule"] = Schedule("constant", len(out["coeffs"]) - 1)
+    return ArrayModel(family, {**out, **fixes})
 
 
 def _check_n(n: int) -> None:
@@ -320,7 +359,7 @@ def _check_n(n: int) -> None:
 
 def _spike_scale(model: ArrayModel, n: int) -> float:
     """Innovation scale of block 1 so it carries spike_frac of Var S_n."""
-    p = model.params.get("spike_frac", 0.0)
+    p = model.params["spike_frac"]
     if p <= 0.0:
         return 1.0
     J = model.blocks(n)
@@ -347,7 +386,7 @@ def linear_row(model: ArrayModel, n: int) -> tuple:
         return 2 * n + 1, 1.0, ((n, ((0, n**-0.5), (n, -a), (n + 1, a)), 1),)
     if fam == "block-repeat":
         m, J = model.m(n), model.blocks(n)
-        if J < 2 and model.params.get("spike_frac", 0.0) > 0:
+        if J < 2 and model.params["spike_frac"] > 0:
             raise InvalidParameterError("spike block-repeat needs at least 2 blocks")
         segments = ((m, ((0, _spike_scale(model, n)),), m),)
         if J > 1:
@@ -694,27 +733,16 @@ def truncated_model(model: ArrayModel, n: int, eps: float) -> TruncationSplit:
 
 
 def model_to_config(model: ArrayModel) -> dict:
-    """Flat key-value form of a model, suitable for a JSON config file."""
+    """Flat key-value form of a model, suitable for a JSON config file: the
+    parameters its family takes, less those at their neutral value."""
     cfg: dict = {"family": model.family}
-    p = model.params
-    if model.amplitude != 1.0:
-        cfg["amplitude"] = model.amplitude
-    if "alpha" in p:
-        cfg["alpha"] = p["alpha"]
-    if p.get("innovation", "rademacher") != "rademacher":
-        cfg["innovation"] = p["innovation"]
-    if "m_schedule" in p:
-        sched = p["m_schedule"]
-        if sched.kind == "constant":
-            cfg["m"] = int(sched.param)
-        elif sched.kind == "power":
-            cfg["beta"] = sched.param
-        else:
-            cfg["m_kind"] = "log"
-    if p.get("spike_frac"):
-        cfg["spike_frac"] = p["spike_frac"]
-    if "coeffs" in p:
-        cfg["coeffs"] = list(p["coeffs"])
+    takes = _FAMILIES[model.family][0]
+    for name, (_, _, neutral) in _PARAMS.items():
+        value = model.params[name] if name in takes else neutral
+        if isinstance(value, Schedule):
+            cfg.update(value.config())
+        elif value != neutral:
+            cfg[name] = list(value) if isinstance(value, tuple) else value
     return cfg
 
 
@@ -724,18 +752,8 @@ def model_from_config(cfg: dict) -> ArrayModel:
     _require(not unknown, f"unknown config keys: {unknown}")
     _require("family" in cfg, "config is missing the 'family' key")
     # build_model validates and converts these
-    keys = ("amplitude", "alpha", "innovation", "coeffs", "spike_frac")
-    params = {key: cfg[key] for key in keys if key in cfg}
-    schedules = [key for key in ("m", "beta", "m_kind") if key in cfg]
-    _require(len(schedules) <= 1, f"config names more than one m_n schedule: {schedules}")
-    if "m" in cfg:
-        m = cfg["m"]
-        is_int = type(m) in (int, float) and float(m).is_integer()
-        _require(is_int, f"m must be an integer, got {m!r}")
-        params["m_schedule"] = Schedule("constant", int(m))
-    if "beta" in cfg:
-        params["m_schedule"] = Schedule("power", _finite(cfg["beta"], "beta"))
-    if "m_kind" in cfg:
-        _require(cfg["m_kind"] == "log", f"m_kind must be 'log', got {cfg['m_kind']!r}")
-        params["m_schedule"] = Schedule("log")
+    params = {key: value for key, value in cfg.items() if key in _PARAMS}
+    schedule = Schedule.from_config(cfg)
+    if schedule is not None:
+        params["m_schedule"] = schedule
     return build_model(cfg["family"], **params)

@@ -323,6 +323,17 @@ def test_bad_grid_is_exit_2():
     assert run_cli("--cmd", "conditions", "--model", "iid-baseline", "--n-grid", "abc") == 2
 
 
+def test_grid_exponents_beyond_the_float_range_are_rejected(capsys):
+    # the range is checked before 2^k is built for every k in it
+    with pytest.raises(ValueError):
+        cli.parse_grid("1000..1024")
+    assert cli.parse_grid("1023..1023") == [2**1023]
+    code = run_cli("--cmd", "conditions", "--model", "iid-baseline", "--n-grid", "0..1000000000")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot parse n_grid") and err.count("\n") == 1
+
+
 def test_engine_argument_validation_is_exit_2():
     assert run_cli("--cmd", "conditions", "--model", "iid-baseline", "--r", "1.5") == 2
     assert run_cli("--cmd", "conditions", "--model", "iid-baseline", "--eps", "-1") == 2
@@ -426,10 +437,15 @@ def test_negative_seed_is_exit_2(capsys):
         ({"family": "block-repeat", "spike_frac": False}, "spike_frac"),
         ({"family": "moving-average", "coeffs": [True, 0.5]}, "coeffs"),
         ({"family": "tail-coupled", "beta": True}, "beta"),
+        ({"family": "two-scale", "alpha": "0.25"}, "alpha"),
+        ({"family": "moving-average", "coeffs": ["1", " 0.5 "]}, "coeffs"),
+        ({"family": "iid-baseline", "amplitude": "1e0"}, "amplitude"),
+        ({"family": "block-repeat", "spike_frac": "0.5"}, "spike_frac"),
     ],
 )
 def test_boolean_model_parameter_is_exit_2(tmp_path, capsys, config, key):
-    # JSON true/false are not numbers, although Python's bool is an int
+    # JSON true/false are not numbers, although Python's bool is an int;
+    # nor are strings that float() would read as one
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     code = run_cli("--cmd", "conditions", "--config", str(bad), "--n-grid", "6..8")

@@ -2,6 +2,8 @@
 truncation."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,20 @@ def test_build_rejects_non_finite_parameters():
         m.model_from_config({"family": "block-repeat", "m": 2.7})
     with pytest.raises(m.InvalidParameterError):
         m.row_rng(2**64, 8, 0)
+
+
+def test_parameters_take_numbers_only():
+    # inf and nan are not whole numbers, and a bool is an int to Python but
+    # not a number in a JSON config
+    for value in (math.inf, math.nan, True):
+        with pytest.raises(m.InvalidParameterError, match="constant schedule"):
+            m.Schedule("constant", value)
+    with pytest.raises(m.InvalidParameterError, match="expected Schedule or int"):
+        m.build_model("block-repeat", m_schedule=True)
+    with pytest.raises(m.InvalidParameterError, match="alpha must be finite"):
+        m.build_model("two-scale", alpha="0.25")
+    with pytest.raises(m.InvalidParameterError, match="amplitude must be finite"):
+        m.build_model("iid-baseline", amplitude=10**400)  # beyond the float range
 
 
 def test_innovation_is_the_drawn_law():
@@ -484,6 +500,72 @@ def test_config_round_trip(model, _n):
     cfg = m.model_to_config(model)
     back = m.model_from_config(cfg)
     assert back == model
+
+
+@pytest.mark.parametrize(
+    "model, text, config, ms, innovation",
+    [
+        (
+            m.build_model(
+                "block-repeat", m_schedule=m.Schedule("log"), innovation="normal", spike_frac=0.5
+            ),
+            "block-repeat(normal, m=floor(ln n), spike=0.5)",
+            {"family": "block-repeat", "innovation": "normal", "m_kind": "log", "spike_frac": 0.5},
+            [1, 1, 2, 6],
+            "normal",
+        ),
+        (
+            m.build_model("moving-average", coeffs=(1.0, -0.5, 0.25), innovation="normal"),
+            "moving-average(coeffs=(1.0, -0.5, 0.25), normal)",
+            {"family": "moving-average", "innovation": "normal", "coeffs": [1.0, -0.5, 0.25]},
+            [2, 2, 2, 2],
+            "normal",
+        ),
+        (
+            m.build_model("tail-coupled"),
+            "tail-coupled(m=floor(n^0.25))",
+            {"family": "tail-coupled", "beta": 0.25},
+            [1, 1, 2, 5],
+            "normal",
+        ),
+        (
+            m.build_model("two-scale", alpha=0.3),
+            "two-scale(alpha=0.3)",
+            {"family": "two-scale", "alpha": 0.3},
+            [1, 1, 1, 1],
+            "rademacher",
+        ),
+        (
+            m.build_model("iid-baseline", amplitude=2.5),
+            "iid-baseline(rademacher)",
+            {"family": "iid-baseline", "amplitude": 2.5},
+            [0, 0, 0, 0],
+            "rademacher",
+        ),
+    ],
+    ids=["spiked-normal-block-repeat-log", "normal-ma3", "tail-coupled", "two-scale", "iid-amplitude"],
+)
+def test_family_table_reproduces_each_view(model, text, config, ms, innovation):
+    # the one parameter table drives describe(), the config, m_n and the
+    # innovation law; a config never carries a value the family fixes
+    assert model.describe() == text
+    assert m.model_to_config(model) == config
+    assert list(m.model_to_config(model)) == list(config)  # key order reaches the JSON
+    assert [model.m(n) for n in (1, 7, 16, 1000)] == ms
+    assert model.innovation == innovation
+
+
+def test_family_branches_stay_few():
+    # README's count: the four linear_row arms, ArrayModel.blocks and the
+    # two-scale increments; every other family fact comes from the table
+    pattern = re.compile(r'(fam|family) [!=]= "')
+    lines = [
+        line
+        for path in sorted(Path(models.__file__).parent.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if pattern.search(line)
+    ]
+    assert len(lines) <= 6, lines
 
 
 def test_schedule_describe():
