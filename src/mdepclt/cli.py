@@ -268,8 +268,8 @@ def _list_of(item, parse_text):
         if isinstance(value, str):
             try:
                 value = parse_text(value.strip())
-            except ValueError:
-                raise ConfigError(f"cannot parse {key} {value!r}") from None
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse {key} {value!r}: {exc}") from None
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return [item(key, v) for v in value]

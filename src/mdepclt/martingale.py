@@ -37,8 +37,16 @@ from .models import (
     truncated_model,
 )
 
-#: cap on outcomes * N * (N+1) entries of the stored tensor (~128 MiB)
-TRACE_CELL_CAP = 2**24
+#: cap on the cells of the largest array the oracle stores,
+#: max(outcomes, N) * (N+1): M and each prefix partition hold outcomes * (N+1)
+#: and the truncation check's covariances N * N (32 MiB each at the cap)
+TRACE_CELL_CAP = 2**22
+#: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
+#: pass of the checks compute one slice at a time (tens of seconds at the cap)
+TRACE_WORK_CAP = 2**30
+#: entries per bincount call when cell means are summed, a block of
+#: columns at a time: one column when outcomes alone exceed it
+_BINCOUNT_BLOCK = 2**17
 #: HH1 needs the 95% quantile of max|dM|/sigma_n to fall by more than this
 #: relative margin from the smallest to the largest n, so that last-bit
 #: rounding of a constant quantile does not read as a decrease
@@ -77,14 +85,16 @@ class MartingaleTrace:
     Index conventions: W[o, i-1, k] = E(X_i | prefix of length k) on
     outcome o, for i = 1..N and k = 0..N; M[o, k] and dM[o, k-1] follow
     the same k convention; entries with i <= 0 or i > N are identically 0
-    and are not stored.
+    and are not stored.  W itself is not stored either: w_slice(k)
+    computes W[:, :, k] from the prefix partition prefix_ids[k], and the
+    checks walk k = 0..N holding at most two slices, so a trace takes
+    O(outcomes * N) memory.
     """
 
     model: ArrayModel
     n: int
     m: int
     table: OutcomeTable
-    W: np.ndarray  # (outcomes, N, N+1)
     M: np.ndarray  # (outcomes, N+1)
     dM: np.ndarray  # (outcomes, N)
     Q: np.ndarray  # (outcomes,)
@@ -97,22 +107,52 @@ class MartingaleTrace:
         s = self.table.row_sums()
         return float(self.table.probs @ s**2)
 
+    def w_slice(self, k: int) -> np.ndarray:
+        """W[:, :, k] as a contiguous (outcomes, N) array."""
+        inv = self.prefix_ids[k]
+        return np.take(_cell_means(self.table, inv), inv, axis=0)
+
+
+def _cell_means(table: OutcomeTable, inv: np.ndarray) -> np.ndarray:
+    """(cells, N): each X_i averaged over each cell of the partition inv,
+    weighted by probability.  Cell sums are bincounts over (cell, column)
+    bins, a block of columns per call; each bin adds in outcome order, as
+    np.add.at does."""
+    rows, probs = table.rows, table.probs
+    n_out, N = rows.shape
+    cellp = np.bincount(inv, weights=probs)
+    cells = len(cellp)
+    means = np.empty((cells, N))
+    step = max(1, _BINCOUNT_BLOCK // n_out)
+    for lo in range(0, N, step):
+        cols = min(step, N - lo)
+        bins = (inv[:, None] * cols + np.arange(cols)).ravel()
+        weights = (probs[:, None] * rows[:, lo : lo + cols]).ravel()
+        means[:, lo : lo + cols] = np.bincount(bins, weights=weights, minlength=cells * cols).reshape(cells, cols)
+    means /= cellp[:, None]
+    return means
+
 
 def _require_trace_size(model: ArrayModel, n: int) -> None:
-    """Raise unless build_trace fits both the outcome cap and the trace
-    tensor cap; decided from the declaration, before any enumeration."""
+    """Raise unless build_trace fits the outcome cap, the cap on stored
+    cells and the cap on computed entries of W; decided from the
+    declaration, before any enumeration."""
     _check_n(n)
     count = 2 ** _enumeration_bits(model, n)
     N = model.length(n)
-    if count * N * (N + 1) > TRACE_CELL_CAP:
+    if max(count, N) * (N + 1) > TRACE_CELL_CAP:
         raise EnumerationTooLargeError(
-            f"trace tensor would hold {count * N * (N + 1)} cells (cap {TRACE_CELL_CAP})"
+            f"trace would store {max(count, N) * (N + 1)} cells per array (cap {TRACE_CELL_CAP})"
+        )
+    if count * N * (N + 1) > TRACE_WORK_CAP:
+        raise EnumerationTooLargeError(
+            f"trace checks would compute {count * N * (N + 1)} entries of W (cap {TRACE_WORK_CAP})"
         )
 
 
 def trace_feasible(model: ArrayModel, n: int) -> bool:
-    """Whether build_trace can run: finite support within both the outcome
-    cap and the trace tensor cap."""
+    """Whether build_trace can run: finite support within the outcome cap
+    and the trace caps."""
     try:
         _require_trace_size(model, n)
     except (ContinuousModelError, EnumerationTooLargeError):
@@ -121,38 +161,35 @@ def trace_feasible(model: ArrayModel, n: int) -> bool:
 
 
 def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
-    """Enumerate the row and compute W, M, dM, Q, q exactly.
+    """Enumerate the row and compute M, dM, Q, q and the prefix partitions
+    exactly.
 
     The prefix partitions are refined one column at a time: the cell of an
     outcome at k is the pair (cell at k-1, X_k), numbered by np.unique of
     cell * (distinct values of X_k) + rank of X_k.  Cells at k-1 are
     numbered in lexicographic prefix order and ranks in value order, so the
     numbering is the one np.unique(rows[:, :k], axis=0) gives, without
-    sorting whole prefixes.  Cell means come from per-column weighted
-    bincounts, which add in outcome order as np.add.at does.
+    sorting whole prefixes.  M[:, k] adds the cell means of X_1..X_N in
+    order (np.cumsum), the order W.sum(axis=1) over the whole tensor adds
+    them in, so no slice of W is built here.
     """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
     rows, probs = table.rows, table.probs
     n_out, N = rows.shape
-    W = np.empty((n_out, N, N + 1))
+    M = np.empty((n_out, N + 1))
     inv = np.zeros(n_out, dtype=np.intp)
     prefix_ids = []
     for k in range(N + 1):
         if k > 0:
             values, rank = np.unique(rows[:, k - 1], return_inverse=True)
             _, inv = np.unique(inv * len(values) + rank, return_inverse=True)
-        cellp = np.bincount(inv, weights=probs)
-        means = np.empty((len(cellp), N))
-        for j in range(N):
-            means[:, j] = np.bincount(inv, weights=probs * rows[:, j]) / cellp
-        W[:, :, k] = means[inv]
+        M[:, k] = np.cumsum(_cell_means(table, inv), axis=1)[inv, -1]
         prefix_ids.append(inv)
-    M = W.sum(axis=1)
     dM = np.diff(M, axis=1)
     Q = np.einsum("ok,ok->o", dM, dM)
     q = probs @ dM**2
-    return MartingaleTrace(model, n, model.m(n), table, W, M, dM, Q, q, prefix_ids)
+    return MartingaleTrace(model, n, model.m(n), table, M, dM, Q, q, prefix_ids)
 
 
 def _first_violation(err: np.ndarray, names=("outcome", "i", "k")) -> dict:
@@ -172,22 +209,22 @@ def _result(name: str, err: np.ndarray, tol: float, names=("outcome", "i", "k"))
     return CheckResult(name, False, worst, detail)
 
 
-def _sliced_result(name: str, err_at, N: int, tol: float) -> CheckResult:
-    """_result of err[o, i, k] = err_at(k)[o, i] for k = 0..N, built one
-    k slice at a time.  On a failure the slices that hold the worst value
-    are rebuilt to name its first (outcome, i, k) in C order, the index
-    np.argmax of the whole tensor gives."""
-    maxima = np.array([err_at(k).max() for k in range(N + 1)])
+def _sliced_result(name: str, maxima: list, err_at, tol: float, names=("outcome", "i", "k")) -> CheckResult:
+    """_result of the error array whose slice along its last index j is
+    err_at(j), given the maximum of every slice.  On a failure the slices
+    that hold the worst value are rebuilt to name its first index in C
+    order, the one np.argmax over the whole array gives."""
+    maxima = np.array(maxima)
     worst = float(maxima.max())
     if worst <= tol:
         return CheckResult(name, True, worst)
     hits = []
-    for k in np.flatnonzero((maxima == worst) | np.isnan(maxima)):
-        err = err_at(k)
-        o, i = np.unravel_index(int(np.argmax(err)), err.shape)
-        hits.append((int(o), int(i), int(k), float(err[o, i])))
-    o, i, k, e = min(hits)
-    return CheckResult(name, False, worst, {"outcome": o, "i": i, "k": k, "err": e, "identity": name})
+    for j in np.flatnonzero((maxima == worst) | np.isnan(maxima)):
+        err = err_at(j)
+        idx = np.unravel_index(int(np.argmax(err)), err.shape)
+        hits.append((*(int(v) for v in idx), int(j), float(err[idx])))
+    *index, e = min(hits)
+    return CheckResult(name, False, worst, {**dict(zip(names, index)), "err": e, "identity": name})
 
 
 def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckResult]:
@@ -199,40 +236,69 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
     partial-sum-form    M_k = sum_{i<=k} X_i + sum_{i=k+1}^{k+m} W[i, k]
     endpoint            M_0 = 0 and M_N = S_n
 
-    The first two are checked one W[:, :, k] slice at a time, so no
-    temporary as large as W is built.
+    The first four are asserted in one pass over k that holds the slices
+    W[:, :, k] and W[:, :, k-1] only; a failing identity rebuilds the
+    slices it needs to name its first violation.
     """
     rows = trace.table.rows
-    n_out, N = rows.shape
+    N = rows.shape[1]
     m = trace.m
-    W, M, dM = trace.W, trace.M, trace.dM
-    results = []
-
+    M, dM = trace.M, trace.dM
     ii = np.arange(N)  # W index i holds X_{i+1}
-    results.append(
-        _sliced_result("measurable-past", lambda k: np.abs(W[:, :, k] - rows) * (ii < k), N, tol)
-    )
-    results.append(
-        _sliced_result("independent-future", lambda k: np.abs(W[:, :, k]) * (ii >= k + m), N, tol)
-    )
 
-    recon = np.zeros((n_out, N))
-    for k in range(1, N + 1):
-        lo = max(k, 1) - 1
+    def past(k, Wk):
+        err = Wk - rows
+        np.abs(err, out=err)
+        err *= ii < k
+        return err
+
+    def future(k, Wk):
+        err = np.abs(Wk)
+        err *= ii >= k + m
+        return err
+
+    def window(k, Wk, Wprev):  # column k-1 of |dM - reconstruction|
         hi = min(k + m, N)
-        recon[:, k - 1] = (W[:, lo:hi, k] - W[:, lo:hi, k - 1]).sum(axis=1)
-    err = np.abs(dM - recon)
-    results.append(_result("window-difference", err, tol, names=("outcome", "k")))
+        return np.abs(dM[:, k - 1] - (Wk[:, k - 1 : hi] - Wprev[:, k - 1 : hi]).sum(axis=1))
 
-    recon_m = np.zeros((n_out, N + 1))
-    csum = np.cumsum(rows, axis=1)
+    def partial(k, Wk, head):  # head: sum_{i<=k} X_i, as np.cumsum adds it
+        hi = min(k + m, N)
+        tail = Wk[:, k:hi].sum(axis=1) if hi > k else 0.0
+        return np.abs(M[:, k] - (head + tail))
+
+    def head_at(k):
+        return np.cumsum(rows[:, :k], axis=1)[:, -1] if k else 0.0
+
+    maxima = {"past": [], "future": [], "window": [], "partial": []}
+    head, Wprev = 0.0, None
     for k in range(N + 1):
-        head = csum[:, k - 1] if k >= 1 else 0.0
-        hi = min(k + m, N)
-        tail = W[:, k:hi, k].sum(axis=1) if hi > k else 0.0
-        recon_m[:, k] = head + tail
-    err = np.abs(M - recon_m)
-    results.append(_result("partial-sum-form", err, tol, names=("outcome", "k")))
+        Wk = trace.w_slice(k)
+        maxima["past"].append(past(k, Wk).max())
+        maxima["future"].append(future(k, Wk).max())
+        if k > 0:
+            head = rows[:, 0].copy() if k == 1 else head + rows[:, k - 1]
+            maxima["window"].append(window(k, Wk, Wprev).max())
+        maxima["partial"].append(partial(k, Wk, head).max())
+        Wprev = Wk
+
+    results = [
+        _sliced_result("measurable-past", maxima["past"], lambda k: past(k, trace.w_slice(k)), tol),
+        _sliced_result("independent-future", maxima["future"], lambda k: future(k, trace.w_slice(k)), tol),
+        _sliced_result(
+            "window-difference",
+            maxima["window"],
+            lambda c: window(c + 1, trace.w_slice(c + 1), trace.w_slice(c)),
+            tol,
+            names=("outcome", "k"),
+        ),
+        _sliced_result(
+            "partial-sum-form",
+            maxima["partial"],
+            lambda k: partial(k, trace.w_slice(k), head_at(k)),
+            tol,
+            names=("outcome", "k"),
+        ),
+    ]
 
     s = trace.table.row_sums()
     err = np.maximum(np.abs(M[:, 0]), np.abs(M[:, N] - s))
@@ -264,25 +330,30 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list
         raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps**2 * s2:.6g} is not a positive float")
     results = []
 
-    W = trace.W
-    results.append(
-        _sliced_result("conditional-bound", lambda k: np.maximum(np.abs(W[:, :, k]) - bound, 0.0), N, tol)
-    )
+    def over(Wk):
+        err = np.abs(Wk)
+        err -= bound
+        return np.maximum(err, 0.0, out=err)
 
-    dm_max = float(np.abs(trace.dM).max())
-    err = np.maximum(np.abs(trace.dM) - 4.0 * eps, 0.0)
-    res = _result("increment-bound", err, tol, names=("outcome", "k"))
+    maxima = [over(trace.w_slice(k)).max() for k in range(N + 1)]
+    results.append(_sliced_result("conditional-bound", maxima, lambda k: over(trace.w_slice(k)), tol))
+
+    err = np.abs(trace.dM)
+    dm_max = float(err.max())
+    err -= 4.0 * eps
+    res = _result("increment-bound", np.maximum(err, 0.0, out=err), tol, names=("outcome", "k"))
     results.append(
         CheckResult(res.name, res.passed, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
         if res.passed
         else res
     )
 
-    T = np.cumsum(rows, axis=1)
     idx = np.minimum(np.arange(1, N + 1) + trace.m, N) - 1
-    gap = np.abs(T[:, idx] - trace.M[:, 1 : N + 1])
-    err = np.maximum(gap - 2.0 * eps, 0.0)
-    results.append(_result("prefix-gap", err, tol, names=("outcome", "i")))
+    err = np.cumsum(rows, axis=1)[:, idx]  # T_{i+m}
+    err -= trace.M[:, 1 : N + 1]
+    np.abs(err, out=err)
+    err -= 2.0 * eps
+    results.append(_result("prefix-gap", np.maximum(err, 0.0, out=err), tol, names=("outcome", "i")))
 
     eq = float(probs @ trace.Q)
     results.append(_result("mean-quadratic-variation", np.array([abs(eq - s2)]), 1e-10, ("",)))
@@ -338,24 +409,25 @@ def check_truncation(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> 
     m = trace.m
     results = []
 
-    err = np.abs((x_lo + x_hi) - table.rows)
-    results.append(_result("split-additivity", err, 0.0, names=("outcome", "i")))
+    err = x_lo + x_hi
+    err -= table.rows
+    results.append(_result("split-additivity", np.abs(err, out=err), 0.0, names=("outcome", "i")))
 
     mean_lo = probs @ x_lo
     mean_hi = probs @ x_hi
     err = np.maximum(np.abs(mean_lo), np.abs(mean_hi))
     results.append(_result("split-centred", err, tol, names=("i",)))
 
+    s_hi = x_hi.sum(axis=1)
     idx = np.arange(N)
     beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
     worst = 0.0
-    for part in (x_lo, x_hi):
-        centred = part - probs @ part
+    for centred in (x_lo, x_hi):  # centred in place: neither part is read again
+        centred -= probs @ centred
         cov = (centred * probs[:, None]).T @ centred
         worst = max(worst, float(np.abs(cov[beyond_band]).max(initial=0.0)))
     results.append(_result("split-banded", np.array([worst]), tol, ("",)))
 
-    s_hi = x_hi.sum(axis=1)
     lhs = float(probs @ s_hi**2)
     tail_sum = float(sum(probs @ (table.rows[:, i] ** 2 * (np.abs(table.rows[:, i]) > split.threshold)) for i in range(N)))
     rhs = (2 * m + 1) * tail_sum

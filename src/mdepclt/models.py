@@ -105,6 +105,8 @@ class Schedule:
         if self.kind == "constant":
             ok = _whole(self.param) and self.param >= 0
             _require(ok, "constant schedule needs an integer value >= 0")
+            fits = self.param <= sys.float_info.max  # the row builders divide by m
+            _require(fits, f"constant m_n exceeds the float range ({int(self.param).bit_length()} bits)")
         if self.kind == "power":
             ok = _is_real(self.param) and 0.0 < self.param < 1.0
             _require(ok, "power schedule exponent must lie in (0, 1)")

@@ -332,6 +332,7 @@ def test_grid_exponents_beyond_the_float_range_are_rejected(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: cannot parse n_grid") and err.count("\n") == 1
+    assert "exponents must lie in 0..1023" in err
 
 
 def test_engine_argument_validation_is_exit_2():
@@ -406,6 +407,17 @@ def test_fractional_m_is_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"family": "block-repeat", "m": 2.7}))
     code = run_cli("--cmd", "conditions", "--config", str(bad), "--n-grid", "6..10")
     _assert_config_error(code, capsys, "m must be an integer")
+
+
+@pytest.mark.parametrize("cmd", ["conditions", "clt", "oracle"])
+def test_constant_m_beyond_the_float_range_is_exit_2(tmp_path, capsys, cmd):
+    # an integer m the row builders cannot divide by
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"family": "block-repeat", "m": 1' + "0" * 400 + "}")
+    code = run_cli("--cmd", cmd, "--config", str(bad), "--n-grid", "64", "--reps", "100")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: constant m_n exceeds the float range") and err.count("\n") == 1
 
 
 def test_spiked_block_repeat_with_one_block_is_exit_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,10 +72,33 @@ def test_block_repeat_increments_jump_at_block_starts(traces):
     assert np.allclose(trace.dM[:, 0::2], trace.table.rows[:, 0::2] * 2, atol=1e-14)
 
 
+def _perturbed(trace, edit):
+    """A copy of trace whose slice method hands every fresh W[:, :, k] to
+    edit(k, Wk), which changes it in place; M and dM stay as built."""
+    bad = copy.copy(trace)
+
+    def w_slice(k):
+        Wk = trace.w_slice(k)
+        edit(k, Wk)
+        return Wk
+
+    bad.w_slice = w_slice
+    return bad
+
+
+def _bumped(trace, o, i, k, delta):
+    """W[o, i, k] += delta, through the slice method."""
+
+    def edit(kk, Wk):
+        if kk == k:
+            Wk[o, i] += delta
+
+    return _perturbed(trace, edit)
+
+
 def test_corrupted_trace_trips_structure_check(traces):
     _, _, trace = traces["two-scale(alpha=0.3)"]
-    bad = copy.deepcopy(trace)
-    bad.W[17, 2, 3] += 1e-3
+    bad = _bumped(trace, 17, 2, 3, 1e-3)
     results = {res.name: res for res in m.check_structure(bad)}
     assert not all(res.passed for res in results.values())
     failed = [res for res in results.values() if not res.passed]
@@ -85,8 +109,7 @@ def test_corrupted_trace_trips_structure_check(traces):
 @pytest.mark.parametrize("perturb", [1e-3, -1e-3, 5e-3])
 def test_corruption_detected_at_millis(traces, perturb):
     _, _, trace = traces["iid-baseline(rademacher)"]
-    bad = copy.deepcopy(trace)
-    bad.W[3, 4, 6] += perturb
+    bad = _bumped(trace, 3, 4, 6, perturb)
     assert not all(res.passed for res in m.check_structure(bad))
 
 
@@ -100,8 +123,7 @@ def test_corruption_detected_at_millis(traces, perturb):
 )
 def test_corruption_detected_in_every_index_region(traces, i, k):
     _, _, trace = traces["two-scale(alpha=0.3)"]
-    bad = copy.deepcopy(trace)
-    bad.W[11, i - 1, k] += 1e-3
+    bad = _bumped(trace, 11, i - 1, k, 1e-3)
     assert not all(res.passed for res in m.check_structure(bad))
 
 
@@ -139,20 +161,19 @@ def test_prefix_refinement_is_the_whole_prefix_partition(model, n):
     assert len(trace.prefix_ids) == len(ids)
     for k, (got, want) in enumerate(zip(trace.prefix_ids, ids)):
         assert np.array_equal(got, want), f"k={k}"
-    assert np.array_equal(trace.W, W)
+    N = trace.table.rows.shape[1]
+    assert np.array_equal(np.stack([trace.w_slice(k) for k in range(N + 1)], axis=2), W)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), sign=st.sampled_from([1.0, -1.0]))
 def test_structure_failure_names_the_perturbed_entry(traces, data, sign):
     _, _, trace = traces["two-scale(alpha=0.3)"]
-    n_out, N, _ = trace.W.shape
+    n_out, N = trace.table.rows.shape
     o = data.draw(st.integers(0, n_out - 1), label="outcome")
     i = data.draw(st.integers(0, N - 1), label="i")  # W index: entry X_{i+1}
     k = data.draw(st.integers(0, N), label="k")
-    W = trace.W.copy()
-    W[o, i, k] += sign * 1e-3
-    results = {res.name: res for res in m.check_structure(dataclasses.replace(trace, W=W))}
+    results = {res.name: res for res in m.check_structure(_bumped(trace, o, i, k, sign * 1e-3))}
     assert not all(res.passed for res in results.values())
     if i + 1 <= k:
         region = "measurable-past"
@@ -173,10 +194,13 @@ def test_structure_failure_names_the_first_worst_entry_in_c_order(traces):
     later = (9, 0, 2)  # scanned first: slice k = 2
     x = rows[later[0], later[1]]
     first = next((o, 3, 4) for o in range(later[0]) if rows[o, 3] == x)
-    W = trace.W.copy()
-    for o, i, k in (first, later):
-        W[o, i, k] = x + 1e-3
-    res = m.check_structure(dataclasses.replace(trace, W=W))[0]
+
+    def edit(k, Wk):
+        for o, i, kk in (first, later):
+            if kk == k:
+                Wk[o, i] = x + 1e-3
+
+    res = m.check_structure(_perturbed(trace, edit))[0]
     assert res.name == "measurable-past" and not res.passed
     assert (res.detail["outcome"], res.detail["i"], res.detail["k"]) == first
 
@@ -233,10 +257,52 @@ def test_trace_feasibility_predicate():
 
     ts = m.build_model("two-scale", alpha=0.25)
     assert trace_feasible(ts, 7)
-    assert not trace_feasible(ts, 10)  # 2^21 outcomes x 110 tensor cells
+    assert not trace_feasible(ts, 10)  # 2^21 outcomes x 11 stored cells each
     assert not trace_feasible(m.build_model("tail-coupled", m_schedule=2), 6)
     with pytest.raises(m.EnumerationTooLargeError):
         m.build_trace(ts, 10)
+    # m = 512 at n = 4096: 2^8 outcomes store 1 M cells each, but the checks
+    # would compute 4.3 G entries of W
+    br = m.build_model("block-repeat", m_schedule=m.Schedule("power", 0.75))
+    assert br.m(4096) == 512 and br.blocks(4096) == 8
+    assert not trace_feasible(br, 4096)
+    assert trace_feasible(br, 2048)
+    # one block: 2 outcomes, but the truncation check's N x N covariances
+    assert trace_feasible(m.build_model("block-repeat", m_schedule=2047), 2047)
+    assert not trace_feasible(m.build_model("block-repeat", m_schedule=2048), 2048)
+
+
+def test_growing_m_block_repeat_passes_at_n_144():
+    # m = 12: 2^12 outcomes and N = 144, so W would hold 85.5 M cells; the
+    # checks hold one or two of its slices at a time
+    br = m.build_model("block-repeat", m_schedule=m.Schedule("power", 0.5))
+    trace = m.build_trace(br, 144)
+    assert trace.m == 12 and trace.table.rows.shape == (4096, 144)
+    summary = m.trace_summary(trace)
+    assert summary["structure_passed"] and summary["tower_passed"] and summary["bounds_passed"]
+    for eps in (0.05, 0.1, 0.5, 1.0):
+        chk = m.check_truncation(trace, eps)
+        assert chk.passed, [str(r) for r in chk.results]
+    assert mart.trace_feasible(br, 196)  # m = 14: 2^14 outcomes x 197 stored cells
+    assert not mart.trace_feasible(br, 256)  # m = 16: 2^16 x 257 = 16.8 M
+
+
+def test_trace_memory_stays_below_one_w_tensor():
+    # two-scale at n = 8: 2^17 outcomes and N = 8, so one (outcomes, N, N+1)
+    # float tensor takes 72 MiB
+    ts = m.build_model("two-scale", alpha=0.25)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = m.build_trace(ts, 8)
+        m.trace_summary(trace)
+        for eps in (0.05, 0.1, 0.5, 1.0):
+            m.check_truncation(trace, eps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert trace.table.rows.shape == (2**17, 8)
+    assert peak < 2**17 * 8 * 9 * 8
 
 
 def test_trace_size_is_checked_before_enumerating(monkeypatch):
