@@ -37,6 +37,10 @@ from .models import (
     truncated_model,
 )
 
+#: a point whose whole W, outcomes * N * (N+1) entries, fits within this
+#: is feasible whatever the two caps below say: streaming that W needs less
+#: memory than storing it would (128 MiB) and little time
+TRACE_TENSOR_CAP = 2**24
 #: cap on the cells of the largest array the oracle stores,
 #: max(outcomes, N) * (N+1): M and each prefix partition hold outcomes * (N+1)
 #: and the truncation check's covariances N * N (32 MiB each at the cap)
@@ -44,9 +48,6 @@ TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
 #: pass of the checks compute one slice at a time (tens of seconds at the cap)
 TRACE_WORK_CAP = 2**30
-#: entries per bincount call when cell means are summed, a block of
-#: columns at a time: one column when outcomes alone exceed it
-_BINCOUNT_BLOCK = 2**17
 #: HH1 needs the 95% quantile of max|dM|/sigma_n to fall by more than this
 #: relative margin from the smallest to the largest n, so that last-bit
 #: rounding of a constant quantile does not read as a decrease
@@ -115,38 +116,33 @@ class MartingaleTrace:
 
 def _cell_means(table: OutcomeTable, inv: np.ndarray) -> np.ndarray:
     """(cells, N): each X_i averaged over each cell of the partition inv,
-    weighted by probability.  Cell sums are bincounts over (cell, column)
-    bins, a block of columns per call; each bin adds in outcome order, as
-    np.add.at does."""
+    weighted by probability.  Per-column weighted bincounts add in outcome
+    order, as np.add.at does."""
     rows, probs = table.rows, table.probs
-    n_out, N = rows.shape
     cellp = np.bincount(inv, weights=probs)
-    cells = len(cellp)
-    means = np.empty((cells, N))
-    step = max(1, _BINCOUNT_BLOCK // n_out)
-    for lo in range(0, N, step):
-        cols = min(step, N - lo)
-        bins = (inv[:, None] * cols + np.arange(cols)).ravel()
-        weights = (probs[:, None] * rows[:, lo : lo + cols]).ravel()
-        means[:, lo : lo + cols] = np.bincount(bins, weights=weights, minlength=cells * cols).reshape(cells, cols)
-    means /= cellp[:, None]
+    means = np.empty((len(cellp), rows.shape[1]))
+    for j in range(rows.shape[1]):
+        means[:, j] = np.bincount(inv, weights=probs * rows[:, j]) / cellp
     return means
 
 
 def _require_trace_size(model: ArrayModel, n: int) -> None:
-    """Raise unless build_trace fits the outcome cap, the cap on stored
-    cells and the cap on computed entries of W; decided from the
-    declaration, before any enumeration."""
+    """Raise unless build_trace fits the outcome cap and either the cap on
+    the whole of W or both the cap on stored cells and the cap on computed
+    entries of W; decided from the declaration, before any enumeration."""
     _check_n(n)
     count = 2 ** _enumeration_bits(model, n)
     N = model.length(n)
+    entries = count * N * (N + 1)
+    if entries <= TRACE_TENSOR_CAP:
+        return
     if max(count, N) * (N + 1) > TRACE_CELL_CAP:
         raise EnumerationTooLargeError(
             f"trace would store {max(count, N) * (N + 1)} cells per array (cap {TRACE_CELL_CAP})"
         )
-    if count * N * (N + 1) > TRACE_WORK_CAP:
+    if entries > TRACE_WORK_CAP:
         raise EnumerationTooLargeError(
-            f"trace checks would compute {count * N * (N + 1)} entries of W (cap {TRACE_WORK_CAP})"
+            f"trace checks would compute {entries} entries of W (cap {TRACE_WORK_CAP})"
         )
 
 
@@ -261,24 +257,22 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
         hi = min(k + m, N)
         return np.abs(dM[:, k - 1] - (Wk[:, k - 1 : hi] - Wprev[:, k - 1 : hi]).sum(axis=1))
 
-    def partial(k, Wk, head):  # head: sum_{i<=k} X_i, as np.cumsum adds it
+    def partial(k, Wk):
         hi = min(k + m, N)
+        head = csum[:, k - 1] if k else 0.0
         tail = Wk[:, k:hi].sum(axis=1) if hi > k else 0.0
         return np.abs(M[:, k] - (head + tail))
 
-    def head_at(k):
-        return np.cumsum(rows[:, :k], axis=1)[:, -1] if k else 0.0
-
+    csum = np.cumsum(rows, axis=1)
     maxima = {"past": [], "future": [], "window": [], "partial": []}
-    head, Wprev = 0.0, None
+    Wprev = None
     for k in range(N + 1):
         Wk = trace.w_slice(k)
         maxima["past"].append(past(k, Wk).max())
         maxima["future"].append(future(k, Wk).max())
         if k > 0:
-            head = rows[:, 0].copy() if k == 1 else head + rows[:, k - 1]
             maxima["window"].append(window(k, Wk, Wprev).max())
-        maxima["partial"].append(partial(k, Wk, head).max())
+        maxima["partial"].append(partial(k, Wk).max())
         Wprev = Wk
 
     results = [
@@ -294,7 +288,7 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
         _sliced_result(
             "partial-sum-form",
             maxima["partial"],
-            lambda k: partial(k, trace.w_slice(k), head_at(k)),
+            lambda k: partial(k, trace.w_slice(k)),
             tol,
             names=("outcome", "k"),
         ),

@@ -267,9 +267,11 @@ def test_trace_feasibility_predicate():
     assert br.m(4096) == 512 and br.blocks(4096) == 8
     assert not trace_feasible(br, 4096)
     assert trace_feasible(br, 2048)
-    # one block: 2 outcomes, but the truncation check's N x N covariances
+    # one block: 2 outcomes, so the truncation check's N x N covariances are
+    # the largest array; a point whose whole W fits 2^24 entries stays feasible
     assert trace_feasible(m.build_model("block-repeat", m_schedule=2047), 2047)
-    assert not trace_feasible(m.build_model("block-repeat", m_schedule=2048), 2048)
+    assert trace_feasible(m.build_model("block-repeat", m_schedule=2895), 2895)
+    assert not trace_feasible(m.build_model("block-repeat", m_schedule=2896), 2896)
 
 
 def test_growing_m_block_repeat_passes_at_n_144():
