@@ -30,6 +30,7 @@ from .models import (
     _check_sample_size,
     _enumeration_bits,
     _sigma,
+    _weighted_sum,
     draw_innovations,
     enumerate_outcomes,
     linear_row,
@@ -54,6 +55,10 @@ TRACE_WORK_CAP = 2**30
 HH1_Q95_MARGIN = 1e-9
 #: HH2 holds when the mean of Q_n/sigma_n^2 at the largest n is this close to 1
 HH2_Q_TOL = 0.05
+#: default tolerances of check_structure and check_bounds, which
+#: trace_summary applies too
+_STRUCTURE_TOL = 1e-10
+_BOUND_TOL = 1e-12
 
 
 class HypothesisViolationError(ValueError):
@@ -106,7 +111,7 @@ class MartingaleTrace:
     def sigma2(self) -> float:
         """E S_n^2 computed from the table itself."""
         s = self.table.row_sums()
-        return float(self.table.probs @ s**2)
+        return float(_weighted_sum(self.table.probs, s**2))
 
     def w_slice(self, k: int) -> np.ndarray:
         """W[:, :, k] as a contiguous (outcomes, N) array."""
@@ -184,7 +189,7 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
         prefix_ids.append(inv)
     dM = np.diff(M, axis=1)
     Q = np.einsum("ok,ok->o", dM, dM)
-    q = probs @ dM**2
+    q = _weighted_sum(probs, dM**2)
     return MartingaleTrace(model, n, model.m(n), table, M, dM, Q, q, prefix_ids)
 
 
@@ -223,7 +228,12 @@ def _sliced_result(name: str, maxima: list, err_at, tol: float, names=("outcome"
     return CheckResult(name, False, worst, {**dict(zip(names, index)), "err": e, "identity": name})
 
 
-def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckResult]:
+def _abs_max(Wk: np.ndarray):
+    """max |W_k| without a full-size temporary; NaN if W_k holds a NaN."""
+    return max(Wk.max(), -Wk.min())
+
+
+def check_structure(trace: MartingaleTrace, tol: float = _STRUCTURE_TOL) -> list[CheckResult]:
     """Assert the four structural identities of the martingale, per outcome.
 
     measurable-past     W[i, k] = X_i for i <= k
@@ -236,6 +246,12 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
     W[:, :, k] and W[:, :, k-1] only; a failing identity rebuilds the
     slices it needs to name its first violation.
     """
+    return _structure_pass(trace, tol)[0]
+
+
+def _structure_pass(trace: MartingaleTrace, tol: float) -> tuple[list[CheckResult], list]:
+    """check_structure's results, and max |W_k| for k = 0..N taken from the
+    same slices, so that trace_summary builds each slice once."""
     rows = trace.table.rows
     N = rows.shape[1]
     m = trace.m
@@ -264,10 +280,11 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
         return np.abs(M[:, k] - (head + tail))
 
     csum = np.cumsum(rows, axis=1)
-    maxima = {"past": [], "future": [], "window": [], "partial": []}
+    maxima = {"past": [], "future": [], "window": [], "partial": [], "abs": []}
     Wprev = None
     for k in range(N + 1):
         Wk = trace.w_slice(k)
+        maxima["abs"].append(_abs_max(Wk))
         maxima["past"].append(past(k, Wk).max())
         maxima["future"].append(future(k, Wk).max())
         if k > 0:
@@ -297,10 +314,10 @@ def check_structure(trace: MartingaleTrace, tol: float = 1e-10) -> list[CheckRes
     s = trace.table.row_sums()
     err = np.maximum(np.abs(M[:, 0]), np.abs(M[:, N] - s))
     results.append(_result("endpoint", err, tol, names=("outcome",)))
-    return results
+    return results, maxima["abs"]
 
 
-def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list[CheckResult]:
+def check_bounds(trace: MartingaleTrace, eps: float, tol: float = _BOUND_TOL) -> list[CheckResult]:
     """Assert the increment and quadratic-variation bounds.
 
     Requires the row to satisfy |X_i| <= eps/max(m,1) on every outcome
@@ -309,6 +326,16 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list
     E Q = E S^2 and Var Q <= 48 eps^2 E S^2.  The realized slack ratios
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
+    N = trace.table.rows.shape[1]
+    return _bounds(trace, eps, (_abs_max(trace.w_slice(k)) for k in range(N + 1)), tol)
+
+
+def _bounds(trace: MartingaleTrace, eps: float, w_max, tol: float) -> list[CheckResult]:
+    """check_bounds given max |W_k| for k = 0..N.  w_max is read once, after
+    the hypotheses are checked, so it may be a generator that builds the
+    slices.  max(|W_k| - eps/m, 0) is largest where |W_k| is, since float
+    subtraction is monotone, so its slice maxima follow from w_max; the
+    elementwise errors are rebuilt only on a failure."""
     rows = trace.table.rows
     probs = trace.table.probs
     n_out, N = rows.shape
@@ -329,7 +356,7 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list
         err -= bound
         return np.maximum(err, 0.0, out=err)
 
-    maxima = [over(trace.w_slice(k)).max() for k in range(N + 1)]
+    maxima = [np.maximum(w - bound, 0.0) for w in w_max]
     results.append(_sliced_result("conditional-bound", maxima, lambda k: over(trace.w_slice(k)), tol))
 
     err = np.abs(trace.dM)
@@ -349,10 +376,10 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> list
     err -= 2.0 * eps
     results.append(_result("prefix-gap", np.maximum(err, 0.0, out=err), tol, names=("outcome", "i")))
 
-    eq = float(probs @ trace.Q)
+    eq = float(_weighted_sum(probs, trace.Q))
     results.append(_result("mean-quadratic-variation", np.array([abs(eq - s2)]), 1e-10, ("",)))
 
-    var_q = float(probs @ (trace.Q - eq) ** 2)
+    var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
     cap = 48.0 * eps**2 * s2
     res = _result("variance-bound", np.array([max(var_q - cap, 0.0)]), tol, ("",))
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
@@ -407,23 +434,25 @@ def check_truncation(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> 
     err -= table.rows
     results.append(_result("split-additivity", np.abs(err, out=err), 0.0, names=("outcome", "i")))
 
-    mean_lo = probs @ x_lo
-    mean_hi = probs @ x_hi
+    mean_lo = _weighted_sum(probs, x_lo)
+    mean_hi = _weighted_sum(probs, x_hi)
     err = np.maximum(np.abs(mean_lo), np.abs(mean_hi))
     results.append(_result("split-centred", err, tol, names=("i",)))
 
-    s_hi = x_hi.sum(axis=1)
+    # E (S'')^2, taken before the covariances so that no row sums are held
+    # next to their (N, outcomes) copies
+    lhs = float(_weighted_sum(probs, x_hi.sum(axis=1) ** 2))
     idx = np.arange(N)
     beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
     worst = 0.0
-    for centred in (x_lo, x_hi):  # centred in place: neither part is read again
-        centred -= probs @ centred
-        cov = (centred * probs[:, None]).T @ centred
+    for part, mean in ((x_lo, mean_lo), (x_hi, mean_hi)):
+        # einsum rather than a BLAS product, whose sums vary with the thread count
+        centred = np.subtract(part.T, mean[:, None], order="C")  # (N, outcomes)
+        cov = np.einsum("io,jo->ij", centred * probs, centred)
         worst = max(worst, float(np.abs(cov[beyond_band]).max(initial=0.0)))
     results.append(_result("split-banded", np.array([worst]), tol, ("",)))
 
-    lhs = float(probs @ s_hi**2)
-    tail_sum = float(sum(probs @ (table.rows[:, i] ** 2 * (np.abs(table.rows[:, i]) > split.threshold)) for i in range(N)))
+    tail_sum = float(sum(_weighted_sum(probs, table.rows[:, i] ** 2 * (np.abs(table.rows[:, i]) > split.threshold)) for i in range(N)))
     rhs = (2 * m + 1) * tail_sum
     results.append(_result("tail-variance-bound", np.array([max(lhs - rhs, 0.0)]), tol, ("",)))
 
@@ -543,7 +572,7 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
             innov = draw_innovations(model, n, row_rng(seed, n, r))
             dm = increments_from_innovations(model, n, innov) / sigma
             max_abs[r] = np.abs(dm).max()
-            q_norm[r] = dm @ dm
+            q_norm[r] = _weighted_sum(dm, dm)
         rows.append(
             {
                 "n": n,
@@ -568,14 +597,15 @@ def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int =
 
 def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
-    checks included at the smallest eps they apply to, max(m, 1) * max|X|."""
+    checks included at the smallest eps they apply to, max(m, 1) * max|X|.
+    The structure and bound checks share one pass over the slices of W."""
     eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    structure = check_structure(trace)
+    structure, w_max = _structure_pass(trace, _STRUCTURE_TOL)
     tower = check_tower(trace)
-    bounds = check_bounds(trace, eps)
+    bounds = _bounds(trace, eps, w_max, _BOUND_TOL)
     probs = trace.table.probs
-    eq = float(probs @ trace.Q)
-    var_q = float(probs @ (trace.Q - eq) ** 2)
+    eq = float(_weighted_sum(probs, trace.Q))
+    var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
     out = {
         "n": trace.n,
         "m": trace.m,

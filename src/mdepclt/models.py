@@ -212,8 +212,20 @@ class OutcomeTable:
 
     def var_sum(self) -> float:
         s = self.row_sums()
-        mu = self.probs @ s
-        return float(self.probs @ (s - mu) ** 2)
+        mu = _weighted_sum(self.probs, s)
+        return float(_weighted_sum(self.probs, (s - mu) ** 2))
+
+
+def _weighted_sum(weights: np.ndarray, x: np.ndarray):
+    """sum_o weights[o] * x[o] along the first axis of x, as a pairwise
+    numpy sum and never a BLAS call: BLAS splits long sums across threads,
+    so its last digits depend on the thread count.  A 2-D x is reduced as
+    a contiguous (columns, outcomes) array, whose rows numpy sums pairwise;
+    summing the (outcomes, columns) product along axis 0 would add the
+    outcomes one by one."""
+    if x.ndim == 1:
+        return np.sum(weights * x)
+    return np.multiply(x.T, weights, order="C").sum(axis=1)
 
 
 @dataclass(frozen=True)

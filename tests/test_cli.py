@@ -155,6 +155,26 @@ def test_oracle_skips_infeasible_trace_sizes(tmp_path, two_scale_config):
     assert run_cli("--cmd", "oracle", "--config", two_scale_config, "--n-grid", "10,12") == 2
 
 
+def test_oracle_output_does_not_depend_on_the_blas_thread_count(two_scale_config):
+    # 2^15 outcomes at n = 7: long enough for OpenBLAS to split a dot
+    # product across threads, which moves its last digits
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdepclt.cli", "--cmd", "oracle", "--config", two_scale_config, "--n-grid", "7"],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # clt
 

@@ -252,6 +252,15 @@ def test_larger_two_scale_trace():
     assert trace.q.sum() == pytest.approx(m.exact_sigma2(ts, 7), abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_sigma2_from_the_table_is_within_two_ulp_of_exact(n):
+    # a pairwise sum over 2^15 and 2^17 outcomes; a threaded BLAS dot
+    # product was 43 ulp off at n = 8
+    ts = m.build_model("two-scale", alpha=0.25)
+    exact = m.exact_sigma2(ts, n)
+    assert abs(m.build_trace(ts, n).sigma2 - exact) <= 2 * math.ulp(exact)
+
+
 def test_trace_feasibility_predicate():
     from mdepclt.martingale import trace_feasible
 
@@ -555,6 +564,17 @@ def test_hh1_margin_absorbs_a_last_bit_decrease(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # export
+
+
+def test_trace_summary_builds_each_slice_once(traces):
+    # the structure and bound checks share one pass over W
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    calls = []
+    counted = _perturbed(trace, lambda k, Wk: calls.append(k))
+    summary = m.trace_summary(counted)
+    assert summary["structure_passed"] and summary["bounds_passed"]
+    N = trace.table.rows.shape[1]
+    assert sorted(calls) == list(range(N + 1))
 
 
 def test_trace_summary_fields(traces):
