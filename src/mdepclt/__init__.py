@@ -7,13 +7,10 @@ from .conditions import (
     ConditionValue,
     DegenerateVarianceError,
     InsufficientGridError,
-    ZeroDependenceError,
     asymptotic_verdict,
     berk_check,
-    berk_holds,
     component_reports,
     condition_report,
-    condition_series,
     holds,
     lindeberg_classic,
     lindeberg_mdep,
@@ -21,7 +18,6 @@ from .conditions import (
     orey_ratio,
     rio_functional,
     romano_wolf_check,
-    romano_wolf_holds,
 )
 from .martingale import (
     CheckResult,
@@ -45,21 +41,17 @@ from .models import (
     EnumerationTooLargeError,
     InvalidParameterError,
     OutcomeTable,
-    RowSample,
     SampleTooLargeError,
     Schedule,
     TruncationSplit,
     build_model,
     cov_band,
     enumerate_outcomes,
-    exact_cov,
     exact_sigma2,
-    marginal_law,
     marginal_law_groups,
     model_from_config,
     model_to_config,
     row_rng,
-    sample_row,
     truncated_model,
     window_variance_max,
 )

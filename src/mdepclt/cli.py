@@ -82,17 +82,14 @@ def condition_reports(model: ArrayModel, n_grid, eps_list, r_list, deltas) -> li
     reports = []
     for eps in eps_list:
         reports.append(cond.condition_report(cond.lindeberg_classic, model, n_grid, eps=eps))
-        reports.append(
-            cond.condition_report(cond.lindeberg_mdep, model, n_grid, eps=eps, zero_m="promote")
-        )
+        reports.append(cond.condition_report(cond.lindeberg_mdep, model, n_grid, eps=eps))
     for r in r_list:
         reports.append(cond.condition_report(cond.lyapunov_ratio, model, n_grid, r=r))
     reports.append(cond.condition_report(cond.orey_ratio, model, n_grid))
     reports.append(cond.condition_report(cond.rio_functional, model, n_grid))
     for delta in deltas:
         reports.extend(cond.component_reports(cond.berk_check, model, n_grid, delta=delta).values())
-        rw = cond.component_reports(cond.romano_wolf_check, model, n_grid, delta=delta, gamma=0.0)
-        reports.extend(rw.values())
+        reports.extend(cond.component_reports(cond.romano_wolf_check, model, n_grid, delta=delta).values())
     return reports
 
 

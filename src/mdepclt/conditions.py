@@ -63,10 +63,6 @@ HOLDING_VERDICTS = {
 }
 
 
-class ZeroDependenceError(ValueError):
-    """m_n = 0 where the functional requires m_n >= 1."""
-
-
 class InsufficientGridError(ValueError):
     """Verdicts need at least four strictly increasing grid points."""
 
@@ -120,22 +116,12 @@ def lindeberg_classic(model: ArrayModel, n: int, eps: float) -> ConditionValue:
     return ConditionValue(f"lindeberg-classic(eps={eps:g})", n, total / sigma**2, eq="tmL")
 
 
-def lindeberg_mdep(model: ArrayModel, n: int, eps: float, zero_m: str = "raise") -> ConditionValue:
-    """(m_n/sigma_n^2) sum_i E[X_i^2 1{|X_i| > eps*sigma_n/m_n}].
-
-    Rows with m_n = 0 are rejected by default; with zero_m="promote" the
-    row is treated as 1-dependent (m_n replaced by 1), which is always a
-    valid dependence bound.
-    """
+def lindeberg_mdep(model: ArrayModel, n: int, eps: float) -> ConditionValue:
+    """(m_n/sigma_n^2) sum_i E[X_i^2 1{|X_i| > eps*sigma_n/m_n}]; m_n floored
+    at 1, since an independent row (m_n = 0) is also 1-dependent."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    m = model.m(n)
-    if m == 0:
-        if zero_m != "promote":
-            raise ZeroDependenceError(
-                "m_n = 0; substitute m_n = 1 (an independent row is 1-dependent)"
-            )
-        m = 1
+    m = max(model.m(n), 1)
     sigma = _sigma(model, n)
     t = eps * sigma / m
     total = sum(
@@ -193,44 +179,39 @@ def berk_check(model: ArrayModel, n: int, delta: float) -> list[ConditionValue]:
     ]
 
 
-def romano_wolf_check(model: ArrayModel, n: int, delta: float, gamma: float) -> list[ConditionValue]:
-    """Evaluate the growing-m block-criterion inequalities at one n.
+def romano_wolf_check(model: ArrayModel, n: int, delta: float) -> list[ConditionValue]:
+    """Evaluate the growing-m block-criterion inequalities at one n, with
+    the criterion's exponent gamma = 0 (the id keeps "gamma=0").
 
     Components (HOLDING_VERDICTS says when each holds):
 
     RW1    sup_i E|X_i|^(2+delta) / Delta_n
-    RW3    L_n * N_n * m_n^gamma / sigma_n^2           (<= 1 required)
+    RW3    L_n * N_n / sigma_n^2                       (<= 1 required)
     RW5    Delta_n / L_n^((2+delta)/2)
-    RW6    m_n^(1+(1-gamma)(1+2/delta)) / N_n          (-> 0 required)
-    RWvar  max_a Var(window of length m_n) * N_n * m_n^gamma
-           / (m_n^(1+gamma) * sigma_n^2)
+    RW6    m_n^(1+(1+2/delta)) / N_n                   (-> 0 required)
+    RWvar  max_a Var(window of length m_n) * N_n / (m_n * sigma_n^2)
 
     RWvar combines the criterion's window-variance growth bound with RW3;
     it is the component that rules out rows in which one shared variable
     occupies a whole window, no matter how Delta_n and L_n are chosen.
     Delta_n is the exact supremum of E|X_i|^(2+delta) over the row and L_n
-    is sigma_n^2/(N_n m_n^gamma), the largest admissible choice.
+    is sigma_n^2/N_n, the largest admissible choice.  m_n is floored at 1.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if not -1.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [-1, 1), got {gamma}")
     sigma2 = _sigma(model, n) ** 2
     N = model.length(n)
     m = max(model.m(n), 1)
     sup_mom = max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
-    ln = exact_sigma2(model, n) / (N * m**gamma)
+    ln = exact_sigma2(model, n) / N
     wvar = window_variance_max(model, n, m)
-    tag = f"romano-wolf(delta={delta:g},gamma={gamma:g})"
+    tag = f"romano-wolf(delta={delta:g},gamma=0)"
     return [
         ConditionValue(f"{tag}:RW1", n, sup_mom / sup_mom, eq="RW1"),
-        ConditionValue(f"{tag}:RW3", n, ln * N * m**gamma / sigma2, eq="RW3"),
+        ConditionValue(f"{tag}:RW3", n, ln * N / sigma2, eq="RW3"),
         ConditionValue(f"{tag}:RW5", n, sup_mom / ln ** ((2 + delta) / 2), eq="RW5"),
-        ConditionValue(f"{tag}:RW6", n, m ** (1 + (1 - gamma) * (1 + 2 / delta)) / N, eq="RW6"),
-        ConditionValue(
-            f"{tag}:window-variance", n, wvar * N * m**gamma / (m ** (1 + gamma) * sigma2),
-            eq="RWvar",
-        ),
+        ConditionValue(f"{tag}:RW6", n, m ** (1 + (1 + 2 / delta)) / N, eq="RW6"),
+        ConditionValue(f"{tag}:window-variance", n, wvar * N / (m * sigma2), eq="RWvar"),
     ]
 
 
@@ -322,15 +303,6 @@ def holds(report: ConditionReport) -> bool:
     hypothesis holds (HOLDING_VERDICTS); RW3 must also stay <= 1."""
     within_rw3_bound = report.eq != "RW3" or bool(np.all(report.values() <= 1.0 + 1e-9))
     return report.verdict in HOLDING_VERDICTS[report.eq] and within_rw3_bound
-
-
-def berk_holds(reports: dict[str, ConditionReport]) -> bool:
-    """Every component report of a block criterion (berk_check or
-    romano_wolf_check) holds."""
-    return all(holds(rep) for rep in reports.values())
-
-
-romano_wolf_holds = berk_holds
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ and a decoding of the two-scale row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,11 @@ TRACE_WORK_CAP = 2**30
 HH1_Q95_MARGIN = 1e-9
 #: HH2 holds when the mean of Q_n/sigma_n^2 at the largest n is this close to 1
 HH2_Q_TOL = 0.05
-#: default tolerances of check_structure and check_bounds, which
-#: trace_summary applies too
+#: tolerances of check_structure, of check_bounds, and of check_tower and
+#: check_truncation; trace_summary applies them as those checks do
 _STRUCTURE_TOL = 1e-10
 _BOUND_TOL = 1e-12
+_EXPECTATION_TOL = 1e-12
 
 
 class HypothesisViolationError(ValueError):
@@ -233,7 +235,7 @@ def _abs_max(Wk: np.ndarray):
     return max(Wk.max(), -Wk.min())
 
 
-def check_structure(trace: MartingaleTrace, tol: float = _STRUCTURE_TOL) -> list[CheckResult]:
+def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
     """Assert the four structural identities of the martingale, per outcome.
 
     measurable-past     W[i, k] = X_i for i <= k
@@ -246,10 +248,10 @@ def check_structure(trace: MartingaleTrace, tol: float = _STRUCTURE_TOL) -> list
     W[:, :, k] and W[:, :, k-1] only; a failing identity rebuilds the
     slices it needs to name its first violation.
     """
-    return _structure_pass(trace, tol)[0]
+    return _structure_pass(trace)[0]
 
 
-def _structure_pass(trace: MartingaleTrace, tol: float) -> tuple[list[CheckResult], list]:
+def _structure_pass(trace: MartingaleTrace) -> tuple[list[CheckResult], list]:
     """check_structure's results, and max |W_k| for k = 0..N taken from the
     same slices, so that trace_summary builds each slice once."""
     rows = trace.table.rows
@@ -293,31 +295,31 @@ def _structure_pass(trace: MartingaleTrace, tol: float) -> tuple[list[CheckResul
         Wprev = Wk
 
     results = [
-        _sliced_result("measurable-past", maxima["past"], lambda k: past(k, trace.w_slice(k)), tol),
-        _sliced_result("independent-future", maxima["future"], lambda k: future(k, trace.w_slice(k)), tol),
+        _sliced_result("measurable-past", maxima["past"], lambda k: past(k, trace.w_slice(k)), _STRUCTURE_TOL),
+        _sliced_result("independent-future", maxima["future"], lambda k: future(k, trace.w_slice(k)), _STRUCTURE_TOL),
         _sliced_result(
             "window-difference",
             maxima["window"],
             lambda c: window(c + 1, trace.w_slice(c + 1), trace.w_slice(c)),
-            tol,
+            _STRUCTURE_TOL,
             names=("outcome", "k"),
         ),
         _sliced_result(
             "partial-sum-form",
             maxima["partial"],
             lambda k: partial(k, trace.w_slice(k)),
-            tol,
+            _STRUCTURE_TOL,
             names=("outcome", "k"),
         ),
     ]
 
     s = trace.table.row_sums()
     err = np.maximum(np.abs(M[:, 0]), np.abs(M[:, N] - s))
-    results.append(_result("endpoint", err, tol, names=("outcome",)))
+    results.append(_result("endpoint", err, _STRUCTURE_TOL, names=("outcome",)))
     return results, maxima["abs"]
 
 
-def check_bounds(trace: MartingaleTrace, eps: float, tol: float = _BOUND_TOL) -> list[CheckResult]:
+def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
     """Assert the increment and quadratic-variation bounds.
 
     Requires the row to satisfy |X_i| <= eps/max(m,1) on every outcome
@@ -327,10 +329,10 @@ def check_bounds(trace: MartingaleTrace, eps: float, tol: float = _BOUND_TOL) ->
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
     N = trace.table.rows.shape[1]
-    return _bounds(trace, eps, (_abs_max(trace.w_slice(k)) for k in range(N + 1)), tol)
+    return _bounds(trace, eps, (_abs_max(trace.w_slice(k)) for k in range(N + 1)))
 
 
-def _bounds(trace: MartingaleTrace, eps: float, w_max, tol: float) -> list[CheckResult]:
+def _bounds(trace: MartingaleTrace, eps: float, w_max) -> list[CheckResult]:
     """check_bounds given max |W_k| for k = 0..N.  w_max is read once, after
     the hypotheses are checked, so it may be a generator that builds the
     slices.  max(|W_k| - eps/m, 0) is largest where |W_k| is, since float
@@ -357,12 +359,12 @@ def _bounds(trace: MartingaleTrace, eps: float, w_max, tol: float) -> list[Check
         return np.maximum(err, 0.0, out=err)
 
     maxima = [np.maximum(w - bound, 0.0) for w in w_max]
-    results.append(_sliced_result("conditional-bound", maxima, lambda k: over(trace.w_slice(k)), tol))
+    results.append(_sliced_result("conditional-bound", maxima, lambda k: over(trace.w_slice(k)), _BOUND_TOL))
 
     err = np.abs(trace.dM)
     dm_max = float(err.max())
     err -= 4.0 * eps
-    res = _result("increment-bound", np.maximum(err, 0.0, out=err), tol, names=("outcome", "k"))
+    res = _result("increment-bound", np.maximum(err, 0.0, out=err), _BOUND_TOL, names=("outcome", "k"))
     results.append(
         CheckResult(res.name, res.passed, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
         if res.passed
@@ -374,22 +376,23 @@ def _bounds(trace: MartingaleTrace, eps: float, w_max, tol: float) -> list[Check
     err -= trace.M[:, 1 : N + 1]
     np.abs(err, out=err)
     err -= 2.0 * eps
-    results.append(_result("prefix-gap", np.maximum(err, 0.0, out=err), tol, names=("outcome", "i")))
+    results.append(_result("prefix-gap", np.maximum(err, 0.0, out=err), _BOUND_TOL, names=("outcome", "i")))
 
     eq = float(_weighted_sum(probs, trace.Q))
     results.append(_result("mean-quadratic-variation", np.array([abs(eq - s2)]), 1e-10, ("",)))
 
     var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
     cap = 48.0 * eps**2 * s2
-    res = _result("variance-bound", np.array([max(var_q - cap, 0.0)]), tol, ("",))
+    res = _result("variance-bound", np.array([max(var_q - cap, 0.0)]), _BOUND_TOL, ("",))
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
     results.append(CheckResult(res.name, res.passed, res.max_abs_err, slack))
     return results
 
 
-def check_tower(trace: MartingaleTrace, tol: float = 1e-12) -> list[CheckResult]:
+def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
     """Full conditional-mean-zero test: E[dM_k 1{cell}] = 0 for every
-    partition cell of the prefix of length k-1."""
+    partition cell of the prefix of length k-1.  A NaN cell sum fails it,
+    and the detail names the first k that holds one."""
     probs = trace.table.probs
     results = []
     worst = 0.0
@@ -398,10 +401,12 @@ def check_tower(trace: MartingaleTrace, tol: float = 1e-12) -> list[CheckResult]
         inv = trace.prefix_ids[k - 1]
         cell_sums = np.bincount(inv, weights=probs * trace.dM[:, k - 1])
         w = float(np.abs(cell_sums).max())
-        if w > worst:
+        if not w <= worst:  # also true for a NaN, which ends the search
             worst = w
             detail = {"k": k, "cell": int(np.argmax(np.abs(cell_sums))), "err": w}
-    passed = worst <= tol
+            if math.isnan(w):
+                break
+    passed = worst <= _EXPECTATION_TOL
     results.append(CheckResult("tower-mean-zero", passed, worst, None if passed else detail))
     return results
 
@@ -415,7 +420,7 @@ class TruncationCheck:
     values: dict
 
 
-def check_truncation(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> TruncationCheck:
+def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     """Verify the truncation split on the full enumeration the trace holds.
 
     Checks that X' + X'' recovers X exactly, both parts are mean zero,
@@ -437,24 +442,24 @@ def check_truncation(trace: MartingaleTrace, eps: float, tol: float = 1e-12) -> 
     mean_lo = _weighted_sum(probs, x_lo)
     mean_hi = _weighted_sum(probs, x_hi)
     err = np.maximum(np.abs(mean_lo), np.abs(mean_hi))
-    results.append(_result("split-centred", err, tol, names=("i",)))
+    results.append(_result("split-centred", err, _EXPECTATION_TOL, names=("i",)))
 
     # E (S'')^2, taken before the covariances so that no row sums are held
     # next to their (N, outcomes) copies
     lhs = float(_weighted_sum(probs, x_hi.sum(axis=1) ** 2))
     idx = np.arange(N)
     beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
-    worst = 0.0
+    err = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band; NaN wins
     for part, mean in ((x_lo, mean_lo), (x_hi, mean_hi)):
         # einsum rather than a BLAS product, whose sums vary with the thread count
         centred = np.subtract(part.T, mean[:, None], order="C")  # (N, outcomes)
         cov = np.einsum("io,jo->ij", centred * probs, centred)
-        worst = max(worst, float(np.abs(cov[beyond_band]).max(initial=0.0)))
-    results.append(_result("split-banded", np.array([worst]), tol, ("",)))
+        np.maximum(err, np.abs(cov), out=err, where=beyond_band)
+    results.append(_result("split-banded", err, _EXPECTATION_TOL, names=("i", "j")))
 
     tail_sum = float(sum(_weighted_sum(probs, table.rows[:, i] ** 2 * (np.abs(table.rows[:, i]) > split.threshold)) for i in range(N)))
     rhs = (2 * m + 1) * tail_sum
-    results.append(_result("tail-variance-bound", np.array([max(lhs - rhs, 0.0)]), tol, ("",)))
+    results.append(_result("tail-variance-bound", np.array([max(lhs - rhs, 0.0)]), _EXPECTATION_TOL, ("",)))
 
     values = {
         "threshold": split.threshold,
@@ -518,7 +523,7 @@ def _increment_rule(model: ArrayModel, n: int):
 
 
 def increments_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """(dM_1, ..., dM_N) from raw innovations, in sample_row's layout, via
+    """(dM_1, ..., dM_N) from raw innovations, in entry order, via
     closed-form conditional expectations (see _increment_rule)."""
     return _increment_rule(model, n)(model, n, innov)
 
@@ -600,9 +605,9 @@ def trace_summary(trace: MartingaleTrace) -> dict:
     checks included at the smallest eps they apply to, max(m, 1) * max|X|.
     The structure and bound checks share one pass over the slices of W."""
     eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    structure, w_max = _structure_pass(trace, _STRUCTURE_TOL)
+    structure, w_max = _structure_pass(trace)
     tower = check_tower(trace)
-    bounds = _bounds(trace, eps, w_max, _BOUND_TOL)
+    bounds = _bounds(trace, eps, w_max)
     probs = trace.table.probs
     eq = float(_weighted_sum(probs, trace.Q))
     var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))

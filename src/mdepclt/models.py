@@ -192,14 +192,6 @@ class ArrayModel:
 
 
 @dataclass(frozen=True)
-class RowSample:
-    """One sampled row of the array."""
-
-    n: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class OutcomeTable:
     """Exhaustive list of (row, probability) pairs for one model row."""
 
@@ -542,14 +534,6 @@ def _check_reps(reps: int) -> None:
         raise ValueError(f"reps must be <= {SAMPLE_CAP} (the sample cap), got {reps}")
 
 
-def sample_row(model: ArrayModel, n: int, seed: int = 0, replicate: int = 0) -> RowSample:
-    """Draw one full row from the model law, deterministically from
-    (seed, n, replicate)."""
-    _check_n(n)
-    innov = draw_innovations(model, n, row_rng(seed, n, replicate))
-    return RowSample(n, _row_from_innovations(model, n, innov))
-
-
 # ---------------------------------------------------------------------------
 # exact second-moment structure
 
@@ -599,27 +583,6 @@ def cov_band(model: ArrayModel, n: int, d: int) -> np.ndarray:
             band += (idx[s, : N - d] == idx[t, d:]) * coef[s, : N - d] * coef[t, d:]
     a = model.amplitude * linear_row(model, n)[1]
     return a * a * band
-
-
-def exact_cov(model: ArrayModel, n: int, i: int, j: int) -> float:
-    """Cov(X_{n,i}, X_{n,j}); zero whenever |i - j| > m_n."""
-    N = model.length(n)
-    if not (1 <= i <= N and 1 <= j <= N):
-        raise IndexError(f"indices must lie in 1..{N}, got ({i}, {j})")
-    d = abs(i - j)
-    band = cov_band(model, n, d)
-    return float(band[min(i, j) - 1])
-
-
-def marginal_law(model: ArrayModel, n: int, i: int):
-    """Exact law of the single entry X_{n,i}."""
-    _, scale, segments = linear_row(model, n)
-    r = i
-    for count, taps, _ in segments:
-        if 1 <= r <= count:
-            return _tap_law(model, model.amplitude * scale, tuple(c for _, c in taps))
-        r -= count
-    raise IndexError(f"index must lie in 1..{model.length(n)}, got {i}")
 
 
 def marginal_law_groups(model: ArrayModel, n: int) -> list:

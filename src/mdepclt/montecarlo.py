@@ -7,8 +7,9 @@ sharing the weight w, with a = amplitude * scale, and sigma_n =
 a * sqrt(sum(c * w^2)), so a cancels.  A Rademacher group contributes
 w * (2B - c) with B ~ Bin(c, 1/2), one binomial draw per group with w != 0;
 a Gaussian S_n/sigma_n is one standard normal.  The cost of a replicate does
-not grow with n.  models.sample_row stays the independent reference: the
-tests check that its row sums and these draws agree in law.
+not grow with n.  A whole row mapped from its drawn innovations stays the
+independent reference: the tests (tests/conftest.py) check that its row
+sums and these draws agree in law.
 
 S_n is normalized by the exact closed-form sigma_n (never the sample
 standard deviation), so the empirical distribution targets exactly the

@@ -1,5 +1,9 @@
 """Shared pytest plumbing: collected acceptance lines are echoed in the
-terminal summary so each criterion shows one pass/fail line."""
+terminal summary so each criterion shows one pass/fail line.  Also the
+independent references the tests compare the library against: a whole
+sampled row, the law of one entry and one covariance."""
+
+from mdepclt.models import _row_from_innovations, _tap_law, cov_band, draw_innovations, linear_row, row_rng
 
 _ACCEPTANCE_LINES = []
 
@@ -13,3 +17,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def sample_row(model, n, seed=0, replicate=0):
+    """Row n as the entries of the innovations drawn from row_rng(seed, n,
+    replicate): the whole-row reference for the Monte Carlo's direct draws
+    of S_n, which never build a row."""
+    return _row_from_innovations(model, n, draw_innovations(model, n, row_rng(seed, n, replicate)))
+
+
+def marginal_law(model, n, i):
+    """Exact law of the entry X_{n,i}, i = 1..N_n, from the segment that holds it."""
+    _, scale, segments = linear_row(model, n)
+    for count, taps, _ in segments:
+        if i <= count:
+            return _tap_law(model, model.amplitude * scale, tuple(c for _, c in taps))
+        i -= count
+    raise IndexError("the entry index lies past the row")
+
+
+def exact_cov(model, n, i, j):
+    """Cov(X_{n,i}, X_{n,j}), i, j = 1..N_n, read from the band at lag |i - j|."""
+    return float(cov_band(model, n, abs(i - j))[min(i, j) - 1])

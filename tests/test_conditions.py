@@ -12,6 +12,8 @@ from mdepclt import cli
 from mdepclt import conditions as c
 from mdepclt.laws import normal_tail_second_moment
 
+from conftest import marginal_law, sample_row
+
 GRID = list(c.DEFAULT_N_GRID)
 WIDE_GRID = [2**k for k in range(6, 19)]
 
@@ -33,7 +35,7 @@ def catalogue():
 
 
 def test_tail_second_moment_rademacher_atoms():
-    law = m.marginal_law(m.build_model("iid-baseline"), 9, 1)
+    law = marginal_law(m.build_model("iid-baseline"), 9, 1)
     a2 = 1 / 9  # squared atom at n = 9
     assert law.tail_second_moment(0.2) == pytest.approx(a2, abs=1e-15)
     assert law.tail_second_moment(1 / 3) == 0.0
@@ -43,7 +45,7 @@ def test_tail_second_moment_rademacher_atoms():
 
 def test_tail_second_moment_gaussian_closed_form():
     tc = m.build_model("tail-coupled", m_schedule=2)
-    assert m.marginal_law(tc, 16, 1).tail_second_moment(1.0) == pytest.approx(
+    assert marginal_law(tc, 16, 1).tail_second_moment(1.0) == pytest.approx(
         normal_tail_second_moment(1.0), abs=1e-14
     )
 
@@ -57,11 +59,11 @@ def test_tail_second_moment_gaussian_closed_form():
     ],
 )
 def test_tail_second_moment_mc_agrees_with_exact(model, n, i, t):
-    exact = m.marginal_law(model, n, i).tail_second_moment(t)
+    exact = marginal_law(model, n, i).tail_second_moment(t)
     reps = 4000
     vals = np.empty(reps)
     for r in range(reps):
-        x = m.sample_row(model, n, seed=5, replicate=r).values[i - 1]
+        x = sample_row(model, n, seed=5, replicate=r)[i - 1]
         vals[r] = x * x if abs(x) > t else 0.0
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - exact) <= 4 * se
@@ -125,10 +127,9 @@ def test_lindeberg_mdep_equals_classic_when_m_is_one():
 
 
 def test_lindeberg_mdep_zero_m_contract():
+    # an independent row (m_n = 0) is read as 1-dependent
     iid = m.build_model("iid-baseline")
-    with pytest.raises(m.ZeroDependenceError):
-        m.lindeberg_mdep(iid, 16, 0.5)
-    promoted = m.lindeberg_mdep(iid, 16, 0.5, zero_m="promote")
+    promoted = m.lindeberg_mdep(iid, 16, 0.5)
     assert promoted.value == pytest.approx(m.lindeberg_classic(iid, 16, 0.5).value, abs=1e-15)
 
 
@@ -188,7 +189,7 @@ def test_condition_ordering_chain(model):
         rio = m.rio_functional(model, n).value
         assert rio <= lyap3 * (1 + 1e-12) + 1e-15
         for eps in c.DEFAULT_EPS_GRID:
-            lmd = m.lindeberg_mdep(model, n, eps, zero_m="promote").value
+            lmd = m.lindeberg_mdep(model, n, eps).value
             assert lmd <= rio / min(eps, 1.0) * (1 + 1e-12) + 1e-15
             for r in (3.0, 4.0, 6.0):
                 lyap = m.lyapunov_ratio(model, n, r).value
@@ -200,7 +201,7 @@ def test_lindeberg_monotone_in_eps(model):
     for n in (64, 512):
         eps_grid = sorted(c.DEFAULT_EPS_GRID)
         classic = [m.lindeberg_classic(model, n, e).value for e in eps_grid]
-        mdep = [m.lindeberg_mdep(model, n, e, zero_m="promote").value for e in eps_grid]
+        mdep = [m.lindeberg_mdep(model, n, e).value for e in eps_grid]
         assert all(a >= b - 1e-15 for a, b in zip(classic, classic[1:]))
         assert all(a >= b - 1e-15 for a, b in zip(mdep, mdep[1:]))
 
@@ -348,7 +349,7 @@ def test_berk_components_iid():
     # sup moment n^{-3/2} bounded (vanishes), variance ratio 1/n -> 0:
     # the positive-limit requirement fails
     assert by_eq["berkiii"].verdict == "tends-to-zero"
-    assert not c.berk_holds(reports)
+    assert not all(c.holds(rep) for rep in reports.values())
 
 
 def test_berk_holds_on_block_repeat():
@@ -357,7 +358,7 @@ def test_berk_holds_on_block_repeat():
     by_eq = {rep.eq: rep for rep in reports.values()}
     assert by_eq["berkiii"].verdict == "bounded"  # sigma^2/N = 1/m
     assert by_eq["berkiv"].verdict == "tends-to-zero"
-    assert c.berk_holds(reports)
+    assert all(c.holds(rep) for rep in reports.values())
 
 
 @pytest.mark.parametrize("delta,expect", [(0.5, False), (3.0, True)])
@@ -373,7 +374,7 @@ def test_berk_growth_component_threshold_tail_coupled(delta, expect):
 def test_romano_wolf_reduces_to_berk_at_gamma_zero():
     br = m.build_model("block-repeat", m_schedule=2)
     delta = 2.0
-    rw = {cv.eq: cv for cv in c.romano_wolf_check(br, 64, delta, 0.0)}
+    rw = {cv.eq: cv for cv in c.romano_wolf_check(br, 64, delta)}
     berk = {cv.eq: cv for cv in c.berk_check(br, 64, delta)}
     assert rw["RW6"].value == pytest.approx(berk["berkiv"].value, rel=1e-12)
     assert rw["RW1"].value == pytest.approx(1.0, abs=1e-12)  # sup-moment preset
@@ -389,8 +390,8 @@ def test_romano_wolf_fails_for_growing_m_tail_coupled(schedule):
     # the shared tail variable forces the window-variance component to grow
     # like m_n, so no admissible (Delta, L) choice can rescue the criterion
     tc = m.build_model("tail-coupled", m_schedule=schedule)
-    reports = c.component_reports(c.romano_wolf_check, tc, WIDE_GRID, delta=2.0, gamma=0.0)
-    assert not c.romano_wolf_holds(reports)
+    reports = c.component_reports(c.romano_wolf_check, tc, WIDE_GRID, delta=2.0)
+    assert not all(c.holds(rep) for rep in reports.values())
     by_eq = {rep.eq: rep for rep in reports.values()}
     assert by_eq["RWvar"].verdict == "diverges"
 
@@ -405,8 +406,8 @@ def test_romano_wolf_fails_for_growing_m_tail_coupled(schedule):
     ids=lambda mod: mod.family,
 )
 def test_romano_wolf_holds_for_fixed_m(model):
-    reports = c.component_reports(c.romano_wolf_check, model, GRID, delta=2.0, gamma=0.0)
-    assert c.romano_wolf_holds(reports)
+    reports = c.component_reports(c.romano_wolf_check, model, GRID, delta=2.0)
+    assert all(c.holds(rep) for rep in reports.values())
 
 
 def test_rw6_slope_matches_closed_form_exponent():
@@ -414,7 +415,7 @@ def test_rw6_slope_matches_closed_form_exponent():
     # the fitted slope of m^3/N then approaches the exponent 3/4 - 1
     tc = m.build_model("tail-coupled", m_schedule=m.Schedule("power", 0.25))
     grid = [j**4 for j in range(8, 25)]
-    reports = c.component_reports(c.romano_wolf_check, tc, grid, delta=2.0, gamma=0.0)
+    reports = c.component_reports(c.romano_wolf_check, tc, grid, delta=2.0)
     rep = {r.eq: r for r in reports.values()}["RW6"]
     assert rep.loglog_slope == pytest.approx(-0.25, abs=0.005)
     assert rep.verdict == "tends-to-zero"
@@ -423,7 +424,7 @@ def test_rw6_slope_matches_closed_form_exponent():
 def test_window_variance_component_value_tail_coupled():
     # wvar = m^2, so the component is m^2 * N / (m * sigma^2) ~ m
     tc = m.build_model("tail-coupled", m_schedule=4)
-    cv = {v.eq: v for v in c.romano_wolf_check(tc, 256, 2.0, 0.0)}["RWvar"]
+    cv = {v.eq: v for v in c.romano_wolf_check(tc, 256, 2.0)}["RWvar"]
     n, mn = 256, 4
     expect = mn**2 * (n + mn) / (mn * (n + mn**2))
     assert cv.value == pytest.approx(expect, rel=1e-12)
@@ -447,7 +448,7 @@ def test_every_emitted_eq_token_has_a_holding_rule():
         c.orey_ratio(model, 64),
         c.rio_functional(model, 64),
         *c.berk_check(model, 64, delta=2.0),
-        *c.romano_wolf_check(model, 64, delta=2.0, gamma=0.0),
+        *c.romano_wolf_check(model, 64, delta=2.0),
     ]
     assert {cv.eq for cv in values} == set(c.HOLDING_VERDICTS)
     assert all(set(ok) <= set(c.VERDICTS) for ok in c.HOLDING_VERDICTS.values())

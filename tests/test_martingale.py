@@ -37,13 +37,13 @@ def traces():
 
 def test_structure_identities_pass(traces):
     for model, n, trace in traces.values():
-        for res in m.check_structure(trace, tol=1e-10):
+        for res in m.check_structure(trace):
             assert res.passed, f"{model.describe()} n={n}: {res}"
 
 
 def test_tower_property_pass(traces):
     for model, n, trace in traces.values():
-        for res in m.check_tower(trace, tol=1e-12):
+        for res in m.check_tower(trace):
             assert res.passed, f"{model.describe()} n={n}: {res}"
 
 
@@ -247,7 +247,7 @@ def test_larger_two_scale_trace():
     # 2^15 outcomes: same identities at the same tolerances
     ts = m.build_model("two-scale", alpha=0.25)
     trace = m.build_trace(ts, 7)
-    assert all(res.passed for res in m.check_structure(trace, tol=1e-10))
+    assert all(res.passed for res in m.check_structure(trace))
     assert all(res.passed for res in m.check_tower(trace))
     assert trace.q.sum() == pytest.approx(m.exact_sigma2(ts, 7), abs=1e-10)
 
@@ -397,6 +397,26 @@ def test_split_banded_fails_when_the_band_is_too_narrow():
     assert by_name["split-banded"].max_abs_err == pytest.approx(expected, rel=1e-12)
 
 
+def _nan_increments(trace):
+    trace.dM[3, 2] = trace.dM[0, 3] = np.nan  # at k = 3 and k = 4
+    return m.check_tower(trace)[0]
+
+
+def _nan_entry(trace):
+    trace.table.rows[5, 1] = np.nan  # X_2 on outcome 5
+    return {r.name: r for r in m.check_truncation(trace, eps=0.5).results}["split-banded"]
+
+
+@pytest.mark.parametrize(
+    "check,named", [(_nan_increments, {"k": 3}), (_nan_entry, {"i": 1})], ids=["tower-mean-zero", "split-banded"]
+)
+def test_a_nan_fails_the_check_that_meets_it(check, named):
+    # NaN compares false with everything, so a running maximum drops it
+    res = check(m.build_trace(m.build_model("two-scale", alpha=0.25), 4))
+    assert not res.passed and math.isnan(res.max_abs_err)
+    assert named.items() <= res.detail.items(), res.detail
+
+
 # ---------------------------------------------------------------------------
 # closed-form increments against the exact trace
 
@@ -477,7 +497,7 @@ def test_hh_tail_coupled_passes():
 
 
 def _signs(model, n, seed, replicate):
-    # regenerate the raw innovations exactly as sample_row does
+    # regenerate the raw innovations exactly as draw_innovations does
     from mdepclt.models import _innovation_count, _innovations, row_rng
 
     rng = row_rng(seed, n, replicate)

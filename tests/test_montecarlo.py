@@ -11,6 +11,8 @@ from mdepclt import cli
 from mdepclt import montecarlo as mc
 from mdepclt.montecarlo import report_to_dict
 
+from conftest import sample_row
+
 
 def test_simulation_reproducible_and_sorted():
     ts = m.build_model("two-scale", alpha=0.25)
@@ -97,7 +99,7 @@ def _two_sample_ks(a, b):
 
 def _row_sums(model, n, reps, seed):
     sigma = math.sqrt(m.exact_sigma2(model, n))
-    return np.array([m.sample_row(model, n, seed=seed, replicate=r).values.sum() for r in range(reps)]) / sigma
+    return np.array([sample_row(model, n, seed=seed, replicate=r).sum() for r in range(reps)]) / sigma
 
 
 def test_two_scale_row_sums_follow_the_enumerated_law():
@@ -154,7 +156,7 @@ def test_gaussian_direct_draws_are_standard_normal(model, n):
     ids=["two-scale", "spiked-block-repeat", "tail-coupled"],
 )
 def test_row_sums_and_direct_draws_agree_in_law(model):
-    # sample_row stays an independent check of the direct draws at a size
+    # whole rows stay an independent check of the direct draws at a size
     # enumeration cannot reach; the seeds differ so the samples are
     # independent, and sqrt(2) widens the band to two samples
     n, reps = 2**10, 2000
