@@ -2,6 +2,12 @@
 triangular arrays: model catalogue, condition functionals, an exact
 martingale oracle, and Monte Carlo convergence checks."""
 
+import os
+
+# before numpy loads: the program makes no threaded BLAS call, and an idle
+# OpenBLAS thread costs about 0.1 s of CPU per process; a caller's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .conditions import (
     ConditionReport,
     ConditionValue,

@@ -96,7 +96,9 @@ class MartingaleTrace:
     and are not stored.  W itself is not stored either: w_slice(k)
     computes W[:, :, k] from the prefix partition prefix_ids[k], and the
     checks walk k = 0..N holding at most two slices, so a trace takes
-    O(outcomes * N) memory.
+    O(outcomes * N) memory.  A slice is laid out variables by outcomes:
+    its transpose, row i-1 holding X_i's conditional means on every
+    outcome, is C-contiguous, and the checks read that transpose.
     """
 
     model: ArrayModel
@@ -115,21 +117,30 @@ class MartingaleTrace:
         s = self.table.row_sums()
         return float(_weighted_sum(self.table.probs, s**2))
 
-    def w_slice(self, k: int) -> np.ndarray:
-        """W[:, :, k] as a contiguous (outcomes, N) array."""
+    def w_slice(self, k: int, weighted: np.ndarray | None = None) -> np.ndarray:
+        """W[:, :, k] as an (outcomes, N) array in column-major order, so
+        that its .T is a C-contiguous (N, outcomes) array.  A walk over k
+        passes weighted = _weighted_columns(self.table), computed once."""
+        if weighted is None:
+            weighted = _weighted_columns(self.table)
         inv = self.prefix_ids[k]
-        return np.take(_cell_means(self.table, inv), inv, axis=0)
+        return np.take(_cell_means(self.table, inv, weighted), inv, axis=1).T
 
 
-def _cell_means(table: OutcomeTable, inv: np.ndarray) -> np.ndarray:
-    """(cells, N): each X_i averaged over each cell of the partition inv,
-    weighted by probability.  Per-column weighted bincounts add in outcome
-    order, as np.add.at does."""
-    rows, probs = table.rows, table.probs
-    cellp = np.bincount(inv, weights=probs)
-    means = np.empty((len(cellp), rows.shape[1]))
-    for j in range(rows.shape[1]):
-        means[:, j] = np.bincount(inv, weights=probs * rows[:, j]) / cellp
+def _weighted_columns(table: OutcomeTable) -> np.ndarray:
+    """(N, outcomes): probs * X_i in row i-1, the weights _cell_means sums."""
+    return np.multiply(table.rows.T, table.probs, order="C")
+
+
+def _cell_means(table: OutcomeTable, inv: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """(N, cells): each X_i averaged over each cell of the partition inv,
+    weighted by probability, given weighted = _weighted_columns(table).
+    Each row is one weighted bincount, which adds in outcome order, as
+    np.add.at does."""
+    cellp = np.bincount(inv, weights=table.probs)
+    means = np.empty((len(weighted), len(cellp)))
+    for j, col in enumerate(weighted):
+        np.divide(np.bincount(inv, weights=col), cellp, out=means[j])
     return means
 
 
@@ -173,8 +184,8 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     numbered in lexicographic prefix order and ranks in value order, so the
     numbering is the one np.unique(rows[:, :k], axis=0) gives, without
     sorting whole prefixes.  M[:, k] adds the cell means of X_1..X_N in
-    order (np.cumsum), the order W.sum(axis=1) over the whole tensor adds
-    them in, so no slice of W is built here.
+    order (the last row of np.cumsum over them), the order W.sum(axis=1)
+    over the whole tensor adds them in, so no slice of W is built here.
     """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
@@ -183,12 +194,14 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     M = np.empty((n_out, N + 1))
     inv = np.zeros(n_out, dtype=np.intp)
     prefix_ids = []
+    weighted = _weighted_columns(table)
     for k in range(N + 1):
         if k > 0:
             values, rank = np.unique(rows[:, k - 1], return_inverse=True)
             _, inv = np.unique(inv * len(values) + rank, return_inverse=True)
-        M[:, k] = np.cumsum(_cell_means(table, inv), axis=1)[inv, -1]
+        M[:, k] = np.cumsum(_cell_means(table, inv, weighted), axis=0)[-1, inv]
         prefix_ids.append(inv)
+    del weighted  # as large as the rows, and not needed for dM, Q and q
     dM = np.diff(M, axis=1)
     Q = np.einsum("ok,ok->o", dM, dM)
     q = _weighted_sum(probs, dM**2)
@@ -212,6 +225,14 @@ def _result(name: str, err: np.ndarray, tol: float, names=("outcome", "i", "k"))
     return CheckResult(name, False, worst, detail)
 
 
+def _scalar_result(name: str, lhs: float, rhs: float, err: float, tol: float, detail: dict | None = None) -> CheckResult:
+    """The check of one scalar comparison of lhs with rhs, err its
+    violation; a failure adds both sides to the detail."""
+    if err <= tol:
+        return CheckResult(name, True, err, detail)
+    return CheckResult(name, False, err, {**(detail or {}), "lhs": lhs, "rhs": rhs, "err": err, "identity": name})
+
+
 def _sliced_result(name: str, maxima: list, err_at, tol: float, names=("outcome", "i", "k")) -> CheckResult:
     """_result of the error array whose slice along its last index j is
     err_at(j), given the maximum of every slice.  On a failure the slices
@@ -230,9 +251,12 @@ def _sliced_result(name: str, maxima: list, err_at, tol: float, names=("outcome"
     return CheckResult(name, False, worst, {**dict(zip(names, index)), "err": e, "identity": name})
 
 
-def _abs_max(Wk: np.ndarray):
-    """max |W_k| without a full-size temporary; NaN if W_k holds a NaN."""
-    return max(Wk.max(), -Wk.min())
+def _abs_max(block: np.ndarray):
+    """max |block| without a full-size temporary; NaN if the block holds a
+    NaN, and 0 if it is empty."""
+    if not block.size:
+        return 0.0
+    return max(block.max(), -block.min())
 
 
 def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
@@ -244,73 +268,77 @@ def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
     partial-sum-form    M_k = sum_{i<=k} X_i + sum_{i=k+1}^{k+m} W[i, k]
     endpoint            M_0 = 0 and M_N = S_n
 
-    The first four are asserted in one pass over k that holds the slices
-    W[:, :, k] and W[:, :, k-1] only; a failing identity rebuilds the
-    slices it needs to name its first violation.
+    The first four are asserted in one pass over k that holds the slice
+    W[:, :, k] and the rows of W[:, :, k-1] its window reads; a failing
+    identity rebuilds the slices it needs to name its first violation.
     """
     return _structure_pass(trace)[0]
 
 
 def _structure_pass(trace: MartingaleTrace) -> tuple[list[CheckResult], list]:
     """check_structure's results, and max |W_k| for k = 0..N taken from the
-    same slices, so that trace_summary builds each slice once."""
+    same slices, so that trace_summary builds each slice once.
+
+    The pass reads each slice as Wt = W[:, :, k].T, whose row i holds
+    E(X_{i+1} | prefix k) on every outcome: each identity takes the maximum
+    over its own rows only (past i < k, future i >= k + m, and the window
+    in between), and the window sums add at most m + 1 contiguous rows.
+    The (outcomes, N) errors, zero outside their rows, are built only on a
+    failure, to name its first entry."""
     rows = trace.table.rows
     N = rows.shape[1]
     m = trace.m
     M, dM = trace.M, trace.dM
-    ii = np.arange(N)  # W index i holds X_{i+1}
 
-    def past(k, Wk):
-        err = Wk - rows
-        np.abs(err, out=err)
-        err *= ii < k
-        return err
-
-    def future(k, Wk):
-        err = np.abs(Wk)
-        err *= ii >= k + m
-        return err
-
-    def window(k, Wk, Wprev):  # column k-1 of |dM - reconstruction|
+    def window(k, Wt, prev):  # column k-1 of |dM - reconstruction|; prev = rows k-1.. of slice k-1
         hi = min(k + m, N)
-        return np.abs(dM[:, k - 1] - (Wk[:, k - 1 : hi] - Wprev[:, k - 1 : hi]).sum(axis=1))
+        return np.abs(dM[:, k - 1] - (Wt[k - 1 : hi] - prev[: hi - k + 1]).sum(axis=0))
 
-    def partial(k, Wk):
+    def partial(k, Wt, head):  # head = X_1 + ... + X_k, added in order
         hi = min(k + m, N)
-        head = csum[:, k - 1] if k else 0.0
-        tail = Wk[:, k:hi].sum(axis=1) if hi > k else 0.0
+        tail = Wt[k:hi].sum(axis=0) if hi > k else 0.0
         return np.abs(M[:, k] - (head + tail))
 
-    csum = np.cumsum(rows, axis=1)
+    def past_err(k):
+        err = np.zeros_like(rows)
+        np.abs(trace.w_slice(k)[:, :k] - rows[:, :k], out=err[:, :k])
+        return err
+
+    def future_err(k):
+        err = np.zeros_like(rows)
+        np.abs(trace.w_slice(k)[:, k + m :], out=err[:, k + m :])
+        return err
+
+    def window_at(c):
+        return window(c + 1, trace.w_slice(c + 1).T, trace.w_slice(c).T[c:])
+
+    def partial_at(k):
+        head = np.cumsum(rows[:, :k], axis=1)[:, -1] if k else 0.0
+        return partial(k, trace.w_slice(k).T, head)
+
     maxima = {"past": [], "future": [], "window": [], "partial": [], "abs": []}
-    Wprev = None
+    weighted = _weighted_columns(trace.table)
+    head = np.zeros(rows.shape[0])
+    prev = None
     for k in range(N + 1):
-        Wk = trace.w_slice(k)
-        maxima["abs"].append(_abs_max(Wk))
-        maxima["past"].append(past(k, Wk).max())
-        maxima["future"].append(future(k, Wk).max())
+        Wt = trace.w_slice(k, weighted).T
+        maxima["abs"].append(_abs_max(Wt))
+        maxima["past"].append(_abs_max(Wt[:k] - rows.T[:k]))
+        maxima["future"].append(_abs_max(Wt[k + m :]))
         if k > 0:
-            maxima["window"].append(window(k, Wk, Wprev).max())
-        maxima["partial"].append(partial(k, Wk).max())
-        Wprev = Wk
+            maxima["window"].append(window(k, Wt, prev).max())
+            head += rows[:, k - 1]
+        maxima["partial"].append(partial(k, Wt, head).max())
+        # the next window reads rows k..k+m of this slice only: a copy of
+        # them lets the slice go before the next one is built
+        prev = Wt[k : k + m + 1].copy()
+        del Wt
 
     results = [
-        _sliced_result("measurable-past", maxima["past"], lambda k: past(k, trace.w_slice(k)), _STRUCTURE_TOL),
-        _sliced_result("independent-future", maxima["future"], lambda k: future(k, trace.w_slice(k)), _STRUCTURE_TOL),
-        _sliced_result(
-            "window-difference",
-            maxima["window"],
-            lambda c: window(c + 1, trace.w_slice(c + 1), trace.w_slice(c)),
-            _STRUCTURE_TOL,
-            names=("outcome", "k"),
-        ),
-        _sliced_result(
-            "partial-sum-form",
-            maxima["partial"],
-            lambda k: partial(k, trace.w_slice(k)),
-            _STRUCTURE_TOL,
-            names=("outcome", "k"),
-        ),
+        _sliced_result("measurable-past", maxima["past"], past_err, _STRUCTURE_TOL),
+        _sliced_result("independent-future", maxima["future"], future_err, _STRUCTURE_TOL),
+        _sliced_result("window-difference", maxima["window"], window_at, _STRUCTURE_TOL, names=("outcome", "k")),
+        _sliced_result("partial-sum-form", maxima["partial"], partial_at, _STRUCTURE_TOL, names=("outcome", "k")),
     ]
 
     s = trace.table.row_sums()
@@ -328,8 +356,8 @@ def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
     E Q = E S^2 and Var Q <= 48 eps^2 E S^2.  The realized slack ratios
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
-    N = trace.table.rows.shape[1]
-    return _bounds(trace, eps, (_abs_max(trace.w_slice(k)) for k in range(N + 1)))
+    weighted = _weighted_columns(trace.table)
+    return _bounds(trace, eps, (_abs_max(trace.w_slice(k, weighted)) for k in range(len(trace.prefix_ids))))
 
 
 def _bounds(trace: MartingaleTrace, eps: float, w_max) -> list[CheckResult]:
@@ -379,13 +407,12 @@ def _bounds(trace: MartingaleTrace, eps: float, w_max) -> list[CheckResult]:
     results.append(_result("prefix-gap", np.maximum(err, 0.0, out=err), _BOUND_TOL, names=("outcome", "i")))
 
     eq = float(_weighted_sum(probs, trace.Q))
-    results.append(_result("mean-quadratic-variation", np.array([abs(eq - s2)]), 1e-10, ("",)))
+    results.append(_scalar_result("mean-quadratic-variation", eq, s2, abs(eq - s2), 1e-10))
 
     var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
     cap = 48.0 * eps**2 * s2
-    res = _result("variance-bound", np.array([max(var_q - cap, 0.0)]), _BOUND_TOL, ("",))
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
-    results.append(CheckResult(res.name, res.passed, res.max_abs_err, slack))
+    results.append(_scalar_result("variance-bound", var_q, cap, max(var_q - cap, 0.0), _BOUND_TOL, slack))
     return results
 
 
@@ -429,37 +456,45 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     """
     table = trace.table
     split = truncated_model(trace.model, trace.n, eps)
-    x_lo, x_hi = split.split_rows(table.rows)
     probs = table.probs
     N = table.rows.shape[1]
     m = trace.m
     results = []
 
+    # one (N, outcomes) copy of the rows, so that the parts, laid out as it
+    # is, hold each X_i's values on every outcome contiguously; each del
+    # frees an array that size before the next one is made, which keeps
+    # this check's peak below that of trace_summary
+    rows_t = np.ascontiguousarray(table.rows.T)
+    x_lo, x_hi = split.split_rows(rows_t.T)  # (outcomes, N) views of that layout
+    tail_sum = float(sum(_weighted_sum(probs, x**2 * (np.abs(x) > split.threshold)) for x in rows_t))
+    del rows_t
+
     err = x_lo + x_hi
     err -= table.rows
     results.append(_result("split-additivity", np.abs(err, out=err), 0.0, names=("outcome", "i")))
+    del err
 
     mean_lo = _weighted_sum(probs, x_lo)
     mean_hi = _weighted_sum(probs, x_hi)
     err = np.maximum(np.abs(mean_lo), np.abs(mean_hi))
     results.append(_result("split-centred", err, _EXPECTATION_TOL, names=("i",)))
 
-    # E (S'')^2, taken before the covariances so that no row sums are held
-    # next to their (N, outcomes) copies
-    lhs = float(_weighted_sum(probs, x_hi.sum(axis=1) ** 2))
+    # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
+    # order numpy sums it; taken before the parts are centred in place
+    lhs = float(_weighted_sum(probs, np.ascontiguousarray(x_hi).sum(axis=1) ** 2))
     idx = np.arange(N)
     beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
     err = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band; NaN wins
-    for part, mean in ((x_lo, mean_lo), (x_hi, mean_hi)):
+    for part, mean in ((x_lo.T, mean_lo), (x_hi.T, mean_hi)):
+        part -= mean[:, None]
         # einsum rather than a BLAS product, whose sums vary with the thread count
-        centred = np.subtract(part.T, mean[:, None], order="C")  # (N, outcomes)
-        cov = np.einsum("io,jo->ij", centred * probs, centred)
+        cov = np.einsum("io,jo->ij", part * probs, part)
         np.maximum(err, np.abs(cov), out=err, where=beyond_band)
     results.append(_result("split-banded", err, _EXPECTATION_TOL, names=("i", "j")))
 
-    tail_sum = float(sum(_weighted_sum(probs, table.rows[:, i] ** 2 * (np.abs(table.rows[:, i]) > split.threshold)) for i in range(N)))
     rhs = (2 * m + 1) * tail_sum
-    results.append(_result("tail-variance-bound", np.array([max(lhs - rhs, 0.0)]), _EXPECTATION_TOL, ("",)))
+    results.append(_scalar_result("tail-variance-bound", lhs, rhs, max(lhs - rhs, 0.0), _EXPECTATION_TOL))
 
     values = {
         "threshold": split.threshold,
@@ -625,5 +660,6 @@ def trace_summary(trace: MartingaleTrace) -> dict:
         "eps": eps,
         "bounds_passed": all(r.passed for r in bounds),
     }
-    out.update(bounds[-1].detail)
+    slack = bounds[-1].detail
+    out.update({key: slack[key] for key in ("var_q_over_eps2_sigma2", "max_dm_over_eps")})
     return out

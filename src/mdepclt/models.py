@@ -46,7 +46,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .laws import DiscreteLaw, GaussianLaw, sign_combination_law, tap_sum
 
@@ -234,10 +233,13 @@ class TruncationSplit:
     mu: np.ndarray
 
     def split_rows(self, rows: np.ndarray):
+        """(X', X'') of an (outcomes, N) array, laid out in memory as rows is."""
         rows = np.atleast_2d(rows)
         below = np.abs(rows) <= self.threshold
-        x_lo = rows * below - self.mu[None, :]
-        x_hi = rows * ~below + self.mu[None, :]
+        x_lo = rows * below
+        x_lo -= self.mu[None, :]
+        x_hi = rows * ~below
+        x_hi += self.mu[None, :]
         return x_lo, x_hi
 
 
@@ -445,6 +447,10 @@ def row_rng(seed: int, n: int, replicate: int) -> Generator:
     Philox keyed by the seed with (n, replicate) placed in the high counter
     words: streams never overlap and are independent of worker scheduling.
     """
+    # imported here: numpy.random loads secrets and hashlib, which no
+    # command but clt needs
+    from numpy.random import Generator, Philox
+
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([np.uint64(seed), _KEY_SALT], dtype=np.uint64)

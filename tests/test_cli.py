@@ -408,11 +408,45 @@ for argv in (
         assert cli.run(argv) in (0, 1), argv  # a verdict, not a configuration error
     assert "scipy" not in sys.modules, argv[1]
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+    proc = _fresh_python(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert round(mc.kolmogorov_band(10_000), 6) == 0.016276
+
+
+def _fresh_python(script, cwd, **env):
+    """Run script in a new interpreter that imports mdepclt from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def test_oracle_sweep_and_conditions_run_without_importing_numpy_random(tmp_path):
+    # numpy.random loads secrets, hmac and _hashlib; only clt draws
+    script = """
+import contextlib, io, sys
+import mdepclt.cli as cli
+for argv in (
+    ["--cmd", "oracle", "--model", "iid-baseline", "--n-grid", "4"],
+    ["--cmd", "sweep", "--n-grid", "6..9"],
+    ["--cmd", "conditions", "--model", "moving-average", "--n-grid", "6..9"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) in (0, 1), argv
+    assert "numpy.random" not in sys.modules, argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["--cmd", "clt", "--model", "iid-baseline", "--n-grid", "16", "--reps", "100"]) in (0, 1)
+"""
+    proc = _fresh_python(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_one_openblas_thread_unless_the_caller_sets_a_count(tmp_path, monkeypatch, preset, expected):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    proc = _fresh_python("import mdepclt, os; print(os.environ['OPENBLAS_NUM_THREADS'])", tmp_path, **env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 def _assert_config_error(code, capsys, needle):

@@ -77,8 +77,8 @@ def _perturbed(trace, edit):
     edit(k, Wk), which changes it in place; M and dM stay as built."""
     bad = copy.copy(trace)
 
-    def w_slice(k):
-        Wk = trace.w_slice(k)
+    def w_slice(k, *args):
+        Wk = trace.w_slice(k, *args)
         edit(k, Wk)
         return Wk
 
@@ -125,6 +125,33 @@ def test_corruption_detected_in_every_index_region(traces, i, k):
     _, _, trace = traces["two-scale(alpha=0.3)"]
     bad = _bumped(trace, 11, i - 1, k, 1e-3)
     assert not all(res.passed for res in m.check_structure(bad))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "i,k,identity",
+    [(3, 3, "measurable-past"), (4, 3, "partial-sum-form"), (5, 2, "independent-future")],
+    ids=["past", "window", "future"],
+)
+def test_a_non_finite_w_entry_fails_the_identity_of_its_region(traces, i, k, identity, value):
+    # each identity takes its maximum over its own rows of the slice only
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+
+    def edit(kk, Wk):
+        if kk == k:
+            Wk[11, i - 1] = value
+
+    bad = _perturbed(trace, edit)
+    results = {res.name: res for res in m.check_structure(bad)}
+    assert not results[identity].passed, results[identity]
+    summary = m.trace_summary(bad)
+    assert not (summary["structure_passed"] and summary["bounds_passed"])
+
+
+def test_slices_are_laid_out_variables_by_outcomes(traces):
+    for _, _, trace in traces.values():
+        for k in range(len(trace.prefix_ids)):
+            assert trace.w_slice(k).T.flags.c_contiguous, k
 
 
 def _reference_partition_and_W(table):
@@ -415,6 +442,21 @@ def test_a_nan_fails_the_check_that_meets_it(check, named):
     res = check(m.build_trace(m.build_model("two-scale", alpha=0.25), 4))
     assert not res.passed and math.isnan(res.max_abs_err)
     assert named.items() <= res.detail.items(), res.detail
+
+
+def test_single_value_checks_name_both_sides_of_their_comparison():
+    trace = m.build_trace(m.build_model("two-scale", alpha=0.25), 4)
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    trace.Q[0] = np.nan
+    bounds = {r.name: r for r in m.check_bounds(trace, eps)}
+    trace.table.rows[5, 1] = np.nan
+    truncation = {r.name: r for r in m.check_truncation(trace, eps=0.5).results}
+    for res in (*bounds.values(), *truncation.values()):
+        assert "" not in (res.detail or {}), res
+    for res in (bounds["mean-quadratic-variation"], bounds["variance-bound"], truncation["tail-variance-bound"]):
+        assert not res.passed and math.isnan(res.max_abs_err)
+        assert {"lhs", "rhs"} <= set(res.detail), res.detail
+    assert {"var_q_over_eps2_sigma2", "max_dm_over_eps"} <= set(bounds["variance-bound"].detail)
 
 
 # ---------------------------------------------------------------------------
