@@ -22,6 +22,8 @@ from . import montecarlo as mc
 from .models import (
     MODEL_CONFIG_KEYS,
     ArrayModel,
+    ContinuousModelError,
+    EnumerationTooLargeError,
     InvalidParameterError,
     Schedule,
     build_model,
@@ -38,6 +40,10 @@ SWEEP_N_GRID = tuple(2**k for k in range(6, 23))
 
 #: clt default: sampling is the expensive path, start at 2^8
 CLT_N_GRID = tuple(2**k for k in range(8, 15))
+
+#: oracle default: sizes whose whole outcome table every Rademacher row of
+#: the catalogue can enumerate
+ORACLE_N_GRID = (4, 6, 8)
 
 
 class ConfigError(ValueError):
@@ -106,7 +112,10 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     """Structure, tower, bound, and truncation checks at enumerable sizes, on one trace per size."""
     ns = [n for n in n_grid if mart.trace_feasible(model, n)]
     if not ns:
-        raise ConfigError("no grid point is exactly enumerable for this model")
+        try:  # the smallest point says why: continuous marginals, or a cap exceeded
+            mart._require_trace_size(model, min(n_grid))
+        except (ContinuousModelError, EnumerationTooLargeError) as exc:
+            raise ConfigError(f"no grid point is exactly enumerable for this model: {exc}") from None
     traces = []
     trunc = []
     for n in ns:
@@ -307,7 +316,7 @@ def resolve_config(args) -> dict:
     Every run setting, from the config and then from its flag, goes
     through the one converter SETTINGS holds for it; range checks are
     left to the engines."""
-    default_grid = {"sweep": SWEEP_N_GRID, "clt": CLT_N_GRID}.get(args.cmd, cond.DEFAULT_N_GRID)
+    default_grid = {"sweep": SWEEP_N_GRID, "clt": CLT_N_GRID, "oracle": ORACLE_N_GRID}.get(args.cmd, cond.DEFAULT_N_GRID)
     settings: dict = {
         "n_grid": list(default_grid),
         "reps": 10_000,

@@ -8,34 +8,34 @@ measurability and independence simplifications, the windowed difference
 form, the partial-sum form, the quadratic-variation identity, and the
 variance and increment bounds -- can be asserted outcome by outcome.
 
-Large rows (where enumeration is impossible) are handled by a Monte Carlo
-path that evaluates the same martingale through closed-form conditional
-expectations: one rule for every row whose segments hold one tap each,
-and a decoding of the two-scale row.
+At large n, where enumeration is impossible, the martingale-CLT hypotheses
+are read from the exact law of (max_k |dM_k|/sigma_n, Q_n/sigma_n^2),
+which the closed-form conditional expectations give in O(1) per n: one
+atom, or the CDF of a maximum of Gaussians, for every row whose segments
+hold one tap each, and at most 7 atoms for the two-scale row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from .conditions import ConditionValue, asymptotic_verdict
 from .models import (
     ArrayModel,
     ContinuousModelError,
     EnumerationTooLargeError,
     OutcomeTable,
     _check_n,
-    _check_reps,
-    _check_sample_size,
     _enumeration_bits,
     _sigma,
     _weighted_sum,
-    draw_innovations,
     enumerate_outcomes,
     linear_row,
-    row_rng,
+    sum_weight_groups,
     truncated_model,
 )
 
@@ -50,12 +50,6 @@ TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
 #: pass of the checks compute one slice at a time (tens of seconds at the cap)
 TRACE_WORK_CAP = 2**30
-#: HH1 needs the 95% quantile of max|dM|/sigma_n to fall by more than this
-#: relative margin from the smallest to the largest n, so that last-bit
-#: rounding of a constant quantile does not read as a decrease
-HH1_Q95_MARGIN = 1e-9
-#: HH2 holds when the mean of Q_n/sigma_n^2 at the largest n is this close to 1
-HH2_Q_TOL = 0.05
 #: tolerances of check_structure, of check_bounds, and of check_tower and
 #: check_truncation; trace_summary applies them as those checks do
 _STRUCTURE_TOL = 1e-10
@@ -156,11 +150,11 @@ def _require_trace_size(model: ArrayModel, n: int) -> None:
         return
     if max(count, N) * (N + 1) > TRACE_CELL_CAP:
         raise EnumerationTooLargeError(
-            f"trace would store {max(count, N) * (N + 1)} cells per array (cap {TRACE_CELL_CAP})"
+            f"trace at n={n} would store {max(count, N) * (N + 1)} cells per array (cap TRACE_CELL_CAP = {TRACE_CELL_CAP})"
         )
     if entries > TRACE_WORK_CAP:
         raise EnumerationTooLargeError(
-            f"trace checks would compute {entries} entries of W (cap {TRACE_WORK_CAP})"
+            f"trace checks at n={n} would compute {entries} entries of W (cap TRACE_WORK_CAP = {TRACE_WORK_CAP})"
         )
 
 
@@ -507,73 +501,100 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
 
 
 # ---------------------------------------------------------------------------
-# closed-form martingale increments for sampled rows
+# the martingale-CLT hypotheses, from the exact law of the increments
 
 
-def _two_scale_increments(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """The two-scale row decoded in closed form."""
-    alpha = model.params["alpha"]
-    xi = innov[:n]
-    eta = innov[n:]
-    d = eta[1:] - eta[:-1]
-    x = n**-0.5 * xi + n**-alpha * d
-    # eta_k is knowable from the prefix once any increment was nonzero;
-    # before that the conditional expectation of eta_k vanishes
-    seen = np.maximum.accumulate(d != 0.0)
-    eta_hat = np.where(seen, eta[1:], 0.0)
-    w_next = -(n**-alpha) * eta_hat  # E(X_{k+1} | prefix k), k = 1..n
-    w_next[-1] = 0.0  # X_{n+1} := 0
-    w_prev = np.concatenate([[0.0], w_next[:-1]])  # E(X_k | prefix k-1)
-    return model.amplitude * (x + w_next - w_prev)
+def _increment_law(model: ArrayModel, n: int) -> tuple:
+    """(groups, atoms): the nonzero weight groups [(count, |w|), ...] of S_n
+    in units of sigma_n, and the law of (max_k |dM_k|/sigma_n,
+    Q_n/sigma_n^2) as atoms [(max, q, probability), ...], or None on a
+    Gaussian row, whose law the groups give.
+
+    In a row of one-tap segments each innovation zeta is first seen at the
+    first entry of its block, which reveals its whole share w * zeta of
+    S_n: dM is w * zeta there and zero elsewhere.  Other rows raise
+    UnsupportedFamilyError, two-scale aside.  There, with a and b the
+    weights of xi_k and eta_n and K the first k with eta_k != eta_{k-1}
+    (P(K = k) = 2^-k; no change, 2^-n), dM_k = a xi_k except dM_K =
+    a xi_K + b eta_K and dM_n = a xi_n + b eta_n, independent, if K < n,
+    and dM_n = a xi_n + 2 b eta_n if K = n."""
+    _sigma(model, n)  # a degenerate sigma_n raises
+    groups = [(c, abs(w)) for c, w in sum_weight_groups(model, n) if w != 0.0]
+    s = math.sqrt(sum(c * w * w for c, w in groups))
+    groups = [(c, w / s) for c, w in groups]
+    if model.family != "two-scale":
+        if any(len(taps) > 1 for _, taps, _ in linear_row(model, n)[2]):
+            raise UnsupportedFamilyError(f"no closed-form conditional expectations for {model.describe()}")
+        return groups, [(max(w for _, w in groups), 1.0, 1.0)] if model.is_discrete else None
+    a, b = groups[0][1], groups[-1][1]
+
+    def atom(p, plain, *special):  # `plain` increments of size a, then the special ones
+        return (max(special + ((a,) if plain else ())), plain * a * a + sum(x * x for x in special), p)
+
+    sizes = (a + b, abs(b - a))  # the two values of |a xi + b eta|
+    early = [atom((1.0 - 2.0 ** (1 - n)) / 4, n - 2, x, y) for x in sizes for y in sizes] if n > 1 else []
+    last = [atom(2.0**-n / 2, n - 1, x) for x in (a + 2 * b, abs(2 * b - a))]
+    return groups, early + last + [atom(2.0**-n, n)]
 
 
-def _single_tap_increments(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """In a row whose segments hold one tap each, every block of `repeat`
-    entries is one innovation times c != 0, and different blocks draw
-    different innovations.  So the first entry of a block reveals its whole
-    contribution amplitude * scale * repeat * c * zeta_j to S_n, and dM
-    is zero everywhere else."""
-    _, scale, segments = linear_row(model, n)
-    parts = []
-    for count, ((j, c),), repeat in segments:
-        # scale * repeat is (1/m) * m on block-repeat rows, which rounds to
-        # 1.0 for small m: a block's increment then carries no extra rounding
-        part = np.zeros(count)
-        part[::repeat] = (model.amplitude * (scale * repeat)) * (c * innov[j : j + count // repeat])
-        parts.append(part)
-    return np.concatenate(parts)
+def _gaussian_max_moments(groups: list) -> dict:
+    """The 95 % quantile, mean and second moment of max |w Z| over
+    independent standard normals, count of them per weight w in groups,
+    from the CDF F(t) = prod erf(t / (w sqrt 2))^count: the quantile by
+    bisection, the moments by Simpson's rule on 2048 steps for the
+    integrals of 1 - F and 2t (1 - F) between the 2^-60 and 1 - 2^-60
+    quantiles."""
+
+    def log_cdf(t):
+        tails = [math.erfc(t / (w * math.sqrt(2.0))) for _, w in groups]
+        return -math.inf if max(tails) >= 1.0 else sum(c * math.log1p(-e) for (c, _), e in zip(groups, tails))
+
+    def quantile(log_p):
+        lo, hi = 0.0, 40.0 * max(w for _, w in groups)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (mid, hi) if log_cdf(mid) < log_p else (lo, mid)
+        return hi
+
+    lo, hi = quantile(-60 * math.log(2.0)), quantile(-(2.0**-60))
+    ts = np.linspace(lo, hi, 2049)
+    tail = np.array([-math.expm1(log_cdf(t)) for t in ts])
+    weights = np.r_[1.0, np.tile([4.0, 2.0], 1024)] * (ts[1] - ts[0]) / 3
+    weights[-1] = weights[0]
+    return {
+        "max_dm_q95": quantile(math.log(0.95)),
+        "max_dm_mean": lo + float(_weighted_sum(weights, tail)),
+        "max_dm2_mean": lo * lo + float(_weighted_sum(weights, 2 * ts * tail)),
+    }
 
 
-def _increment_rule(model: ArrayModel, n: int):
-    """The closed-form increments of row n: the two-scale decoding, or the
-    rule for rows of single-tap segments.  Any other row raises
-    UnsupportedFamilyError, decided from the declaration alone."""
-    if model.family == "two-scale":
-        return _two_scale_increments
-    if any(len(taps) > 1 for _, taps, _ in linear_row(model, n)[2]):
-        raise UnsupportedFamilyError(
-            f"no closed-form conditional expectations for {model.describe()}"
-        )
-    return _single_tap_increments
-
-
-def increments_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """(dM_1, ..., dM_N) from raw innovations, in entry order, via
-    closed-form conditional expectations (see _increment_rule)."""
-    return _increment_rule(model, n)(model, n, innov)
+def _hh_row(model: ArrayModel, n: int) -> dict:
+    """The keys check_hh_hypotheses reports at n, from _increment_law; on a
+    Gaussian row Q_n/sigma_n^2 has mean 1 and variance 2 sum c w^4."""
+    groups, atoms = _increment_law(model, n)
+    if atoms is None:
+        q_sd = math.sqrt(2.0 * sum(c * w**4 for c, w in groups))
+        return {"n": n, **_gaussian_max_moments(groups), "q_mean": 1.0, "q_sd": q_sd}
+    atoms.sort()
+    q_mean = sum(p * q for _, q, p in atoms)
+    return {
+        "n": n,
+        "max_dm_q95": next(x for (x, _, _), c in zip(atoms, accumulate(p for *_, p in atoms)) if c >= 0.95),
+        "max_dm_mean": sum(p * x for x, _, p in atoms),
+        "max_dm2_mean": sum(p * x * x for x, _, p in atoms),
+        "q_mean": q_mean,
+        "q_sd": math.sqrt(sum(p * (q - q_mean) ** 2 for _, q, p in atoms)),
+    }
 
 
 @dataclass(frozen=True)
 class HHReport:
-    """Empirical behaviour of the martingale-CLT hypotheses over an n-grid.
+    """The martingale-CLT hypotheses over an n-grid.
 
-    rows: per-n dicts with quantiles of max|dM|/sigma, the mean and spread
-    of Q/sigma^2, and E[max dM^2]/sigma^2.
+    rows: per-n dicts with the 95 % quantile and mean of max|dM|/sigma,
+    the mean and sd of Q/sigma^2, and E[max dM^2]/sigma^2, all exact.
     """
 
     model: ArrayModel
-    reps: int
-    seed: int
     rows: list
     max_increment_vanishes: bool
     quadratic_variation_concentrates: bool
@@ -588,47 +609,21 @@ class HHReport:
         )
 
 
-def check_hh_hypotheses(model: ArrayModel, n_grid, reps: int = 2000, seed: int = 0) -> HHReport:
-    """Monte Carlo check of the three martingale-CLT hypotheses.
+def check_hh_hypotheses(model: ArrayModel, n_grid) -> HHReport:
+    """The three martingale-CLT hypotheses of Hall & Heyde (1980) on
+    M_k = E(S_n | X_1..X_k), read from the exact law of (max_k |dM_k|/sigma_n,
+    Q_n/sigma_n^2) at each n through asymptotic_verdict, so the grid needs at
+    least four points: the 95 % quantile of max_k |dM_k|/sigma_n tends to
+    zero (HH1), the sd of Q_n/sigma_n^2 tends to zero while its mean is 1
+    (HH2), and E[max_k dM_k^2]/sigma_n^2 stays bounded (HH3).  Rows are
+    supported as by _increment_law."""
+    rows = [_hh_row(model, n) for n in sorted(n_grid)]
 
-    For each n: max_k |dM_k|/sigma_n should trend to zero (HH1, a fall of
-    its 95% quantile by more than HH1_Q95_MARGIN, or a value below 0.05),
-    Q_n/sigma_n^2 should concentrate at 1 (HH2, within HH2_Q_TOL at the
-    largest n), and E[max_k dM_k^2]/sigma_n^2 should stay bounded (HH3).
-    """
-    n_grid = sorted(n_grid)
-    if not n_grid:
-        raise ValueError("n_grid must be nonempty")
-    _check_reps(reps)
-    for n in n_grid:
-        _check_sample_size(model, n)
-        _increment_rule(model, n)
-    sigmas = [_sigma(model, n) for n in n_grid]
-    rows = []
-    for n, sigma in zip(n_grid, sigmas):
-        max_abs = np.empty(reps)
-        q_norm = np.empty(reps)
-        for r in range(reps):
-            innov = draw_innovations(model, n, row_rng(seed, n, r))
-            dm = increments_from_innovations(model, n, innov) / sigma
-            max_abs[r] = np.abs(dm).max()
-            q_norm[r] = _weighted_sum(dm, dm)
-        rows.append(
-            {
-                "n": n,
-                "max_dm_mean": float(max_abs.mean()),
-                "max_dm_q95": float(np.quantile(max_abs, 0.95)),
-                "q_mean": float(q_norm.mean()),
-                "q_sd": float(q_norm.std(ddof=1)),
-                "max_dm2_mean": float((max_abs**2).mean()),
-            }
-        )
-    q95_first, q95_last = rows[0]["max_dm_q95"], rows[-1]["max_dm_q95"]
-    hh1 = q95_last < q95_first * (1.0 - HH1_Q95_MARGIN) or q95_last < 0.05
-    hh2 = abs(rows[-1]["q_mean"] - 1.0) <= HH2_Q_TOL
-    first, last = rows[0]["max_dm2_mean"], rows[-1]["max_dm2_mean"]
-    hh3 = last <= max(first, 1.0)
-    return HHReport(model, reps, seed, rows, hh1, hh2, hh3)
+    hh1, hh2, hh3 = (
+        asymptotic_verdict([ConditionValue(key, row["n"], row[key]) for row in rows]).verdict
+        for key in ("max_dm_q95", "q_sd", "max_dm2_mean")
+    )
+    return HHReport(model, rows, hh1 == "tends-to-zero", hh2 == "tends-to-zero", hh3 in ("bounded", "tends-to-zero"))
 
 
 # ---------------------------------------------------------------------------

@@ -474,29 +474,11 @@ def draw_replicates(seed: int, n: int, reps: int, draw) -> np.ndarray:
     return out
 
 
-def _innovations(rng: Generator, kind: str, size: int) -> np.ndarray:
-    """size innovations from rng.  Rademacher signs are read 64 per raw
-    Philox word, little-endian: sign i is +1 when bit i % 64 of word
-    i // 64 is set, so the layout does not depend on the host's byte order."""
-    if kind == "rademacher":
-        words = rng.bit_generator.random_raw(-(-size // 64)).astype("<u8")
-        signs = np.unpackbits(words.view(np.uint8), count=size, bitorder="little").astype(float)
-        signs *= 2.0
-        signs -= 1.0
-        return signs
-    return rng.standard_normal(size)
-
-
 def _innovation_count(model: ArrayModel, n: int) -> int:
     return linear_row(model, n)[0]
 
 
-def draw_innovations(model: ArrayModel, n: int, rng: Generator) -> np.ndarray:
-    """The innovations of row n, in declaration order, drawn from rng."""
-    return _innovations(rng, model.innovation, _innovation_count(model, n))
-
-
-def _row_from_innovations(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
+def _row_entries(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
     """Map raw innovations (array or matrix with trailing axis) to row values.
 
     Taps sharing a coefficient magnitude are summed before they are scaled,
@@ -674,7 +656,7 @@ def _enumeration_bits(model: ArrayModel, n: int) -> int:
     bits = _innovation_count(model, n)
     if bits > ENUMERATION_CAP.bit_length() - 1:
         raise EnumerationTooLargeError(
-            f"{model.describe()} at n={n} needs 2^{bits} outcomes (cap {ENUMERATION_CAP})"
+            f"{model.describe()} at n={n} needs 2^{bits} outcomes (cap ENUMERATION_CAP = {ENUMERATION_CAP})"
         )
     return bits
 
@@ -687,7 +669,7 @@ def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
     idx = np.arange(count, dtype=np.uint64)
     signs = ((idx[:, None] >> np.arange(bits, dtype=np.uint64)) & 1).astype(float)
     signs = signs * 2.0 - 1.0
-    rows = _row_from_innovations(model, n, signs)
+    rows = _row_entries(model, n, signs)
     probs = np.full(count, 2.0**-bits)
     return OutcomeTable(n, rows, probs)
 

@@ -140,6 +140,32 @@ def test_oracle_rejects_unenumerable_model():
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["iid-baseline", "moving-average", "block-repeat"])
+def test_oracle_default_grid_runs(family, capsys):
+    # the conditions' default grid starts at 2^6, where none of these rows fits
+    assert run_cli("--cmd", "oracle", "--model", family) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [t["n"] for t in payload["traces"]] == list(cli.ORACLE_N_GRID)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["--model", "tail-coupled"], "has continuous marginals"),
+        (["--model", "iid-baseline", "--n-grid", "64,128"], "cap ENUMERATION_CAP = 4194304"),
+        (["--config", "{block}", "--n-grid", "4096"], "cap TRACE_CELL_CAP = 4194304"),
+    ],
+    ids=["continuous", "outcome-cap", "trace-cap"],
+)
+def test_oracle_says_why_no_grid_point_fits(tmp_path, capsys, argv, needle):
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps({"family": "block-repeat", "m": 4096}))
+    code = run_cli("--cmd", "oracle", *(a.format(block=block) for a in argv))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: no grid point is exactly enumerable for this model: ")
+    assert needle in err, err
+
+
 def test_oracle_skips_infeasible_trace_sizes(tmp_path, two_scale_config):
     # n = 10 for the two-scale row fits the outcome cap but not the trace
     # tensor cap; it must be skipped, not crash

@@ -1,10 +1,15 @@
-"""Martingale oracle: exact identities, bounds, truncation, sampled checks."""
+"""Martingale oracle: exact identities, bounds, truncation, and the
+martingale-CLT hypotheses from the exact increment law."""
 
 import copy
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +18,6 @@ from hypothesis import strategies as st
 
 import mdepclt as m
 from mdepclt import martingale as mart
-from mdepclt.martingale import increments_from_innovations
-from mdepclt.models import _enumeration_bits
 
 
 def oracle_models():
@@ -460,7 +463,20 @@ def test_single_value_checks_name_both_sides_of_their_comparison():
 
 
 # ---------------------------------------------------------------------------
-# closed-form increments against the exact trace
+# the exact increment law against the trace
+
+
+def _merged(atoms, tol):
+    """Atoms (max, q, p) with those within tol of each other in both
+    coordinates added into one."""
+    out = []
+    for x, q, p in sorted(atoms):
+        near = [a for a in out if abs(a[0] - x) <= tol and abs(a[1] - q) <= tol]
+        if near:
+            near[0][2] += p
+        else:
+            out.append([x, q, p])
+    return out
 
 
 @pytest.mark.parametrize(
@@ -473,153 +489,227 @@ def test_single_value_checks_name_both_sides_of_their_comparison():
         (m.build_model("block-repeat", m_schedule=3, spike_frac=0.5), 9),
         (m.build_model("moving-average", coeffs=(0.7,)), 6),
         (m.build_model("block-repeat", m_schedule=m.Schedule("power", 0.5), spike_frac=0.3), 9),
+        (m.build_model("two-scale", alpha=0.25), 1),
+        (m.build_model("two-scale", alpha=0.25), 2),
     ],
 )
 def test_closed_form_increments_match_enumeration(model, n):
-    """The sampled-path martingale must agree with the partition-average
-    martingale outcome by outcome, including the unresolved-prefix cases."""
+    """The exact law of (max_k |dM_k|/sigma_n, Q_n/sigma_n^2) must be the
+    law the partition-average martingale takes over every outcome,
+    including the unresolved-prefix cases, in atoms and probabilities."""
+    tol = 1e-12
+    _, atoms = mart._increment_law(model, n)
+    exact = _merged(atoms, tol)
+    assert all(abs(a[0] - b[0]) > 2 * tol or abs(a[1] - b[1]) > 2 * tol for a, b in zip(exact, exact[1:]))
     trace = m.build_trace(model, n)
-    bits = _enumeration_bits(model, n)
-    idx = np.arange(2**bits, dtype=np.uint64)
-    signs = ((idx[:, None] >> np.arange(bits, dtype=np.uint64)) & 1).astype(float) * 2 - 1
-    worst = 0.0
-    for o in range(2**bits):
-        dm = increments_from_innovations(model, n, signs[o])
-        worst = max(worst, float(np.abs(dm - trace.dM[o]).max()))
-    assert worst < 1e-12
+    sigma2 = trace.sigma2
+    mass = [0.0] * len(exact)
+    for x, q, p in zip(np.abs(trace.dM).max(axis=1) / math.sqrt(sigma2), trace.Q / sigma2, trace.table.probs):
+        [j] = [j for j, a in enumerate(exact) if abs(a[0] - x) <= tol and abs(a[1] - q) <= tol]
+        mass[j] += p
+    assert mass == pytest.approx([p for _, _, p in exact], abs=tol)
 
 
 def test_closed_form_rejects_moving_average():
     ma = m.build_model("moving-average", coeffs=(1.0, 0.5))
     with pytest.raises(m.UnsupportedFamilyError):
-        increments_from_innovations(ma, 8, np.ones(9))
+        mart._increment_law(ma, 8)
 
 
 def test_unsupported_row_error_names_the_model():
     ma = m.build_model("moving-average", coeffs=(1.0, 0.0, -0.5), innovation="normal")
     with pytest.raises(m.UnsupportedFamilyError) as exc:
-        increments_from_innovations(ma, 8, np.ones(10))
+        mart._increment_law(ma, 8)
     assert ma.describe() in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "model,n",
+    [
+        (m.build_model("iid-baseline", innovation="normal"), 32),
+        (m.build_model("tail-coupled", m_schedule=m.Schedule("power", 0.25)), 64),
+        (m.build_model("block-repeat", innovation="normal", m_schedule=3, spike_frac=0.6), 60),
+    ],
+)
+def test_gaussian_law_agrees_with_a_seeded_monte_carlo(model, n):
+    # each innovation's increment is w * Z (w in units of sigma_n); draw them
+    # directly, independently of the library's law
+    groups, atoms = mart._increment_law(model, n)
+    assert atoms is None
+    rng = np.random.default_rng(20)
+    reps = 20_000
+    max_abs = np.zeros(reps)
+    q = np.zeros(reps)
+    for count, w in groups:
+        z = w * rng.standard_normal((reps, count))
+        np.maximum(max_abs, np.abs(z).max(axis=1), out=max_abs)
+        q += (z**2).sum(axis=1)
+    row = mart._hh_row(model, n)
+    for key, sample in (("max_dm_mean", max_abs), ("max_dm2_mean", max_abs**2), ("q_mean", q)):
+        assert abs(row[key] - sample.mean()) <= 4 * sample.std() / math.sqrt(reps), key
+    q_sd_se = math.sqrt(((q - q.mean()) ** 4).mean() - q.var() ** 2) / (2 * q.std() * math.sqrt(reps))
+    assert abs(row["q_sd"] - q.std()) <= 4 * q_sd_se
+    # the 95 % quantile: the exact one cuts the sample at 95 % within 4 se
+    share = (max_abs <= row["max_dm_q95"]).mean()
+    assert abs(share - 0.95) <= 4 * math.sqrt(0.95 * 0.05 / reps)
+
+
+def test_gaussian_max_moments_of_one_normal():
+    law = mart._gaussian_max_moments([(1, 1.0)])
+    assert law["max_dm_q95"] == pytest.approx(1.959963984540054, rel=1e-14)
+    assert law["max_dm_mean"] == pytest.approx(math.sqrt(2 / math.pi), rel=1e-10)
+    assert law["max_dm2_mean"] == pytest.approx(1.0, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
-# sampled hypotheses checks
+# the martingale-CLT hypotheses
 
 
 def test_hh_iid_quadratic_variation_concentrates():
     iid = m.build_model("iid-baseline")
-    rep = m.check_hh_hypotheses(iid, [2**6, 2**8, 2**10], reps=400, seed=1)
+    rep = m.check_hh_hypotheses(iid, [2**6, 2**8, 2**10, 2**12])
     assert rep.quadratic_variation_concentrates
     assert rep.max_increment_vanishes
     assert rep.max_square_bounded
     # for the independent row, Q/sigma^2 = 1 exactly (signs square away)
-    assert rep.rows[-1]["q_mean"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.rows[-1]["q_mean"] == 1.0 and rep.rows[-1]["q_sd"] == 0.0
+    assert rep.rows[-1]["max_dm_q95"] == pytest.approx(2**-6, rel=1e-14)
 
 
 def test_hh_two_scale_passes():
     ts = m.build_model("two-scale", alpha=0.3)
-    rep = m.check_hh_hypotheses(ts, [2**6, 2**8, 2**10], reps=500, seed=2)
+    rep = m.check_hh_hypotheses(ts, [2**6, 2**8, 2**10, 2**12])
     assert rep.passed
-    assert abs(rep.rows[-1]["q_mean"] - 1.0) < 0.05
+    assert rep.rows[-1]["q_mean"] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hh_two_scale_at_scale():
-    # normalized quadratic variation within 0.05 of 1 at n = 2^14, 2000 reps
+    # what the sampled check read at n = 2^8, 2^11, 2^14, now exact: the
+    # 95 % quantile is (n^-1/2 + n^-alpha) / sigma_n, and sd Q/sigma^2 is
+    # 2 sqrt 2 n^-1/2 n^-alpha / sigma_n^2 up to terms of order 2^-n
     ts = m.build_model("two-scale", alpha=0.3)
-    rep = m.check_hh_hypotheses(ts, [2**12, 2**14], reps=2000, seed=4)
+    grid = [2**8, 2**11, 2**14, 2**17]
+    rep = m.check_hh_hypotheses(ts, grid)
     assert rep.passed
-    assert abs(rep.rows[-1]["q_mean"] - 1.0) < 0.05
-    assert rep.rows[-1]["max_dm_q95"] < rep.rows[0]["max_dm_q95"]
+    s2 = [m.exact_sigma2(ts, n) for n in grid]
+    assert [row["max_dm_q95"] for row in rep.rows] == pytest.approx(
+        [(n**-0.5 + n**-0.3) / math.sqrt(v) for n, v in zip(grid, s2)], rel=1e-14
+    )
+    assert [row["q_sd"] for row in rep.rows] == pytest.approx(
+        [2 * math.sqrt(2) * n**-0.8 / v for n, v in zip(grid, s2)], rel=1e-12
+    )
+    assert [round(row["max_dm_q95"], 4) for row in rep.rows[:3]] == [0.2434, 0.1224, 0.0620]
 
 
 def test_hh_tail_coupled_passes():
     tc = m.build_model("tail-coupled", m_schedule=m.Schedule("power", 0.25))
-    rep = m.check_hh_hypotheses(tc, [2**6, 2**8, 2**10], reps=500, seed=3)
+    rep = m.check_hh_hypotheses(tc, [2**6, 2**8, 2**10, 2**12])
     assert rep.passed
 
 
-def _signs(model, n, seed, replicate):
-    # regenerate the raw innovations exactly as draw_innovations does
-    from mdepclt.models import _innovation_count, _innovations, row_rng
+def test_hh_gaussian_block_repeat_passes():
+    br = m.build_model("block-repeat", innovation="normal", m_schedule=m.Schedule("power", 0.25))
+    assert m.check_hh_hypotheses(br, [2**6, 2**8, 2**10, 2**12]).passed
 
-    rng = row_rng(seed, n, replicate)
-    return _innovations(rng, "rademacher", _innovation_count(model, n))
+
+def test_hh_hypotheses_are_sufficient_not_necessary():
+    # one Gaussian block carries 90 % of Var S_n, so S_n is exactly Gaussian
+    # at every n, yet its increment does not vanish and Q_n does not
+    # concentrate
+    witness = m.model_from_config(
+        {"family": "block-repeat", "beta": 0.25, "spike_frac": 0.9, "innovation": "normal"}
+    )
+    rep = m.check_hh_hypotheses(witness, [2**8, 2**12, 2**16, 2**20])
+    assert not rep.max_increment_vanishes
+    assert not rep.quadratic_variation_concentrates
+    assert rep.max_square_bounded
+    assert rep.rows[-1]["max_dm_q95"] > 1.8 and rep.rows[-1]["q_sd"] > 1.2
 
 
 def test_hh_bounded_increment_bound_two_scale():
-    # |dM| <= 4 * m * max|X| whenever the row is bounded
+    # |dM| <= 4 * m * max|X| whenever the row is bounded, on every atom
     ts = m.build_model("two-scale", alpha=0.3)
     n = 2**8
     cap = 4 * (n**-0.5 + 2 * n**-0.3)
-    for r in range(50):
-        dm = increments_from_innovations(ts, n, _signs(ts, n, 9, r))
-        assert np.abs(dm).max() <= cap
+    _, atoms = mart._increment_law(ts, n)
+    assert max(x for x, _, _ in atoms) * math.sqrt(m.exact_sigma2(ts, n)) <= cap
 
 
 def test_hh_unsupported_family():
     ma = m.build_model("moving-average", coeffs=(1.0, 0.5))
     with pytest.raises(m.UnsupportedFamilyError):
-        m.check_hh_hypotheses(ma, [64, 128, 256], reps=200)
+        m.check_hh_hypotheses(ma, [64, 128, 256, 512])
 
 
-def test_hh_grid_beyond_the_sample_cap_raises_before_drawing(monkeypatch):
-    def draw_innovations(*args, **kwargs):
-        raise AssertionError("a row was drawn")
-
-    monkeypatch.setattr(mart, "draw_innovations", draw_innovations)
+def test_hh_grid_beyond_the_sample_cap_is_read_exactly():
+    # no row is drawn, so n is not bounded by the sample cap
     iid = m.build_model("iid-baseline")
-    with pytest.raises(m.SampleTooLargeError):
-        m.check_hh_hypotheses(iid, [64, 2**27], reps=200)
+    rep = m.check_hh_hypotheses(iid, [2**30, 2**40, 2**50, 2**60])
+    assert rep.passed
+    assert rep.rows[-1]["max_dm_q95"] == 2.0**-30
+
+
+def test_hh_reads_no_random_stream_and_no_scipy(tmp_path):
+    # the law is exact: neither numpy.random nor scipy is loaded
+    script = """
+import sys
+import mdepclt as m
+for model in (m.build_model("two-scale", alpha=0.3), m.build_model("tail-coupled")):
+    assert m.check_hh_hypotheses(model, [2**6, 2**8, 2**10, 2**12]).passed
+for name in ("numpy.random", "scipy"):
+    assert name not in sys.modules, name
+"""
+    src = str(Path(mart.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 _MA = m.build_model("moving-average", coeffs=(1.0, 0.5))
 
 
 @pytest.mark.parametrize(
-    "model,n_grid,reps,error,needle",
+    "model,n_grid,error,needle",
     [
-        (m.build_model("iid-baseline"), [], 200, ValueError, "n_grid must be nonempty"),
-        (m.build_model("iid-baseline"), [64, 256], 1, ValueError, "reps must be >= 100"),
-        (m.build_model("iid-baseline"), [64, 256], 10**15, ValueError, f"reps must be <= {m.SAMPLE_CAP}"),
-        (m.build_model("iid-baseline", amplitude=1e-200), [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = 0.0"),
-        (m.build_model("iid-baseline", amplitude=1e160), [64, 256], 200, m.DegenerateVarianceError, "sigma_n^2 = inf"),
-        (_MA, [64, 256], 200, m.UnsupportedFamilyError, _MA.describe()),
+        (m.build_model("iid-baseline"), [], m.InsufficientGridError, "need >= 4 grid points, got 0"),
+        (m.build_model("iid-baseline"), [64, 256, 1024], m.InsufficientGridError, "need >= 4 grid points, got 3"),
+        (m.build_model("iid-baseline", amplitude=1e-200), [64, 256, 1024, 4096], m.DegenerateVarianceError, "sigma_n^2 = 0.0"),
+        (m.build_model("iid-baseline", amplitude=1e160), [64, 256, 1024, 4096], m.DegenerateVarianceError, "sigma_n^2 = inf"),
+        (_MA, [64, 256, 1024, 4096], m.UnsupportedFamilyError, _MA.describe()),
     ],
-    ids=["empty-grid", "one-rep", "reps-beyond-cap", "sigma2-underflow", "sigma2-overflow", "multi-tap-moving-average"],
+    ids=["empty-grid", "three-point-grid", "sigma2-underflow", "sigma2-overflow", "multi-tap-moving-average"],
 )
-def test_hh_rejects_what_it_cannot_handle_before_drawing(monkeypatch, model, n_grid, reps, error, needle):
-    # unchecked, these end in an IndexError, q_sd = nan, inf/nan and
-    # all-zero rows that still read max_square_bounded, or an error raised
-    # only after the first row was drawn
-    def draw_innovations(*args, **kwargs):
-        raise AssertionError("a row was drawn")
-
-    monkeypatch.setattr(mart, "draw_innovations", draw_innovations)
+def test_hh_rejects_what_it_cannot_handle_before_drawing(model, n_grid, error, needle):
+    # unchecked, these end in inf/nan and all-zero rows that still read
+    # max_square_bounded, or in a verdict from too few points
     with pytest.raises(error, match=re.escape(needle)):
-        m.check_hh_hypotheses(model, n_grid, reps=reps)
+        m.check_hh_hypotheses(model, n_grid)
+
+
+_SPIKED = m.build_model("block-repeat", m_schedule=5, spike_frac=0.3)
+_SPIKED_GRID = [100, 400, 1600, 6400]
 
 
 def test_hh1_needs_more_than_rounding_to_read_as_a_decrease():
     # the spike block's increment is sqrt(spike_frac) * sigma_n at every n,
     # so the 95% quantile of max|dM|/sigma_n is constant up to rounding
-    spiked = m.build_model("block-repeat", m_schedule=5, spike_frac=0.3)
-    rep = m.check_hh_hypotheses(spiked, [100, 400, 1600], reps=200, seed=0)
+    rep = m.check_hh_hypotheses(_SPIKED, _SPIKED_GRID)
     q95 = [row["max_dm_q95"] for row in rep.rows]
-    assert q95 == pytest.approx([math.sqrt(0.3)] * 3, rel=1e-14)
+    assert q95 == pytest.approx([math.sqrt(0.3)] * 4, rel=1e-14)
     assert not rep.max_increment_vanishes
 
 
 def test_hh1_margin_absorbs_a_last_bit_decrease(monkeypatch):
-    # a rounding-sized fall of the quantile at the largest n is not a trend
-    increments = mart.increments_from_innovations
+    # a rounding-sized fall of the quantile at the largest n is not a trend:
+    # the verdict's slope margin is far wider than a last bit
+    hh_row = mart._hh_row
 
-    def rounded_down(model, n, innov):
-        dm = increments(model, n, innov)
-        return dm * (1.0 - 2.0**-52) if n == 1600 else dm
+    def rounded_down(model, n):
+        row = hh_row(model, n)
+        return {**row, "max_dm_q95": row["max_dm_q95"] * (1.0 - 2.0**-52)} if n == 6400 else row
 
-    monkeypatch.setattr(mart, "increments_from_innovations", rounded_down)
-    spiked = m.build_model("block-repeat", m_schedule=5, spike_frac=0.3)
-    rep = m.check_hh_hypotheses(spiked, [100, 400, 1600], reps=200, seed=0)
+    monkeypatch.setattr(mart, "_hh_row", rounded_down)
+    rep = m.check_hh_hypotheses(_SPIKED, _SPIKED_GRID)
     assert rep.rows[-1]["max_dm_q95"] < rep.rows[0]["max_dm_q95"]
     assert not rep.max_increment_vanishes
 

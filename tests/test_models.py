@@ -17,13 +17,12 @@ from mdepclt.models import (
     _check_sample_size,
     _enumeration_bits,
     _innovation_count,
-    _innovations,
-    _row_from_innovations,
+    _row_entries,
     _spike_scale,
     row_rng,
 )
 
-from conftest import exact_cov, marginal_law, sample_row
+from conftest import _innovations, exact_cov, marginal_law, sample_row
 
 ALPHA = 0.25
 
@@ -301,7 +300,7 @@ def test_two_scale_row_draws_its_signs_from_the_raw_stream():
     bits = [int(words[i // 64]) >> (i % 64) & 1 for i in range(2 * n + 1)]
     innov = np.array(bits, dtype=float) * 2.0 - 1.0
     row = sample_row(ts, n, seed=3, replicate=1)
-    assert np.array_equal(row, _row_from_innovations(ts, n, innov))
+    assert np.array_equal(row, _row_entries(ts, n, innov))
 
 
 def _factor_one_rows():
@@ -324,8 +323,8 @@ def test_row_map_leaves_the_innovations_alone(model, n):
     rng = np.random.default_rng(n)
     innov = rng.standard_normal((3, _innovation_count(model, n)))
     kept = innov.copy()
-    rows = _row_from_innovations(model, n, innov)
-    row = _row_from_innovations(model, n, innov[1])
+    rows = _row_entries(model, n, innov)
+    row = _row_entries(model, n, innov[1])
     assert np.array_equal(innov, kept)
     assert not np.shares_memory(rows, innov) and not np.shares_memory(row, innov)
     assert np.array_equal(rows[1], row)
@@ -544,7 +543,7 @@ def test_family_table_reproduces_each_view(model, text, config, ms, innovation):
 
 def test_family_branches_stay_few():
     # README's count: the four linear_row arms, ArrayModel.blocks and the
-    # two-scale increments; every other family fact comes from the table
+    # two-scale increment law; every other family fact comes from the table
     pattern = re.compile(r'(fam|family) [!=]= "')
     lines = [
         line
