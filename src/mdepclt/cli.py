@@ -389,7 +389,8 @@ def run(argv=None) -> int:
         return 1 if failed else 0
     except ValueError as exc:
         # ConfigError, model parameter errors, and the engines' own
-        # argument validation (eps > 0, r > 2, 100 <= reps <= SAMPLE_CAP, grids)
+        # argument validation (eps > 0, r > 2, 100 <= reps <= SAMPLE_CAP,
+        # grids, weight groups of S_n below 2^62 innovations)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

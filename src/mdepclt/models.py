@@ -58,8 +58,8 @@ MODEL_CONFIG_KEYS = (
 
 #: hard cap on exhaustively enumerated outcomes
 ENUMERATION_CAP = 2**22
-#: hard cap on the innovations drawn and the entries built for one sampled
-#: row (512 MiB of floats each)
+#: hard cap on the Monte Carlo replicates of one grid point (512 MiB of
+#: floats)
 SAMPLE_CAP = 2**26
 
 # fixed second word of the Philox key; separates this stream universe from
@@ -76,7 +76,8 @@ class EnumerationTooLargeError(ValueError):
 
 
 class SampleTooLargeError(ValueError):
-    """One sampled row would draw or build more than SAMPLE_CAP values."""
+    """A weight group of S_n is too large for one binomial draw (2^62 or
+    more innovations)."""
 
 
 class ContinuousModelError(ValueError):
@@ -437,15 +438,12 @@ def _tap_law(model: ArrayModel, a: float, coeffs: tuple):
 # sampling
 
 
-def _row_counter(n: int, replicate: int) -> np.ndarray:
-    return np.array([0, 0, np.uint64(n), np.uint64(replicate)], dtype=np.uint64)
+def row_rng(seed: int, n: int, stream: int) -> Generator:
+    """Counter-based stream for one (seed, n, stream) cell.
 
-
-def row_rng(seed: int, n: int, replicate: int) -> Generator:
-    """Counter-based stream for one (seed, n, replicate) cell.
-
-    Philox keyed by the seed with (n, replicate) placed in the high counter
-    words: streams never overlap and are independent of worker scheduling.
+    Philox keyed by the seed with (n, stream) placed in the high counter
+    words: streams never overlap.  The Monte Carlo draws nonzero weight
+    group g of S_n from stream g.
     """
     # imported here: numpy.random loads secrets and hashlib, which no
     # command but clt needs
@@ -453,25 +451,11 @@ def row_rng(seed: int, n: int, replicate: int) -> Generator:
 
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must lie in [0, 2^64), got {seed}")
+    if n >= 2**64:
+        raise InvalidParameterError(f"row index n must be < 2^64 to key a stream, got {n}")
     key = np.array([np.uint64(seed), _KEY_SALT], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=_row_counter(n, replicate)))
-
-
-def draw_replicates(seed: int, n: int, reps: int, draw) -> np.ndarray:
-    """[draw(row_rng(seed, n, r)) for r in range(reps)] as a float array.
-
-    One Philox is re-keyed per replicate by setting its state, which costs
-    about a fifth of building a new generator; draw must not keep the
-    generator it is given.
-    """
-    rng = row_rng(seed, n, 0)
-    state = rng.bit_generator.state  # a fresh stream: empty buffer
-    out = np.empty(reps)
-    for r in range(reps):
-        state["state"]["counter"] = _row_counter(n, r)
-        rng.bit_generator.state = state
-        out[r] = draw(rng)
-    return out
+    counter = np.array([0, 0, np.uint64(n), np.uint64(stream)], dtype=np.uint64)
+    return Generator(Philox(key=key, counter=counter))
 
 
 def _innovation_count(model: ArrayModel, n: int) -> int:
@@ -498,20 +482,6 @@ def _row_entries(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
     if factor != 1.0:
         row *= factor  # rounds as factor * row does
     return row
-
-
-def _check_sample_size(model: ArrayModel, n: int) -> None:
-    """Raise unless row n draws at most SAMPLE_CAP innovations into at most
-    SAMPLE_CAP entries; decided from the declaration, before anything is
-    drawn.  The entries can outnumber the innovations (block-repeat repeats
-    one innovation per block, tail-coupled shares one across m entries)."""
-    _check_n(n)
-    count, _, segments = linear_row(model, n)
-    N = sum(c for c, _, _ in segments)
-    if max(count, N) > SAMPLE_CAP:
-        raise SampleTooLargeError(
-            f"{model.describe()} at n={n} draws {count} innovations into {N} entries per row (cap {SAMPLE_CAP})"
-        )
 
 
 def _check_reps(reps: int) -> None:

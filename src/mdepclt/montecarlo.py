@@ -5,11 +5,12 @@ straight from the weight groups of S_n (models.sum_weight_groups) instead of
 summing a sampled row: S_n = a * sum(w * zeta) over groups of c innovations
 sharing the weight w, with a = amplitude * scale, and sigma_n =
 a * sqrt(sum(c * w^2)), so a cancels.  A Rademacher group contributes
-w * (2B - c) with B ~ Bin(c, 1/2), one binomial draw per group with w != 0;
-a Gaussian S_n/sigma_n is one standard normal.  The cost of a replicate does
-not grow with n.  A whole row mapped from its drawn innovations stays the
-independent reference: the tests (tests/conftest.py) check that its row
-sums and these draws agree in law.
+w * (2B - c) with B ~ Bin(c, 1/2), so a grid point takes one binomial call
+per group with w != 0, each for all replicates at once; a Gaussian
+S_n/sigma_n is a standard normal, one call for all replicates.  The cost of
+a grid point does not grow with n.  A whole row mapped from its drawn
+innovations stays the independent reference: the tests (tests/conftest.py)
+check that its row sums and these draws agree in law.
 
 S_n is normalized by the exact closed-form sigma_n (never the sample
 standard deviation), so the empirical distribution targets exactly the
@@ -28,11 +29,11 @@ import numpy as np
 
 from .models import (
     ArrayModel,
+    SampleTooLargeError,
     _check_reps,
-    _check_sample_size,
     _sigma,
-    draw_replicates,
     model_to_config,
+    row_rng,
     sum_weight_groups,
 )
 
@@ -61,30 +62,33 @@ class ConvergenceReport:
     final_ks: float
 
 
-def _sum_sampler(model: ArrayModel, n: int):
-    """rng -> one draw of S_n/sigma_n from the nonzero weight groups of row n."""
-    if not model.is_discrete:
-        return lambda rng: rng.standard_normal()
-    groups = [(c, w) for c, w in sum_weight_groups(model, n) if w != 0.0]
-    sd = math.sqrt(sum(c * w * w for c, w in groups))
-    return lambda rng: sum(w * (2 * rng.binomial(c, 0.5) - c) for c, w in groups) / sd
-
-
 def simulate_normalized_sums(
     model: ArrayModel, n: int, reps: int, seed: int = 0
 ) -> EmpiricalDistribution:
     """Draw reps independent values of S_n/sigma_n, sorted ascending.
 
     S_n/sigma_n is drawn from the weight groups of S_n (see the module
-    docstring), not summed from a sampled row and divided.  Each replicate
-    has its own counter-based stream, that of row_rng(seed, n, replicate),
-    so the result is bit-identical however the replicate range is
-    partitioned across workers.
+    docstring), not summed from a sampled row and divided.  Nonzero weight
+    group g draws its reps binomials from its own stream, row_rng(seed, n, g);
+    a Gaussian row draws its reps normals from row_rng(seed, n, 0).  So the
+    first r draws are the same for every reps >= r.
     """
     _check_reps(reps)
-    _check_sample_size(model, n)
     _sigma(model, n)  # raises unless 0 < sigma_n^2 < inf
-    out = draw_replicates(seed, n, reps, _sum_sampler(model, n))
+    if model.is_discrete:
+        groups = [(c, w) for c, w in sum_weight_groups(model, n) if w != 0.0]
+        largest = max(c for c, _ in groups)
+        if largest >= 2**62:  # 2B - c of a larger group's draw B can overflow int64
+            raise SampleTooLargeError(
+                f"{model.describe()} at n={n} has a weight group of {largest} innovations (cap 2^62)"
+            )
+        out = sum(
+            w * (2 * row_rng(seed, n, g).binomial(c, 0.5, reps) - c)
+            for g, (c, w) in enumerate(groups)
+        )
+        out /= math.sqrt(sum(c * w * w for c, w in groups))
+    else:
+        out = row_rng(seed, n, 0).standard_normal(reps)
     out.sort()
     return EmpiricalDistribution(n, reps, seed, out)
 
@@ -123,8 +127,6 @@ def convergence_sweep(
     n_grid = list(n_grid)
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be nonempty and strictly increasing")
-    for n in n_grid:
-        _check_sample_size(model, n)
     rows = []
     for n in n_grid:
         emp = simulate_normalized_sums(model, n, reps, seed)

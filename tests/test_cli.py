@@ -245,28 +245,27 @@ def test_clt_csv(tmp_path, two_scale_config):
     assert out.read_text().splitlines()[0] == "n,ks_stat,reps,seed"
 
 
-@pytest.mark.parametrize(
-    "model,needle",
-    [
-        ({"family": "iid-baseline"}, "1099511627776 innovations into 1099511627776 entries"),
-        # 16 blocks of m = n^0.9: few innovations, 2^40 entries
-        ({"family": "block-repeat", "beta": 0.9}, "16 innovations into 1099511627776 entries"),
-    ],
-    ids=["iid-baseline", "block-repeat"],
-)
-def test_clt_row_beyond_the_sample_cap_is_exit_2(tmp_path, capsys, monkeypatch, model, needle):
-    # the whole grid is checked before the first replicate is drawn
-    def draw_replicates(*args, **kwargs):
-        raise AssertionError("drew before the size check")
+def test_clt_runs_at_a_row_of_2_40_innovations(capsys):
+    # S_n/sigma_n is drawn from the weight groups, so no row of n entries
+    # is built and no row size is refused
+    code = run_cli("--cmd", "clt", "--model", "iid-baseline", "--n-grid", "1099511627776", "--reps", "100")
+    assert code in (0, 1)
+    assert json.loads(capsys.readouterr().out)["grid"][0]["n"] == 2**40
 
-    monkeypatch.setattr(mc, "draw_replicates", draw_replicates)
-    config = tmp_path / "model.json"
-    config.write_text(json.dumps(model))
-    code = run_cli(
-        "--cmd", "clt", "--config", str(config),
-        "--n-grid", "64,1099511627776", "--reps", "100",
-    )
-    _assert_config_error(code, capsys, f"{needle} per row (cap 67108864)")
+
+@pytest.mark.parametrize(
+    "model,n,needle",
+    [
+        # 2B - c of a binomial draw B of this group would not fit an int64
+        ("iid-baseline", 2**62, "weight group of 4611686018427387904 innovations (cap 2^62)"),
+        # a Gaussian row draws no binomial, but n no longer keys a stream
+        ("tail-coupled", 2**64, "n must be < 2^64 to key a stream"),
+    ],
+    ids=["group-2^62", "gaussian-n-2^64"],
+)
+def test_clt_beyond_what_a_draw_can_take_is_exit_2(capsys, model, n, needle):
+    code = run_cli("--cmd", "clt", "--model", model, "--n-grid", str(n), "--reps", "100")
+    _assert_config_error(code, capsys, needle)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import mdepclt as m
 from mdepclt import models
 from mdepclt.models import (
-    _check_sample_size,
     _enumeration_bits,
     _innovation_count,
     _row_entries,
@@ -328,24 +327,6 @@ def test_row_map_leaves_the_innovations_alone(model, n):
     assert np.array_equal(innov, kept)
     assert not np.shares_memory(rows, innov) and not np.shares_memory(row, innov)
     assert np.array_equal(rows[1], row)
-
-
-def test_sample_size_is_capped_on_the_declaration():
-    iid = m.build_model("iid-baseline")
-    _check_sample_size(iid, m.SAMPLE_CAP)
-    with pytest.raises(m.SampleTooLargeError):
-        _check_sample_size(iid, m.SAMPLE_CAP + 1)
-    ts = m.build_model("two-scale", alpha=0.25)  # 2n + 1 innovations
-    with pytest.raises(m.SampleTooLargeError):
-        _check_sample_size(ts, m.SAMPLE_CAP // 2)
-    # more entries than innovations: N = n + m_n, and J blocks of m_n
-    tc = m.build_model("tail-coupled", m_schedule=m.Schedule("power", 0.25))
-    with pytest.raises(m.SampleTooLargeError):
-        _check_sample_size(tc, m.SAMPLE_CAP - 1)
-    br = m.build_model("block-repeat", m_schedule=m.Schedule("power", 0.9))
-    _check_sample_size(br, m.SAMPLE_CAP)  # N <= n
-    with pytest.raises(m.SampleTooLargeError):
-        _check_sample_size(br, 2 * m.SAMPLE_CAP)  # 6 innovations
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Monte Carlo lab: KS statistic, reproducibility, moment sanity."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,12 +26,18 @@ def test_simulation_reproducible_and_sorted():
 
 
 def test_simulation_prefix_stability():
-    # replicate r is the same draw no matter how many replicates are run:
-    # the counter-based streams do not depend on the batch size
-    iid = m.build_model("iid-baseline")
-    short = m.simulate_normalized_sums(iid, 64, reps=150, seed=9)
-    long = m.simulate_normalized_sums(iid, 64, reps=300, seed=9)
-    assert set(np.round(short.samples, 12)) <= set(np.round(long.samples, 12))
+    # replicate r is the same draw no matter how many replicates are run,
+    # on rows of one weight group and of several: every group has its own
+    # stream, so its first draws do not depend on the batch size
+    for model in (
+        m.build_model("iid-baseline"),
+        m.build_model("two-scale", alpha=0.25),
+        m.build_model("block-repeat", m_schedule=1, spike_frac=0.9),
+        m.build_model("tail-coupled"),
+    ):
+        short = m.simulate_normalized_sums(model, 64, reps=150, seed=9)
+        long = m.simulate_normalized_sums(model, 64, reps=300, seed=9)
+        assert Counter(np.round(short.samples, 12)) <= Counter(np.round(long.samples, 12)), model.describe()
 
 
 def test_simulation_rejects_tiny_reps():
@@ -40,10 +47,10 @@ def test_simulation_rejects_tiny_reps():
 
 def test_simulation_rejects_reps_beyond_the_sample_cap(monkeypatch):
     # unchecked, the replicate array of 10^15 floats ends in a MemoryError
-    def draw_replicates(*args, **kwargs):
-        raise AssertionError("drew before the reps check")
+    def row_rng(*args, **kwargs):
+        raise AssertionError("built a stream before the reps check")
 
-    monkeypatch.setattr(mc, "draw_replicates", draw_replicates)
+    monkeypatch.setattr(mc, "row_rng", row_rng)
     with pytest.raises(ValueError, match=f"reps must be <= {m.SAMPLE_CAP}"):
         m.simulate_normalized_sums(m.build_model("iid-baseline"), 64, reps=10**15)
 
@@ -158,27 +165,30 @@ def test_gaussian_direct_draws_are_standard_normal(model, n):
 def test_row_sums_and_direct_draws_agree_in_law(model):
     # whole rows stay an independent check of the direct draws at a size
     # enumeration cannot reach; the seeds differ so the samples are
-    # independent, and sqrt(2) widens the band to two samples
+    # independent (under one seed, replicate g of the rows and weight group
+    # g of the direct draws read the same stream), and sqrt(2) widens the
+    # band to two samples
     n, reps = 2**10, 2000
     rows = _row_sums(model, n, reps, seed=1)
     direct = m.simulate_normalized_sums(model, n, reps, seed=2).samples
     assert _two_sample_ks(rows, direct) <= math.sqrt(2) * m.kolmogorov_band(reps, 1 - 1e-6)
 
 
-def test_replicate_r_is_drawn_from_the_row_rng_stream():
-    # re-keying one generator per replicate gives the stream a fresh
-    # row_rng(seed, n, r) would: the partition-invariance promise rests on it
-    ts = m.build_model("two-scale", alpha=0.25)
+def test_weight_group_g_is_drawn_from_stream_g():
+    # the stream contract: nonzero weight group g of a Rademacher row draws
+    # all reps binomials from row_rng(seed, n, g), and a Gaussian row draws
+    # all reps normals from row_rng(seed, n, 0)
     n, reps, seed = 256, 150, 4
-    draw = m.montecarlo._sum_sampler(ts, n)
-    fresh = np.sort([draw(m.row_rng(seed, n, r)) for r in range(reps)])
-    assert np.array_equal(m.simulate_normalized_sums(ts, n, reps, seed).samples, fresh)
+    ts = m.build_model("two-scale", alpha=0.25)
+    groups = [(c, w) for c, w in m.models.sum_weight_groups(ts, n) if w != 0.0]
+    assert len(groups) == 3
+    sums = sum(w * (2 * m.row_rng(seed, n, g).binomial(c, 0.5, reps) - c) for g, (c, w) in enumerate(groups))
+    expected = np.sort(sums / math.sqrt(sum(c * w * w for c, w in groups)))
+    assert np.array_equal(m.simulate_normalized_sums(ts, n, reps, seed).samples, expected)
 
-    def mixed(rng):
-        return rng.binomial(n, 0.5) + rng.bit_generator.random_raw(3).sum() % 7 + rng.standard_normal()
-
-    fresh = [mixed(m.row_rng(seed, n, r)) for r in range(5)]
-    assert np.array_equal(m.models.draw_replicates(seed, n, 5, mixed), fresh)
+    tc = m.build_model("tail-coupled")
+    expected = np.sort(m.row_rng(seed, n, 0).standard_normal(reps))
+    assert np.array_equal(m.simulate_normalized_sums(tc, n, reps, seed).samples, expected)
 
 
 # ---------------------------------------------------------------------------
