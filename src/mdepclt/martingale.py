@@ -227,30 +227,38 @@ def _scalar_result(name: str, lhs: float, rhs: float, err: float, tol: float, de
     return CheckResult(name, False, err, {**(detail or {}), "lhs": lhs, "rhs": rhs, "err": err, "identity": name})
 
 
-def _sliced_result(name: str, maxima: list, err_at, tol: float, names=("outcome", "i", "k")) -> CheckResult:
-    """_result of the error array whose slice along its last index j is
-    err_at(j), given the maximum of every slice.  On a failure the slices
-    that hold the worst value are rebuilt to name its first index in C
-    order, the one np.argmax over the whole array gives."""
-    maxima = np.array(maxima)
-    worst = float(maxima.max())
-    if worst <= tol:
-        return CheckResult(name, True, worst)
-    hits = []
-    for j in np.flatnonzero((maxima == worst) | np.isnan(maxima)):
-        err = err_at(j)
-        idx = np.unravel_index(int(np.argmax(err)), err.shape)
-        hits.append((*(int(v) for v in idx), int(j), float(err[idx])))
-    *index, e = min(hits)
-    return CheckResult(name, False, worst, {**dict(zip(names, index)), "err": e, "identity": name})
+class _SliceErrors:
+    """One identity's errors along a walk over slices j, the error of a
+    residual r being max(|r| - allowance, 0): the maximum of every slice,
+    and the first worst entry of each slice whose maximum fails tol."""
 
+    __slots__ = ("name", "tol", "names", "allowance", "maxima", "hits")
 
-def _abs_max(block: np.ndarray):
-    """max |block| without a full-size temporary; NaN if the block holds a
-    NaN, and 0 if it is empty."""
-    if not block.size:
-        return 0.0
-    return max(block.max(), -block.min())
+    def __init__(self, name: str, tol: float, names=("outcome", "i", "k"), allowance: float = 0.0):
+        self.name, self.tol, self.names, self.allowance = name, tol, names, allowance
+        self.maxima, self.hits = [], []
+
+    def add(self, j: int, block: np.ndarray, i0: int = 0) -> None:
+        """Slice j's residuals, laid out (outcomes,) or (i - i0, outcomes)."""
+        # max |block| without a full-size temporary, NaN if it holds one
+        worst = np.maximum(max(block.max(), -block.min()) - self.allowance, 0.0) if block.size else 0.0
+        self.maxima.append(worst)
+        if not worst <= self.tol:  # NaN included
+            err = np.abs(block.T)  # (outcome, i) in C order
+            err -= self.allowance
+            np.maximum(err, 0.0, out=err)
+            idx = np.unravel_index(int(np.argmax(err)), err.shape)
+            index = (int(idx[0]), *(int(i) + i0 for i in idx[1:]), j)
+            self.hits.append((worst, (*index, float(err[idx]))))
+
+    def result(self) -> CheckResult:
+        """The check of the whole error array; a failure names its first
+        worst entry in C order, the one np.argmax over it gives."""
+        worst = float(np.max(self.maxima))
+        if worst <= self.tol:
+            return CheckResult(self.name, True, worst)
+        *index, e = min(hit for w, hit in self.hits if w == worst or math.isnan(w))
+        return CheckResult(self.name, False, worst, {**dict(zip(self.names, index)), "err": e, "identity": self.name})
 
 
 def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
@@ -262,83 +270,56 @@ def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
     partial-sum-form    M_k = sum_{i<=k} X_i + sum_{i=k+1}^{k+m} W[i, k]
     endpoint            M_0 = 0 and M_N = S_n
 
-    The first four are asserted in one pass over k that holds the slice
+    The first four are asserted in one walk over k that holds the slice
     W[:, :, k] and the rows of W[:, :, k-1] its window reads; a failing
-    identity rebuilds the slices it needs to name its first violation.
+    identity is named from the slices that walk holds.
     """
-    return _structure_pass(trace)[0]
+    return _walk(trace)
 
 
-def _structure_pass(trace: MartingaleTrace) -> tuple[list[CheckResult], list]:
-    """check_structure's results, and max |W_k| for k = 0..N taken from the
-    same slices, so that trace_summary builds each slice once.
+def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResult]:
+    """check_structure's results and, given a bound, conditional-bound
+    |W| <= bound after them, from one walk over the slices of W.
 
-    The pass reads each slice as Wt = W[:, :, k].T, whose row i holds
-    E(X_{i+1} | prefix k) on every outcome: each identity takes the maximum
-    over its own rows only (past i < k, future i >= k + m, and the window
-    in between), and the window sums add at most m + 1 contiguous rows.
-    The (outcomes, N) errors, zero outside their rows, are built only on a
-    failure, to name its first entry."""
+    The walk reads each slice as Wt = W[:, :, k].T, whose row i holds
+    E(X_{i+1} | prefix k) on every outcome: each identity takes its
+    residuals over its own rows only (past i < k, future i >= k + m, and
+    the window in between), and the window sums add at most m + 1
+    contiguous rows.  A slice's errors, indexed (outcome, i), are built
+    only when its maximum fails, to name its first worst entry."""
     rows = trace.table.rows
     N = rows.shape[1]
     m = trace.m
     M, dM = trace.M, trace.dM
-
-    def window(k, Wt, prev):  # column k-1 of |dM - reconstruction|; prev = rows k-1.. of slice k-1
-        hi = min(k + m, N)
-        return np.abs(dM[:, k - 1] - (Wt[k - 1 : hi] - prev[: hi - k + 1]).sum(axis=0))
-
-    def partial(k, Wt, head):  # head = X_1 + ... + X_k, added in order
-        hi = min(k + m, N)
-        tail = Wt[k:hi].sum(axis=0) if hi > k else 0.0
-        return np.abs(M[:, k] - (head + tail))
-
-    def past_err(k):
-        err = np.zeros_like(rows)
-        np.abs(trace.w_slice(k)[:, :k] - rows[:, :k], out=err[:, :k])
-        return err
-
-    def future_err(k):
-        err = np.zeros_like(rows)
-        np.abs(trace.w_slice(k)[:, k + m :], out=err[:, k + m :])
-        return err
-
-    def window_at(c):
-        return window(c + 1, trace.w_slice(c + 1).T, trace.w_slice(c).T[c:])
-
-    def partial_at(k):
-        head = np.cumsum(rows[:, :k], axis=1)[:, -1] if k else 0.0
-        return partial(k, trace.w_slice(k).T, head)
-
-    maxima = {"past": [], "future": [], "window": [], "partial": [], "abs": []}
+    past = _SliceErrors("measurable-past", _STRUCTURE_TOL)
+    future = _SliceErrors("independent-future", _STRUCTURE_TOL)
+    window = _SliceErrors("window-difference", _STRUCTURE_TOL, names=("outcome", "k"))
+    partial = _SliceErrors("partial-sum-form", _STRUCTURE_TOL, names=("outcome", "k"))
+    bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound) if bound is not None else None
     weighted = _weighted_columns(trace.table)
-    head = np.zeros(rows.shape[0])
+    head = np.zeros(rows.shape[0])  # X_1 + ... + X_k, added in order
     prev = None
     for k in range(N + 1):
         Wt = trace.w_slice(k, weighted).T
-        maxima["abs"].append(_abs_max(Wt))
-        maxima["past"].append(_abs_max(Wt[:k] - rows.T[:k]))
-        maxima["future"].append(_abs_max(Wt[k + m :]))
+        hi = min(k + m, N)
+        past.add(k, Wt[:k] - rows.T[:k])
+        future.add(k, Wt[k + m :], k + m)
         if k > 0:
-            maxima["window"].append(window(k, Wt, prev).max())
+            window.add(k - 1, dM[:, k - 1] - (Wt[k - 1 : hi] - prev[: hi - k + 1]).sum(axis=0))
             head += rows[:, k - 1]
-        maxima["partial"].append(partial(k, Wt, head).max())
+        partial.add(k, M[:, k] - (head + (Wt[k:hi].sum(axis=0) if hi > k else 0.0)))
+        if bounded:
+            bounded.add(k, Wt)
         # the next window reads rows k..k+m of this slice only: a copy of
         # them lets the slice go before the next one is built
         prev = Wt[k : k + m + 1].copy()
         del Wt
 
-    results = [
-        _sliced_result("measurable-past", maxima["past"], past_err, _STRUCTURE_TOL),
-        _sliced_result("independent-future", maxima["future"], future_err, _STRUCTURE_TOL),
-        _sliced_result("window-difference", maxima["window"], window_at, _STRUCTURE_TOL, names=("outcome", "k")),
-        _sliced_result("partial-sum-form", maxima["partial"], partial_at, _STRUCTURE_TOL, names=("outcome", "k")),
-    ]
-
     s = trace.table.row_sums()
     err = np.maximum(np.abs(M[:, 0]), np.abs(M[:, N] - s))
+    results = [w.result() for w in (past, future, window, partial)]
     results.append(_result("endpoint", err, _STRUCTURE_TOL, names=("outcome",)))
-    return results, maxima["abs"]
+    return results + ([bounded.result()] if bounded else [])
 
 
 def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
@@ -350,22 +331,15 @@ def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
     E Q = E S^2 and Var Q <= 48 eps^2 E S^2.  The realized slack ratios
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
-    weighted = _weighted_columns(trace.table)
-    return _bounds(trace, eps, (_abs_max(trace.w_slice(k, weighted)) for k in range(len(trace.prefix_ids))))
+    bound, s2 = _hypotheses(trace, eps)
+    return _walk(trace, bound)[-1:] + _bounds(trace, eps, s2)
 
 
-def _bounds(trace: MartingaleTrace, eps: float, w_max) -> list[CheckResult]:
-    """check_bounds given max |W_k| for k = 0..N.  w_max is read once, after
-    the hypotheses are checked, so it may be a generator that builds the
-    slices.  max(|W_k| - eps/m, 0) is largest where |W_k| is, since float
-    subtraction is monotone, so its slice maxima follow from w_max; the
-    elementwise errors are rebuilt only on a failure."""
-    rows = trace.table.rows
-    probs = trace.table.probs
-    n_out, N = rows.shape
-    m_eff = max(trace.m, 1)
-    bound = eps / m_eff
-    max_x = float(np.abs(rows).max())
+def _hypotheses(trace: MartingaleTrace, eps: float) -> tuple[float, float]:
+    """(eps/max(m, 1), sigma_n^2) once the hypotheses of check_bounds
+    hold; raises HypothesisViolationError otherwise."""
+    bound = eps / max(trace.m, 1)
+    max_x = float(np.abs(trace.table.rows).max())
     if max_x > bound * (1 + 1e-12):
         raise HypothesisViolationError(
             f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})"
@@ -373,15 +347,16 @@ def _bounds(trace: MartingaleTrace, eps: float, w_max) -> list[CheckResult]:
     s2 = trace.sigma2
     if not eps**2 * s2 > 0:
         raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps**2 * s2:.6g} is not a positive float")
+    return bound, s2
+
+
+def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> list[CheckResult]:
+    """check_bounds' results after conditional-bound, which need no slice
+    of W, given s2 = sigma_n^2 from _hypotheses."""
+    rows = trace.table.rows
+    probs = trace.table.probs
+    N = rows.shape[1]
     results = []
-
-    def over(Wk):
-        err = np.abs(Wk)
-        err -= bound
-        return np.maximum(err, 0.0, out=err)
-
-    maxima = [np.maximum(w - bound, 0.0) for w in w_max]
-    results.append(_sliced_result("conditional-bound", maxima, lambda k: over(trace.w_slice(k)), _BOUND_TOL))
 
     err = np.abs(trace.dM)
     dm_max = float(err.max())
@@ -633,11 +608,12 @@ def check_hh_hypotheses(model: ArrayModel, n_grid) -> HHReport:
 def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
     checks included at the smallest eps they apply to, max(m, 1) * max|X|.
-    The structure and bound checks share one pass over the slices of W."""
+    The structure and bound checks share one walk over the slices of W."""
     eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    structure, w_max = _structure_pass(trace)
+    bound, s2 = _hypotheses(trace, eps)
+    *structure, conditional = _walk(trace, bound)
     tower = check_tower(trace)
-    bounds = _bounds(trace, eps, w_max)
+    bounds = [conditional] + _bounds(trace, eps, s2)
     probs = trace.table.probs
     eq = float(_weighted_sum(probs, trace.Q))
     var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
@@ -645,7 +621,7 @@ def trace_summary(trace: MartingaleTrace) -> dict:
         "n": trace.n,
         "m": trace.m,
         "outcomes": int(trace.table.rows.shape[0]),
-        "sigma2": trace.sigma2,
+        "sigma2": s2,
         "sum_q": float(trace.q.sum()),
         "var_q": var_q,
         "max_abs_dm": float(np.abs(trace.dM).max()),

@@ -147,6 +147,10 @@ def test_a_non_finite_w_entry_fails_the_identity_of_its_region(traces, i, k, ide
     bad = _perturbed(trace, edit)
     results = {res.name: res for res in m.check_structure(bad)}
     assert not results[identity].passed, results[identity]
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    bound = m.check_bounds(bad, eps)[0]
+    assert bound.name == "conditional-bound" and not bound.passed
+    assert (bound.detail["outcome"], bound.detail["i"], bound.detail["k"]) == (11, i - 1, k)
     summary = m.trace_summary(bad)
     assert not (summary["structure_passed"] and summary["bounds_passed"])
 
@@ -239,6 +243,43 @@ def test_structure_failure_names_the_first_worst_entry_in_c_order(traces):
 # bounds under the boundedness hypothesis
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), sign=st.sampled_from([1.0, -1.0]))
+def test_conditional_bound_names_the_entry_above_eps_over_m(traces, data, sign):
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    n_out, N = trace.table.rows.shape
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    o = data.draw(st.integers(0, n_out - 1), label="outcome")
+    i = data.draw(st.integers(0, N - 1), label="i")
+    k = data.draw(st.integers(0, N), label="k")
+
+    def edit(kk, Wk):
+        if kk == k:
+            Wk[o, i] = sign * 1.5 * eps / max(trace.m, 1)
+
+    res = m.check_bounds(_perturbed(trace, edit), eps)[0]
+    assert res.name == "conditional-bound" and not res.passed
+    assert res.detail == {"outcome": o, "i": i, "k": k, "err": res.max_abs_err, "identity": "conditional-bound"}
+
+
+def test_conditional_bound_names_the_first_worst_entry_in_c_order(traces):
+    # equal worst |W| in three slices: the one first in (outcome, i, k)
+    # order is named, whatever order the walk meets them in
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    big = 2 * eps / max(trace.m, 1)
+    first, same_outcome, later = (4, 1, 5), (4, 3, 0), (9, 0, 1)
+
+    def edit(k, Wk):
+        for (o, i, kk), value in ((first, -big), (same_outcome, big), (later, big)):
+            if kk == k:
+                Wk[o, i] = value
+
+    res = m.check_bounds(_perturbed(trace, edit), eps)[0]
+    assert res.name == "conditional-bound" and not res.passed
+    assert (res.detail["outcome"], res.detail["i"], res.detail["k"]) == first
+
+
 def test_bounds_pass_with_tight_eps(traces):
     for model, n, trace in traces.values():
         eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
@@ -253,8 +294,10 @@ def test_bounds_pass_with_tight_eps(traces):
 def test_bounds_reject_unbounded_model(traces):
     _, _, trace = traces["two-scale(alpha=0.3)"]
     max_x = float(np.abs(trace.table.rows).max())
+    calls = []
     with pytest.raises(m.HypothesisViolationError):
-        m.check_bounds(trace, 0.5 * max_x)
+        m.check_bounds(_perturbed(trace, lambda k, Wk: calls.append(k)), 0.5 * max_x)
+    assert calls == []  # raised before any slice of W is built
 
 
 def test_increment_bound_equality_case():
@@ -727,6 +770,39 @@ def test_trace_summary_builds_each_slice_once(traces):
     assert summary["structure_passed"] and summary["bounds_passed"]
     N = trace.table.rows.shape[1]
     assert sorted(calls) == list(range(N + 1))
+
+
+@pytest.mark.parametrize(
+    "i,k,value,identity,named",
+    [
+        (2, 3, 1e-3, "measurable-past", {"i": 2, "k": 3}),
+        (3, 3, 1e-3, "partial-sum-form", {"k": 3}),
+        (4, 2, 1e-3, "independent-future", {"i": 4, "k": 2}),
+        (3, 3, 5.0, "conditional-bound", {"i": 3, "k": 3}),
+    ],
+    ids=["past", "window", "future", "above-eps-over-m"],
+)
+def test_a_failing_check_is_named_from_its_one_walk(traces, i, k, value, identity, named):
+    # a failure rebuilds no slice: each check still builds each slice once
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    N = trace.table.rows.shape[1]
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    calls = []
+
+    def edit(kk, Wk):
+        calls.append(kk)
+        if kk == k:
+            Wk[11, i] += value
+
+    bad = _perturbed(trace, edit)
+    assert not m.trace_summary(bad)["checks"][identity]
+    assert sorted(calls) == list(range(N + 1))
+    results = {}
+    for check in (m.check_structure, lambda t: m.check_bounds(t, eps)):
+        calls.clear()
+        results.update({res.name: res for res in check(bad)})
+        assert sorted(calls) == list(range(N + 1))
+    assert {"outcome": 11, **named, "identity": identity}.items() <= results[identity].detail.items()
 
 
 def test_trace_summary_fields(traces):
