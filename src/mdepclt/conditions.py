@@ -29,7 +29,7 @@ romano-wolf RW6       RW6              tends-to-zero
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,8 +279,17 @@ def condition_series(func, model: ArrayModel, n_grid, **kwargs) -> list:
             series.append(func(model, n, **kwargs))
         except (OverflowError, ZeroDivisionError) as exc:
             call = f"{func.__name__}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
-            raise ValueError(f"{call} at n={n} leaves the float range: {exc.args[-1]}") from None
+            raise ValueError(f"{call} at {_name_n(n)} leaves the float range: {exc.args[-1]}") from None
     return series
+
+
+def _name_n(n: int) -> str:
+    """n named as 2^k when a power of two, else by its bit length (such n
+    can run to hundreds of digits)."""
+    n = int(n)
+    if n > 0 and n & (n - 1) == 0:
+        return f"n=2^{n.bit_length() - 1}"
+    return f"n of {n.bit_length()} bits"
 
 
 def condition_report(func, model: ArrayModel, n_grid, **kwargs) -> ConditionReport:
@@ -309,11 +318,23 @@ def holds(report: ConditionReport) -> bool:
 # serialization
 
 
+def _value_to_dict(cv: ConditionValue) -> dict:
+    # field by field: dataclasses.asdict deep-copies every record
+    return {
+        "condition_id": cv.condition_id,
+        "n": cv.n,
+        "value": cv.value,
+        "method": cv.method,
+        "mc_std_err": cv.mc_std_err,
+        "eq": cv.eq,
+    }
+
+
 def report_to_dict(report: ConditionReport) -> dict:
     return {
         "condition_id": report.condition_id,
         "eq": report.eq,
-        "grid": [asdict(cv) for _, cv in report.grid],
+        "grid": [_value_to_dict(cv) for _, cv in report.grid],
         "loglog_slope": report.loglog_slope,
         "slope_std_err": report.slope_std_err,
         "verdict": report.verdict,

@@ -58,7 +58,8 @@ class DiscreteLaw:
     """A finitely supported law given by (values, probs).
 
     Duplicate support points are merged on construction so moment sums run
-    over the minimal support.
+    over the minimal support.  from_points returns read-only arrays, so
+    one law can be shared by every caller of a cache.
     """
 
     values: np.ndarray
@@ -76,6 +77,7 @@ class DiscreteLaw:
         uniq, inverse = np.unique(values, return_inverse=True)
         merged = np.zeros_like(uniq)
         np.add.at(merged, inverse, probs)
+        uniq.flags.writeable = merged.flags.writeable = False
         return DiscreteLaw(uniq, merged)
 
     def mean(self) -> float:

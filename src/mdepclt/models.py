@@ -40,6 +40,7 @@ the truncation centring all follow from this declaration.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -61,6 +62,10 @@ ENUMERATION_CAP = 2**22
 #: hard cap on the Monte Carlo replicates of one grid point (512 MiB of
 #: floats)
 SAMPLE_CAP = 2**26
+
+#: entries kept by each per-(model, n) cache (exact_sigma2,
+#: marginal_law_groups); a sweep fills 102
+_CACHE_SIZE = 4096
 
 # fixed second word of the Philox key; separates this stream universe from
 # other Philox users with small integer seeds
@@ -157,6 +162,11 @@ class ArrayModel:
 
     family: str
     params: dict = field(default_factory=dict)
+
+    def __hash__(self) -> int:
+        # every parameter value is hashable, and equal models hash equal,
+        # so a model can key the per-(model, n) caches
+        return hash((self.family, tuple(sorted(self.params.items()))))
 
     def m(self, n: int) -> int:
         """Dependence range of row n."""
@@ -496,9 +506,10 @@ def _check_reps(reps: int) -> None:
 # exact second-moment structure
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def exact_sigma2(model: ArrayModel, n: int) -> float:
     """Var S_n = (amplitude * scale)^2 * sum(count * w^2) over the S_n
-    weight groups."""
+    weight groups; computed once per (model, n)."""
     _check_n(n)
     a = model.amplitude * linear_row(model, n)[1]
     return a * a * sum(count * w * w for count, w in sum_weight_groups(model, n))
@@ -543,12 +554,14 @@ def cov_band(model: ArrayModel, n: int, d: int) -> np.ndarray:
     return a * a * band
 
 
-def marginal_law_groups(model: ArrayModel, n: int) -> list:
-    """Distinct entry laws of row n with multiplicities [(count, law), ...].
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def marginal_law_groups(model: ArrayModel, n: int) -> tuple:
+    """Distinct entry laws of row n with multiplicities ((count, law), ...).
 
     Segments with equal coefficients share one law, so condition
     functionals sum over at most one law per segment instead of over all
-    N_n indices.
+    N_n indices.  Built once per (model, n): every caller shares the one
+    tuple, whose laws are read-only.
     """
     _check_n(n)
     _, scale, segments = linear_row(model, n)
@@ -557,7 +570,7 @@ def marginal_law_groups(model: ArrayModel, n: int) -> list:
         coeffs = tuple(c for _, c in taps)
         counts[coeffs] = counts.get(coeffs, 0) + count
     a = model.amplitude * scale
-    return [(count, _tap_law(model, a, coeffs)) for coeffs, count in counts.items()]
+    return tuple((count, _tap_law(model, a, coeffs)) for coeffs, count in counts.items())
 
 
 def _sliding_sum(x: np.ndarray, width: int) -> np.ndarray:

@@ -298,6 +298,20 @@ def test_sweep_reproduces_inclusion_narrative(sweep_payload_cached):
     assert br["lindeberg-mdep"] and br["berk(delta=2)"] and br["romano-wolf(delta=2,gamma=0)"]
 
 
+def test_each_row_law_and_sigma2_is_built_once_per_model_and_n():
+    cached = (models.marginal_law_groups, models.exact_sigma2)
+    for fn in cached:
+        fn.cache_clear()
+    cli.sweep_payload(cli.SWEEP_N_GRID, cond.DEFAULT_EPS_GRID, cond.DEFAULT_R_GRID)
+    # 6 catalogue models x 17 sizes, against 1 530 and 1 632 calls
+    assert [fn.cache_info().misses for fn in cached] == [102, 102]
+    for fn in cached:
+        fn.cache_clear()
+    ma = cli.catalogue()["moving-average"]
+    cli.conditions_payload(ma, cli.parse_grid("6..22"), cond.DEFAULT_EPS_GRID, cond.DEFAULT_R_GRID)
+    assert [fn.cache_info().misses for fn in cached] == [17, 17]
+
+
 def test_sweep_rows_are_holds_of_the_condition_reports(tmp_path):
     grid = "6..12"
     out = tmp_path / "sweep.json"
@@ -378,6 +392,14 @@ def test_grid_exponents_beyond_the_float_range_are_rejected(capsys):
     assert code == 2
     assert err.startswith("error: cannot parse n_grid") and err.count("\n") == 1
     assert "exponents must lie in 0..1023" in err
+
+
+def test_a_float_range_error_names_n_by_its_exponent(capsys):
+    code = run_cli("--cmd", "conditions", "--model", "iid-baseline", "--n-grid", "1020..1023")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "at n=2^1020 leaves the float range" in err
+    assert len(err) < 300 and err.count("\n") == 1
 
 
 def test_engine_argument_validation_is_exit_2():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import mdepclt as m
 from mdepclt import models
+from mdepclt.laws import DiscreteLaw
 from mdepclt.models import (
     _enumeration_bits,
     _innovation_count,
@@ -674,3 +675,86 @@ def test_spiked_block_repeat_with_one_block_is_rejected(call):
     br = m.build_model("block-repeat", m_schedule=8, spike_frac=0.5)
     with pytest.raises(m.InvalidParameterError, match="at least 2 blocks"):
         call(br, 8)
+
+
+# ---------------------------------------------------------------------------
+# the per-(model, n) caches of exact_sigma2 and marginal_law_groups
+
+CACHED = (m.exact_sigma2, m.marginal_law_groups)
+
+
+def _same_laws(groups, expected):
+    assert len(groups) == len(expected)
+    for (count, law), (want_count, want) in zip(groups, expected):
+        assert count == want_count and type(law) is type(want)
+        if isinstance(law, DiscreteLaw):
+            assert law.values.tobytes() == want.values.tobytes()
+            assert law.probs.tobytes() == want.probs.tobytes()
+        else:
+            assert law == want
+
+
+def test_cached_values_are_the_recomputed_ones_bit_for_bit():
+    from mdepclt.cli import SWEEP_N_GRID, catalogue
+
+    for model in catalogue().values():
+        for n in SWEEP_N_GRID:
+            s2 = m.exact_sigma2(model, n)
+            assert s2.hex() == m.exact_sigma2.__wrapped__(model, n).hex()
+            assert s2 is m.exact_sigma2(model, n)
+            groups = m.marginal_law_groups(model, n)
+            assert isinstance(groups, tuple) and groups is m.marginal_law_groups(model, n)
+            _same_laws(groups, m.marginal_law_groups.__wrapped__(model, n))
+
+
+@pytest.mark.parametrize("i", range(len(small_catalogue())))
+def test_equal_models_share_one_cache_entry(i):
+    (model, n), (rebuilt, _) = small_catalogue()[i], small_catalogue()[i]
+    round_trip = models.model_from_config(models.model_to_config(model))
+    for twin in (rebuilt, round_trip):
+        assert twin == model and hash(twin) == hash(model)
+    for fn in CACHED:
+        fn.cache_clear()
+        for twin in (model, rebuilt, round_trip):
+            fn(twin, n)
+        assert (fn.cache_info().misses, fn.cache_info().hits) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "base, changed",
+    [
+        (dict(family="two-scale", alpha=0.25), dict(alpha=0.3)),
+        (dict(family="moving-average", coeffs=(1.0, 0.5)), dict(coeffs=(1.0, 0.25))),
+        (dict(family="block-repeat", m_schedule=2), dict(m_schedule=4)),
+        (dict(family="block-repeat", m_schedule=2), dict(spike_frac=0.5)),
+        (dict(family="iid-baseline"), dict(innovation="normal")),
+    ],
+)
+def test_models_one_parameter_apart_get_their_own_entries(base, changed):
+    a = m.build_model(**base)
+    b = m.build_model(**{**base, **changed})
+    assert a != b
+    for fn in CACHED:
+        fn.cache_clear()
+        for model in (a, b, a):
+            fn(model, 16)
+        assert (fn.cache_info().misses, fn.cache_info().hits) == (2, 1)
+    assert m.marginal_law_groups(a, 16) is not m.marginal_law_groups(b, 16)
+
+
+@given(linear_models())
+@settings(max_examples=60, deadline=None)
+def test_hash_agrees_with_equality(case):
+    model, _ = case
+    twin = models.model_from_config(models.model_to_config(model))
+    assert twin == model and hash(twin) == hash(model)
+
+
+def test_a_cached_law_cannot_be_written_in_place():
+    law = m.marginal_law_groups(m.build_model("two-scale", alpha=ALPHA), 64)[0][1]
+    for arr in (law.values, law.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    assert law.probs.sum() == 1.0
