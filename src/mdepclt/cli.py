@@ -110,6 +110,8 @@ def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
 
 def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     """Structure, tower, bound, and truncation checks at enumerable sizes, on one trace per size."""
+    if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigError("n_grid must be strictly increasing")
     ns = [n for n in n_grid if mart.trace_feasible(model, n)]
     if not ns:
         try:  # the smallest point says why: continuous marginals, or a cap exceeded

@@ -97,20 +97,6 @@ class DiscreteLaw:
         mask = np.abs(self.values) > t
         return float(self.probs[mask] @ self.values[mask] ** 2)
 
-    def is_symmetric(self) -> bool:
-        return bool(
-            np.array_equal(self.values, -self.values[::-1])
-            and np.array_equal(self.probs, self.probs[::-1])
-        )
-
-    def truncated_mean(self, t: float) -> float:
-        """E[X 1{|X| <= t}]; exactly 0 for symmetric laws (the truncation
-        window is symmetric, so the masked law stays symmetric)."""
-        if self.is_symmetric():
-            return 0.0
-        mask = np.abs(self.values) <= t
-        return float(self.probs[mask] @ self.values[mask])
-
     def capped_second_moment(self, a: float) -> float:
         """E[X^2 min(a|X|, 1)]."""
         cap = np.minimum(a * np.abs(self.values), 1.0)
@@ -141,10 +127,6 @@ class GaussianLaw:
 
     def tail_second_moment(self, t: float) -> float:
         return self.sd**2 * normal_tail_second_moment(t / self.sd)
-
-    def truncated_mean(self, t: float) -> float:
-        # symmetric law: the truncated window is symmetric around 0
-        return 0.0
 
     def capped_second_moment(self, a: float) -> float:
         return self.sd**2 * normal_capped_second_moment(a * self.sd)

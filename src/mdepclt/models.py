@@ -34,8 +34,8 @@ moving-average  zeta_{1-q}..zeta_n:    n^-1/2  (n, ((q-lag, c_lag) for each lag)
                 n+q
 ==============  =====================  ======  ====================================
 
-Sampling, enumeration, Var S_n, the covariance band, the entry laws and
-the truncation centring all follow from this declaration.
+Sampling, enumeration, Var S_n, the covariance band and the entry laws
+all follow from this declaration.
 """
 
 from __future__ import annotations
@@ -234,24 +234,23 @@ def _weighted_sum(weights: np.ndarray, x: np.ndarray):
 class TruncationSplit:
     """Per-variable truncation X = X' + X'' at threshold eps*sigma_n/m_n.
 
-    X'  = X 1{|X| <= t} - mu   (bounded, centred part)
-    X'' = X 1{|X| >  t} + mu   (tail part)
-    with mu_i = E[X_i 1{|X_i| <= t}], so both arrays are mean zero and the
-    sum recovers X exactly on every outcome.
+    X'  = X 1{|X| <= t}   (bounded part)
+    X'' = X 1{|X| >  t}   (tail part)
+    The proof recentres X' by mu_i = E[X_i 1{|X_i| <= t}].  Every entry
+    here is a signed sum of symmetric innovations (Rademacher or standard
+    normal), so its law is symmetric, as is the window |x| <= t, and
+    mu_i = 0 exactly: both parts are mean zero without a shift, and the
+    sum recovers X exactly on every outcome.  check_truncation asserts
+    both means are zero, over every enumerated outcome.
     """
 
     threshold: float
-    mu: np.ndarray
 
     def split_rows(self, rows: np.ndarray):
         """(X', X'') of an (outcomes, N) array, laid out in memory as rows is."""
         rows = np.atleast_2d(rows)
         below = np.abs(rows) <= self.threshold
-        x_lo = rows * below
-        x_lo -= self.mu[None, :]
-        x_hi = rows * ~below
-        x_hi += self.mu[None, :]
-        return x_lo, x_hi
+        return rows * below, rows * ~below
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +331,13 @@ _PARAMS = {
 }
 
 #: family -> (the parameters it takes with their defaults, in describe()
-#: order, None marking a required one; the values it fixes rather than
-#: takes).  Every family takes amplitude; an MA(q) row has m_n = q.
+#: order; the values it fixes rather than takes).  Every family takes
+#: amplitude; an MA(q) row has m_n = q.
 _FAMILIES = {
     family: ({"amplitude": 1.0, **takes}, fixes)
     for family, takes, fixes in (
         ("iid-baseline", {"innovation": "rademacher"}, {"m_schedule": Schedule("constant", 0)}),
-        ("two-scale", {"alpha": None}, {"innovation": "rademacher", "m_schedule": Schedule("constant", 1)}),
+        ("two-scale", {"alpha": 0.25}, {"innovation": "rademacher", "m_schedule": Schedule("constant", 1)}),
         ("block-repeat", {"innovation": "rademacher", "m_schedule": 2, "spike_frac": 0.0}, {}),
         ("tail-coupled", {"m_schedule": Schedule("power", 0.25)}, {"innovation": "normal"}),
         ("moving-average", {"coeffs": (1.0, 0.5), "innovation": "rademacher"}, {}),
@@ -351,17 +350,16 @@ def build_model(family: str, **params) -> ArrayModel:
     """Validate parameters and build an ArrayModel.
 
     _FAMILIES declares the parameters each family takes, with their
-    defaults, and _PARAMS checks each one: alpha in (0, 1/2) (required by
-    two-scale), m_schedule an int or Schedule with m_n >= 1, innovation
-    one of INNOVATIONS, spike_frac in [0, 1) (that fraction of the row
-    variance goes into the first block), coeffs a list of taps with
-    c_0 != 0, and amplitude > 0 (every family) multiplying all entries.
+    defaults, and _PARAMS checks each one: alpha in (0, 1/2), m_schedule
+    an int or Schedule with m_n >= 1, innovation one of INNOVATIONS,
+    spike_frac in [0, 1) (that fraction of the row variance goes into the
+    first block), coeffs a list of taps with c_0 != 0, and amplitude > 0
+    (every family) multiplying all entries.
     """
     _require(family in _FAMILIES, f"unknown family {family!r}")
     takes, fixes = _FAMILIES[family]
     out: dict = {}
     for name, default in takes.items():
-        _require(name in params or default is not None, f"{family} requires {name}")
         out[name] = _PARAMS[name][0](params.pop(name, default), family)
     _require(not params, f"unknown parameters for {family}: {sorted(params)}")
     if "coeffs" in out:
@@ -662,18 +660,11 @@ def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
 
 
 def truncated_model(model: ArrayModel, n: int, eps: float) -> TruncationSplit:
-    """Split each entry at threshold eps*sigma_n/max(m_n,1) and re-centre."""
+    """Split each entry at threshold eps*sigma_n/max(m_n,1)."""
     if not eps > 0:
         raise InvalidParameterError("eps must be positive")
     _check_n(n)
-    sigma = math.sqrt(exact_sigma2(model, n))
-    m_eff = max(model.m(n), 1)
-    t = eps * sigma / m_eff
-    _, scale, segments = linear_row(model, n)
-    a = model.amplitude * scale
-    laws = [_tap_law(model, a, tuple(c for _, c in taps)) for _, taps, _ in segments]
-    mu = np.repeat([law.truncated_mean(t) for law in laws], [count for count, _, _ in segments])
-    return TruncationSplit(t, mu)
+    return TruncationSplit(eps * math.sqrt(exact_sigma2(model, n)) / max(model.m(n), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,13 @@ def test_oracle_default_grid_runs(family, capsys):
     assert [t["n"] for t in payload["traces"]] == list(cli.ORACLE_N_GRID)
 
 
+@pytest.mark.parametrize("grid", ["4,4", "8,4"])
+def test_oracle_grid_must_be_strictly_increasing(grid, capsys):
+    # before any trace is built: a repeated size would be enumerated twice
+    code = run_cli("--cmd", "oracle", "--model", "iid-baseline", "--n-grid", grid)
+    _assert_config_error(code, capsys, "n_grid must be strictly increasing")
+
+
 @pytest.mark.parametrize(
     "argv,needle",
     [
@@ -372,6 +379,12 @@ def test_invalid_json_config_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("--cmd", "conditions", "--config", str(bad)) == 2
+
+
+def test_two_scale_runs_on_its_default_alpha(capsys):
+    code = run_cli("--cmd", "conditions", "--model", "two-scale", "--n-grid", "6..9")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["model"] == {"family": "two-scale", "alpha": 0.25}
 
 
 def test_missing_model_is_exit_2():

@@ -83,7 +83,6 @@ def test_gaussian_law_scales():
     assert law.abs_moment(3) == pytest.approx(8.0 * normal_abs_moment(3))
     # threshold scales with sd inside the indicator
     assert law.tail_second_moment(2.0) == pytest.approx(4.0 * normal_tail_second_moment(1.0))
-    assert law.truncated_mean(1.3) == 0.0
 
 
 def test_rademacher_two_point():

@@ -430,7 +430,21 @@ def test_truncation_strict_inequality_two_scale():
     chk = m.check_truncation(m.build_trace(ts, n), eps)
     assert chk.passed
     assert 0.0 < chk.values["s_tail_second_moment"] < chk.values["bound"]
-    assert chk.values["mu_max_abs"] == 0.0  # symmetric entries
+
+
+def test_truncation_centring_guard_names_an_asymmetric_entry():
+    # |X_1| has a positive mean on whichever side of the threshold it falls,
+    # so the unshifted split cannot centre it
+    iid = m.build_model("iid-baseline")
+    trace = m.build_trace(iid, 6)
+    rows = trace.table.rows.copy()
+    rows[:, 0] = np.abs(rows[:, 0])
+    bad = dataclasses.replace(trace, table=dataclasses.replace(trace.table, rows=rows))
+    chk = m.check_truncation(bad, eps=0.5)
+    results = {r.name: r for r in chk.results}
+    assert results["split-additivity"].passed
+    assert not results["split-centred"].passed
+    assert results["split-centred"].detail["i"] == 0
 
 
 @pytest.mark.parametrize("model,n", oracle_models())

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import mdepclt as m
 from mdepclt import models
-from mdepclt.laws import DiscreteLaw
+from mdepclt.cli import catalogue
+from mdepclt.laws import DiscreteLaw, GaussianLaw
 from mdepclt.models import (
     _enumeration_bits,
     _innovation_count,
@@ -380,10 +381,31 @@ def test_truncation_threshold_below_support_moves_everything():
     iid = m.build_model("iid-baseline")
     table = m.enumerate_outcomes(iid, 4)
     split = m.truncated_model(iid, 4, eps=0.1)  # threshold 0.1 < 1/2
-    assert np.all(split.mu == 0.0)
     x_lo, x_hi = split.split_rows(table.rows)
     assert not x_lo.any()
     assert np.array_equal(x_hi, table.rows)
+
+
+@pytest.mark.parametrize(
+    "model",
+    list(catalogue().values())
+    + [
+        m.build_model("block-repeat", m_schedule=3, spike_frac=0.5),
+        m.build_model("moving-average", coeffs=(1.0, -0.5, 0.25), amplitude=2.5),
+        m.build_model("block-repeat", innovation="normal", m_schedule=2),
+    ],
+    ids=lambda model: model.describe(),
+)
+def test_every_entry_law_is_symmetric(model):
+    # why the truncation split needs no centring: E[X 1{|X| <= t}] = 0 for
+    # a symmetric law and a window symmetric around 0
+    for n in (6, 9, 64, 1000):
+        for _, law in m.marginal_law_groups(model, n):
+            if isinstance(law, DiscreteLaw):
+                assert np.array_equal(law.values, -law.values[::-1])
+                assert np.array_equal(law.probs, law.probs[::-1])
+            else:
+                assert isinstance(law, GaussianLaw)
 
 
 def test_truncation_requires_positive_eps():
@@ -695,7 +717,7 @@ def _same_laws(groups, expected):
 
 
 def test_cached_values_are_the_recomputed_ones_bit_for_bit():
-    from mdepclt.cli import SWEEP_N_GRID, catalogue
+    from mdepclt.cli import SWEEP_N_GRID
 
     for model in catalogue().values():
         for n in SWEEP_N_GRID:
