@@ -51,7 +51,6 @@ from .models import (
     Schedule,
     TruncationSplit,
     build_model,
-    cov_band,
     enumerate_outcomes,
     exact_sigma2,
     marginal_law_groups,

@@ -109,15 +109,24 @@ def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
 
 
 def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
-    """Structure, tower, bound, and truncation checks at enumerable sizes, on one trace per size."""
+    """Structure, tower, bound, and truncation checks at enumerable sizes,
+    on one trace per size.  Each skipped size gets one stderr line with its
+    reason (continuous marginals, or a cap exceeded); when every size is
+    skipped, the smallest one's reason is the configuration error."""
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be strictly increasing")
-    ns = [n for n in n_grid if mart.trace_feasible(model, n)]
-    if not ns:
-        try:  # the smallest point says why: continuous marginals, or a cap exceeded
-            mart._require_trace_size(model, min(n_grid))
+    ns, skipped = [], []
+    for n in n_grid:
+        try:
+            mart._require_trace_size(model, n)
         except (ContinuousModelError, EnumerationTooLargeError) as exc:
-            raise ConfigError(f"no grid point is exactly enumerable for this model: {exc}") from None
+            skipped.append((n, exc))
+        else:
+            ns.append(n)
+    if not ns:
+        raise ConfigError(f"no grid point is exactly enumerable for this model: {skipped[0][1]}")
+    for n, exc in skipped:
+        print(f"skipped n={n}: {exc}", file=sys.stderr)
     traces = []
     trunc = []
     for n in ns:

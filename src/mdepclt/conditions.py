@@ -204,7 +204,7 @@ def romano_wolf_check(model: ArrayModel, n: int, delta: float) -> list[Condition
     m = max(model.m(n), 1)
     sup_mom = max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
     ln = exact_sigma2(model, n) / N
-    wvar = window_variance_max(model, n, m)
+    wvar = window_variance_max(model, n)
     tag = f"romano-wolf(delta={delta:g},gamma=0)"
     return [
         ConditionValue(f"{tag}:RW1", n, sup_mom / sup_mom, eq="RW1"),

@@ -26,7 +26,6 @@ import numpy as np
 from .conditions import ConditionValue, asymptotic_verdict
 from .models import (
     ArrayModel,
-    ContinuousModelError,
     EnumerationTooLargeError,
     OutcomeTable,
     _check_n,
@@ -156,16 +155,6 @@ def _require_trace_size(model: ArrayModel, n: int) -> None:
         raise EnumerationTooLargeError(
             f"trace checks at n={n} would compute {entries} entries of W (cap TRACE_WORK_CAP = {TRACE_WORK_CAP})"
         )
-
-
-def trace_feasible(model: ArrayModel, n: int) -> bool:
-    """Whether build_trace can run: finite support within the outcome cap
-    and the trace caps."""
-    try:
-        _require_trace_size(model, n)
-    except (ContinuousModelError, EnumerationTooLargeError):
-        return False
-    return True
 
 
 def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:

@@ -34,7 +34,7 @@ moving-average  zeta_{1-q}..zeta_n:    n^-1/2  (n, ((q-lag, c_lag) for each lag)
                 n+q
 ==============  =====================  ======  ====================================
 
-Sampling, enumeration, Var S_n, the covariance band and the entry laws
+Sampling, enumeration, Var S_n, the window variance and the entry laws
 all follow from this declaration.
 """
 
@@ -211,11 +211,6 @@ class OutcomeTable:
 
     def row_sums(self) -> np.ndarray:
         return self.rows.sum(axis=1)
-
-    def var_sum(self) -> float:
-        s = self.row_sums()
-        mu = _weighted_sum(self.probs, s)
-        return float(_weighted_sum(self.probs, (s - mu) ** 2))
 
 
 def _weighted_sum(weights: np.ndarray, x: np.ndarray):
@@ -521,37 +516,6 @@ def _sigma(model: ArrayModel, n: int) -> float:
     return math.sqrt(s2)
 
 
-def _entry_taps(model: ArrayModel, n: int) -> tuple:
-    """(innovation index, coefficient) of every tap of every entry, as two
-    (taps, N_n) arrays; segments with fewer taps are padded with coefficient 0."""
-    _, _, segments = linear_row(model, n)
-    width = max(len(taps) for _, taps, _ in segments)
-    idx, coef = [], []
-    for count, taps, repeat in segments:
-        pad = width - len(taps)
-        block = np.arange(count) // repeat
-        idx.append(np.array([j + block for j, _ in taps] + [np.full(count, -1)] * pad))
-        coef.append(np.array([np.full(count, c) for _, c in taps] + [np.zeros(count)] * pad))
-    return np.concatenate(idx, axis=1), np.concatenate(coef, axis=1)
-
-
-def cov_band(model: ArrayModel, n: int, d: int) -> np.ndarray:
-    """Vector of Cov(X_{n,i}, X_{n,i+d}) for i = 1..N_n-d, exact."""
-    _check_n(n)
-    if d < 0:
-        raise IndexError("lag d must be >= 0")
-    N = model.length(n)
-    if d >= N:
-        return np.zeros(0)
-    idx, coef = _entry_taps(model, n)
-    band = np.zeros(N - d)
-    for s in range(len(idx)):
-        for t in range(len(idx)):
-            band += (idx[s, : N - d] == idx[t, d:]) * coef[s, : N - d] * coef[t, d:]
-    a = model.amplitude * linear_row(model, n)[1]
-    return a * a * band
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def marginal_law_groups(model: ArrayModel, n: int) -> tuple:
     """Distinct entry laws of row n with multiplicities ((count, law), ...).
@@ -571,34 +535,17 @@ def marginal_law_groups(model: ArrayModel, n: int) -> tuple:
     return tuple((count, _tap_law(model, a, coeffs)) for coeffs, count in counts.items())
 
 
-def _sliding_sum(x: np.ndarray, width: int) -> np.ndarray:
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    return c[width:] - c[:-width]
+def window_variance_max(model: ArrayModel, n: int) -> float:
+    """max over a of Var(X_{n,a} + ... + X_{n,a+k-1}) at k = max(m_n, 1)
+    (at most N_n), exact.
 
-
-def window_variance_max_generic(model: ArrayModel, n: int, k: int) -> float:
-    """max over a of Var(X_{n,a} + ... + X_{n,a+k-1}) via the covariance
-    band; exact for every model but O(N_n * m_n) in time."""
-    _check_n(n)
-    N = model.length(n)
-    k = min(max(k, 1), N)
-    total = _sliding_sum(cov_band(model, n, 0), k)
-    for d in range(1, min(model.m(n), k - 1) + 1):
-        total = total + 2.0 * _sliding_sum(cov_band(model, n, d), k - d)
-    return float(total.max())
-
-
-def window_variance_max(model: ArrayModel, n: int, k: int) -> float:
-    """max over a of Var(X_{n,a} + ... + X_{n,a+k-1}), exact.
-
-    Two closed forms follow from the declaration (each verified against the
-    generic band computation in the test suite): a single-tap row whose
-    largest-|c| block holds k entries, and a stationary row.  Other rows
-    take the banded fallback.
+    Two closed forms follow from the declaration and cover every family
+    (the tests check both against the covariance band): a single-tap row
+    whose largest-|c| block holds k entries, and a stationary row.  Any
+    other row layout raises InvalidParameterError naming the model.
     """
     _check_n(n)
-    N = model.length(n)
-    k = min(max(k, 1), N)
+    k = min(max(model.m(n), 1), model.length(n))
     _, scale, segments = linear_row(model, n)
     if all(len(taps) == 1 for _, taps, _ in segments):
         # every block is one innovation times c, so a window overlapping
@@ -621,7 +568,7 @@ def window_variance_max(model: ArrayModel, n: int, k: int) -> float:
                 elif 0 < d < k:
                     total += 2.0 * (k - d) * c * c2
         return (model.amplitude * scale) ** 2 * total
-    return window_variance_max_generic(model, n, k)
+    raise InvalidParameterError(f"{model.describe()} at n={n}: no closed form for the window variance")
 
 
 # ---------------------------------------------------------------------------

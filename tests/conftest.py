@@ -1,13 +1,21 @@
 """Shared pytest plumbing: collected acceptance lines are echoed in the
 terminal summary so each criterion shows one pass/fail line.  Also the
 independent references the tests compare the library against: a whole
-sampled row, the law of one entry and one covariance."""
+sampled row, the law of one entry, the covariance band, the window
+variance summed from it, and Var S_n over enumerated outcomes."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from mdepclt.models import _innovation_count, _row_entries, _tap_law, cov_band, linear_row, row_rng
+from mdepclt.models import (
+    _innovation_count,
+    _row_entries,
+    _tap_law,
+    _weighted_sum,
+    linear_row,
+    row_rng,
+)
 
 _ACCEPTANCE_LINES = []
 
@@ -61,3 +69,54 @@ def marginal_law(model, n, i):
 def exact_cov(model, n, i, j):
     """Cov(X_{n,i}, X_{n,j}), i, j = 1..N_n, read from the band at lag |i - j|."""
     return float(cov_band(model, n, abs(i - j))[min(i, j) - 1])
+
+
+def _entry_taps(model, n):
+    """(innovation index, coefficient) of every tap of every entry, as two
+    (taps, N_n) arrays; segments with fewer taps are padded with coefficient 0."""
+    _, _, segments = linear_row(model, n)
+    width = max(len(taps) for _, taps, _ in segments)
+    idx, coef = [], []
+    for count, taps, repeat in segments:
+        pad = width - len(taps)
+        block = np.arange(count) // repeat
+        idx.append(np.array([j + block for j, _ in taps] + [np.full(count, -1)] * pad))
+        coef.append(np.array([np.full(count, c) for _, c in taps] + [np.zeros(count)] * pad))
+    return np.concatenate(idx, axis=1), np.concatenate(coef, axis=1)
+
+
+def cov_band(model, n, d):
+    """Vector of Cov(X_{n,i}, X_{n,i+d}) for i = 1..N_n-d and 0 <= d < N_n,
+    exact, from the taps of every entry pair; O(N_n * taps^2) per lag."""
+    N = model.length(n)
+    idx, coef = _entry_taps(model, n)
+    band = np.zeros(N - d)
+    for s in range(len(idx)):
+        for t in range(len(idx)):
+            band += (idx[s, : N - d] == idx[t, d:]) * coef[s, : N - d] * coef[t, d:]
+    a = model.amplitude * linear_row(model, n)[1]
+    return a * a * band
+
+
+def _sliding_sum(x, width):
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    return c[width:] - c[:-width]
+
+
+def window_variance_max_generic(model, n):
+    """max over a of Var(X_{n,a} + ... + X_{n,a+k-1}) at k = max(m_n, 1)
+    (at most N_n), summed from the covariance band: the reference for
+    models.window_variance_max's closed forms."""
+    N = model.length(n)
+    k = min(max(model.m(n), 1), N)
+    total = _sliding_sum(cov_band(model, n, 0), k)
+    for d in range(1, min(model.m(n), k - 1) + 1):
+        total = total + 2.0 * _sliding_sum(cov_band(model, n, d), k - d)
+    return float(total.max())
+
+
+def enumerated_var_sum(table):
+    """Var S_n over the outcomes of an OutcomeTable, from its row sums."""
+    s = table.row_sums()
+    mu = _weighted_sum(table.probs, s)
+    return float(_weighted_sum(table.probs, (s - mu) ** 2))

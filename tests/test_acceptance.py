@@ -15,7 +15,7 @@ import mdepclt as m
 from mdepclt import conditions as c
 from mdepclt.laws import normal_tail_second_moment
 
-from conftest import record_acceptance
+from conftest import enumerated_var_sum, record_acceptance
 
 DEFAULT_GRID = list(c.DEFAULT_N_GRID)  # 2^6 .. 2^14
 SLOPE_GRID = [2**k for k in range(10, 19)]  # shifted: constants decayed
@@ -45,7 +45,7 @@ def test_criterion_1_two_scale_exact_variance():
             # independent confirmation by exhaustive enumeration
             for n in (3, 6, 9):
                 table = m.enumerate_outcomes(model, n)
-                assert abs(table.var_sum() - (1 + 2 * n ** (-2 * alpha))) < 1e-10
+                assert abs(enumerated_var_sum(table) - (1 + 2 * n ** (-2 * alpha))) < 1e-10
         assert time.perf_counter() - start < 5.0
 
 

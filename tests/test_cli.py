@@ -144,8 +144,9 @@ def test_oracle_rejects_unenumerable_model():
 def test_oracle_default_grid_runs(family, capsys):
     # the conditions' default grid starts at 2^6, where none of these rows fits
     assert run_cli("--cmd", "oracle", "--model", family) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert [t["n"] for t in payload["traces"]] == list(cli.ORACLE_N_GRID)
+    captured = capsys.readouterr()
+    assert [t["n"] for t in json.loads(captured.out)["traces"]] == list(cli.ORACLE_N_GRID)
+    assert captured.err == ""  # no grid point skipped
 
 
 @pytest.mark.parametrize("grid", ["4,4", "8,4"])
@@ -173,7 +174,7 @@ def test_oracle_says_why_no_grid_point_fits(tmp_path, capsys, argv, needle):
     assert needle in err, err
 
 
-def test_oracle_skips_infeasible_trace_sizes(tmp_path, two_scale_config):
+def test_oracle_skips_infeasible_trace_sizes(tmp_path, two_scale_config, capsys):
     # n = 10 for the two-scale row fits the outcome cap but not the trace
     # tensor cap; it must be skipped, not crash
     out = tmp_path / "oracle.json"
@@ -182,10 +183,28 @@ def test_oracle_skips_infeasible_trace_sizes(tmp_path, two_scale_config):
         "--n-grid", "4,10", "--eps", "0.4", "--out", str(out),
     )
     assert code == 0
+    err = capsys.readouterr().err
+    assert err.startswith("skipped n=10: trace at n=10 would store ") and "TRACE_CELL_CAP" in err, err
     payload = json.loads(out.read_text())
     assert [t["n"] for t in payload["traces"]] == [4]
     # a grid with only infeasible points is a configuration error
     assert run_cli("--cmd", "oracle", "--config", two_scale_config, "--n-grid", "10,12") == 2
+
+
+def test_oracle_names_each_skipped_grid_point(capsys):
+    # stdout holds the traces that fit; stderr says which points were
+    # dropped, one line each, with the reason the cap check gave
+    argv = ["--cmd", "oracle", "--model", "iid-baseline", "--eps", "0.5"]
+    assert run_cli(*argv, "--n-grid", "4,8,64,128") == 0
+    captured = capsys.readouterr()
+    assert [t["n"] for t in json.loads(captured.out)["traces"]] == [4, 8]
+    assert captured.err.splitlines() == [
+        "skipped n=64: iid-baseline(rademacher) at n=64 needs 2^64 outcomes (cap ENUMERATION_CAP = 4194304)",
+        "skipped n=128: iid-baseline(rademacher) at n=128 needs 2^128 outcomes (cap ENUMERATION_CAP = 4194304)",
+    ]
+    # the skipped points leave stdout as the feasible grid alone gives it
+    assert run_cli(*argv, "--n-grid", "4,8") == 0
+    assert capsys.readouterr().out == captured.out
 
 
 def test_oracle_output_does_not_depend_on_the_blas_thread_count(two_scale_config):

@@ -335,25 +335,29 @@ def test_sigma2_from_the_table_is_within_two_ulp_of_exact(n):
 
 
 def test_trace_feasibility_predicate():
-    from mdepclt.martingale import trace_feasible
+    from mdepclt.martingale import _require_trace_size
 
     ts = m.build_model("two-scale", alpha=0.25)
-    assert trace_feasible(ts, 7)
-    assert not trace_feasible(ts, 10)  # 2^21 outcomes x 11 stored cells each
-    assert not trace_feasible(m.build_model("tail-coupled", m_schedule=2), 6)
+    _require_trace_size(ts, 7)
+    with pytest.raises(m.EnumerationTooLargeError, match="TRACE_CELL_CAP"):
+        _require_trace_size(ts, 10)  # 2^21 outcomes x 11 stored cells each
+    with pytest.raises(m.ContinuousModelError):
+        _require_trace_size(m.build_model("tail-coupled", m_schedule=2), 6)
     with pytest.raises(m.EnumerationTooLargeError):
         m.build_trace(ts, 10)
-    # m = 512 at n = 4096: 2^8 outcomes store 1 M cells each, but the checks
-    # would compute 4.3 G entries of W
+    # m = 512 at n = 4096: 2^8 outcomes store 1 M cells each, but the
+    # truncation check's N x N covariances would hold 16.8 M
     br = m.build_model("block-repeat", m_schedule=m.Schedule("power", 0.75))
     assert br.m(4096) == 512 and br.blocks(4096) == 8
-    assert not trace_feasible(br, 4096)
-    assert trace_feasible(br, 2048)
+    with pytest.raises(m.EnumerationTooLargeError, match="TRACE_CELL_CAP"):
+        _require_trace_size(br, 4096)
+    _require_trace_size(br, 2048)
     # one block: 2 outcomes, so the truncation check's N x N covariances are
     # the largest array; a point whose whole W fits 2^24 entries stays feasible
-    assert trace_feasible(m.build_model("block-repeat", m_schedule=2047), 2047)
-    assert trace_feasible(m.build_model("block-repeat", m_schedule=2895), 2895)
-    assert not trace_feasible(m.build_model("block-repeat", m_schedule=2896), 2896)
+    _require_trace_size(m.build_model("block-repeat", m_schedule=2047), 2047)
+    _require_trace_size(m.build_model("block-repeat", m_schedule=2895), 2895)
+    with pytest.raises(m.EnumerationTooLargeError):
+        _require_trace_size(m.build_model("block-repeat", m_schedule=2896), 2896)
 
 
 def test_growing_m_block_repeat_passes_at_n_144():
@@ -367,8 +371,9 @@ def test_growing_m_block_repeat_passes_at_n_144():
     for eps in (0.05, 0.1, 0.5, 1.0):
         chk = m.check_truncation(trace, eps)
         assert chk.passed, [str(r) for r in chk.results]
-    assert mart.trace_feasible(br, 196)  # m = 14: 2^14 outcomes x 197 stored cells
-    assert not mart.trace_feasible(br, 256)  # m = 16: 2^16 x 257 = 16.8 M
+    mart._require_trace_size(br, 196)  # m = 14: 2^14 outcomes x 197 stored cells
+    with pytest.raises(m.EnumerationTooLargeError):
+        mart._require_trace_size(br, 256)  # m = 16: 2^16 x 257 = 16.8 M
 
 
 def test_trace_memory_stays_below_one_w_tensor():

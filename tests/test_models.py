@@ -23,7 +23,14 @@ from mdepclt.models import (
     row_rng,
 )
 
-from conftest import _innovations, exact_cov, marginal_law, sample_row
+from conftest import (
+    _innovations,
+    enumerated_var_sum,
+    exact_cov,
+    marginal_law,
+    sample_row,
+    window_variance_max_generic,
+)
 
 ALPHA = 0.25
 
@@ -183,7 +190,7 @@ def test_enumeration_matches_closed_forms(model, n):
     probs, rows = table.probs, table.rows
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert abs(probs @ table.row_sums()) < 1e-12
-    assert table.var_sum() == pytest.approx(m.exact_sigma2(model, n), abs=1e-10)
+    assert enumerated_var_sum(table) == pytest.approx(m.exact_sigma2(model, n), abs=1e-10)
     means = probs @ rows
     assert np.abs(means).max() < 1e-12
     centred = rows - means
@@ -438,35 +445,50 @@ def test_spike_fraction_of_variance():
 def test_window_variance_max_tail_coupled():
     # the shared tail variable makes a window of length m have variance m^2
     tc = m.build_model("tail-coupled", m_schedule=4)
-    assert m.window_variance_max(tc, 64, 4) == pytest.approx(16.0, abs=1e-12)
+    assert m.window_variance_max(tc, 64) == pytest.approx(16.0, abs=1e-12)
+    # m_n = 0 is floored at 1: one entry of variance 1/n
     iid = m.build_model("iid-baseline")
-    assert m.window_variance_max(iid, 64, 4) == pytest.approx(4 / 64, rel=1e-12)
+    assert m.window_variance_max(iid, 64) == pytest.approx(1 / 64, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "model,n,k",
     [
-        (m.build_model("iid-baseline"), 50, 5),
+        (m.build_model("iid-baseline", innovation="normal"), 50, 1),
         (m.build_model("two-scale", alpha=0.3), 40, 1),
-        (m.build_model("two-scale", alpha=0.3), 40, 7),
+        (m.build_model("two-scale", alpha=0.05), 17, 1),
         (m.build_model("moving-average", coeffs=(1.0, 0.5, 0.2)), 60, 2),
-        (m.build_model("moving-average", coeffs=(1.0, 0.5, 0.2)), 60, 9),
+        (m.build_model("moving-average", coeffs=(1.0, -0.5, 0.2), innovation="normal"), 60, 2),
         (m.build_model("block-repeat", m_schedule=3, spike_frac=0.6), 30, 3),
-        (m.build_model("block-repeat", m_schedule=3), 30, 2),
+        (m.build_model("moving-average", coeffs=(1.0,) * 24), 40, 23),
         (m.build_model("tail-coupled", m_schedule=4), 40, 4),
-        (m.build_model("tail-coupled", m_schedule=4), 40, 3),
+        (m.build_model("block-repeat", innovation="normal", m_schedule=m.Schedule("power", 0.5), spike_frac=0.3), 64, 8),
         (m.build_model("block-repeat", m_schedule=3, spike_frac=0.05), 30, 3),
-        (m.build_model("block-repeat", m_schedule=3, spike_frac=0.6), 30, 4),
-        (m.build_model("tail-coupled", m_schedule=4), 2, 4),
+        (m.build_model("block-repeat", m_schedule=m.Schedule("log"), spike_frac=0.9), 100, 4),
+        (m.build_model("tail-coupled", m_schedule=4), 2, 4),  # the tail outnumbers the row
         (m.build_model("iid-baseline"), 50, 1),
+        (m.build_model("block-repeat", m_schedule=5), 3, 5),  # one block, m_n > n
+        (m.build_model("tail-coupled", m_schedule=m.Schedule("power", 0.25)), 256, 4),
+        (m.build_model("tail-coupled", m_schedule=m.Schedule("log")), 100, 4),
+        (m.build_model("block-repeat", m_schedule=3), 30, 3),
     ],
 )
 def test_window_variance_fast_paths_match_generic(model, n, k):
-    from mdepclt.models import window_variance_max_generic
+    # k is the window the row takes, max(m_n, 1) up to N_n, stated per case
+    assert min(max(model.m(n), 1), model.length(n)) == k
+    got, ref = m.window_variance_max(model, n), window_variance_max_generic(model, n)
+    assert got == pytest.approx(ref, abs=1e-12)
+    # and relatively, for the windows far below 1 (iid at n = 50 is 0.02)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
-    assert m.window_variance_max(model, n, k) == pytest.approx(
-        window_variance_max_generic(model, n, k), abs=1e-12
-    )
+
+def test_window_variance_raises_on_a_row_no_closed_form_covers(monkeypatch):
+    # two single-tap segments that repeat once, below m_n = 2: neither a
+    # block of k = 2 entries nor a stationary row
+    br = m.build_model("block-repeat", m_schedule=2)
+    monkeypatch.setattr(models, "linear_row", lambda model, n: (4, 1.0, ((2, ((0, 1.0),), 1), (2, ((2, 2.0),), 1))))
+    with pytest.raises(m.InvalidParameterError, match=re.escape(f"{br.describe()} at n=8: no closed form")):
+        m.window_variance_max(br, 8)
 
 
 @pytest.mark.parametrize(
@@ -658,7 +680,7 @@ def test_declaration_second_moments_agree(case):
     assert sigma2 == pytest.approx(cov.sum(), rel=1e-12)
     if model.is_discrete:
         table = m.enumerate_outcomes(model, n)
-        assert table.var_sum() == pytest.approx(sigma2, abs=1e-10)
+        assert enumerated_var_sum(table) == pytest.approx(sigma2, abs=1e-10)
         probs, rows = table.probs, table.rows
         # fsum over the outcomes: the tolerance is absolute and entries reach ~1e2
         centred = rows - [math.fsum(probs * col) for col in rows.T]
