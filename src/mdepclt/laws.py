@@ -1,9 +1,10 @@
 """Exact single-variable laws and their truncated-moment functionals.
 
 Every catalogued array family has per-variable marginals that are either
-finitely supported (products of signs) or centred Gaussian.  Both kinds
-expose the same small set of moment functionals, computed in closed form,
-so condition evaluations upstream never need quadrature or sampling.
+finitely supported (signed sums of signs, on a binomial lattice) or
+centred Gaussian.  Both kinds expose the same small set of moment
+functionals, computed in closed form, so condition evaluations upstream
+never need quadrature or sampling.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: hard cap on exhaustively enumerated outcomes and on the atoms of one law
+ENUMERATION_CAP = 2**22
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+class EnumerationTooLargeError(ValueError):
+    """Exhaustive enumeration would exceed ENUMERATION_CAP outcomes or atoms."""
 
 
 def _phi(x: float) -> float:
@@ -162,19 +170,24 @@ def tap_sum(coeffs, terms):
     return total
 
 
-def sign_combination_law(coeffs) -> DiscreteLaw:
-    """Law of sum(c_l * s_l) over independent signs s_l in {-1, +1}.
+def sign_combination_law(coeffs, scale) -> DiscreteLaw:
+    """Law of scale * sum(c_l * s_l) over independent signs s_l in {-1, +1}.
 
-    Enumerates all 2^len(coeffs) sign patterns; intended for short windows
-    (moving-average taps, the two-scale pair of increments).  Atoms are
-    formed by tap_sum, so they are bit-equal to rows built the same way.
+    The k taps of magnitude |f| sum to f * (2B - k), B ~ Bin(k, 1/2), f the
+    first of them: one axis of a lattice with weights comb(k, b) / 2^k.
+    tap_sum adds the axes, so the atoms are bit-equal to rows built the same
+    way.  The prod(k + 1) atoms must fit ENUMERATION_CAP.
     """
-    coeffs = [float(c) for c in coeffs]
-    k = len(coeffs)
-    if k > 20:
-        raise ValueError("sign-combination law limited to 20 terms")
-    idx = np.arange(2**k, dtype=np.uint32)
-    signs = ((idx[:, None] >> np.arange(k)) & 1).astype(float) * 2.0 - 1.0
-    values = tap_sum(coeffs, signs.T)
-    probs = np.full(2**k, 2.0**-k)
-    return DiscreteLaw.from_points(values, probs)
+    groups: dict = {}
+    for c in coeffs:
+        groups.setdefault(abs(c), []).append(float(c))
+    ks = [len(taps) for taps in groups.values()]
+    atoms = math.prod(k + 1 for k in ks)
+    if atoms > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(
+            f"sign-combination law of {len(coeffs)} taps has {atoms} atoms (cap ENUMERATION_CAP = {ENUMERATION_CAP})"
+        )
+    terms = np.broadcast_arrays(*np.ix_(*(2.0 * np.arange(k + 1) - k for k in ks)))
+    values = tap_sum([taps[0] for taps in groups.values()], terms)
+    probs = math.prod(np.ix_(*(np.array([math.comb(k, b) / 2**k for b in range(k + 1)]) for k in ks)))
+    return DiscreteLaw.from_points(scale * values.ravel(), probs.ravel())

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import DiscreteLaw, GaussianLaw, sign_combination_law, tap_sum
+from .laws import ENUMERATION_CAP, EnumerationTooLargeError, GaussianLaw, sign_combination_law, tap_sum
 
 INNOVATIONS = ("rademacher", "normal")
 
@@ -57,10 +57,7 @@ MODEL_CONFIG_KEYS = (
     "family", "alpha", "beta", "m", "m_kind", "innovation", "coeffs", "spike_frac", "amplitude",
 )
 
-#: hard cap on exhaustively enumerated outcomes
-ENUMERATION_CAP = 2**22
-#: hard cap on the Monte Carlo replicates of one grid point (512 MiB of
-#: floats)
+#: hard cap on the Monte Carlo replicates of one grid point (512 MiB of floats)
 SAMPLE_CAP = 2**26
 
 #: entries kept by each per-(model, n) cache (exact_sigma2,
@@ -74,10 +71,6 @@ _KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
 
 class InvalidParameterError(ValueError):
     """Model parameters outside their admissible range."""
-
-
-class EnumerationTooLargeError(ValueError):
-    """Exhaustive enumeration would exceed ENUMERATION_CAP outcomes."""
 
 
 class SampleTooLargeError(ValueError):
@@ -432,8 +425,7 @@ def sum_weight_groups(model: ArrayModel, n: int) -> list:
 def _tap_law(model: ArrayModel, a: float, coeffs: tuple):
     """Law of a * sum(c * zeta) over independent innovations of the model."""
     if model.is_discrete:
-        law = sign_combination_law(coeffs)
-        return DiscreteLaw.from_points(a * law.values, law.probs)
+        return sign_combination_law(coeffs, a)
     return GaussianLaw(a * math.hypot(*coeffs))
 
 
@@ -459,10 +451,6 @@ def row_rng(seed: int, n: int, stream: int) -> Generator:
     key = np.array([np.uint64(seed), _KEY_SALT], dtype=np.uint64)
     counter = np.array([0, 0, np.uint64(n), np.uint64(stream)], dtype=np.uint64)
     return Generator(Philox(key=key, counter=counter))
-
-
-def _innovation_count(model: ArrayModel, n: int) -> int:
-    return linear_row(model, n)[0]
 
 
 def _row_entries(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
@@ -578,10 +566,8 @@ def window_variance_max(model: ArrayModel, n: int) -> float:
 def _enumeration_bits(model: ArrayModel, n: int) -> int:
     """Innovation count of row n; its 2^bits outcomes must fit ENUMERATION_CAP."""
     if not model.is_discrete:
-        raise ContinuousModelError(
-            f"{model.describe()} has continuous marginals; enumeration undefined"
-        )
-    bits = _innovation_count(model, n)
+        raise ContinuousModelError(f"{model.describe()} has continuous marginals; enumeration undefined")
+    bits = linear_row(model, n)[0]
     if bits > ENUMERATION_CAP.bit_length() - 1:
         raise EnumerationTooLargeError(
             f"{model.describe()} at n={n} needs 2^{bits} outcomes (cap ENUMERATION_CAP = {ENUMERATION_CAP})"

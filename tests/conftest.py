@@ -1,15 +1,16 @@
 """Shared pytest plumbing: collected acceptance lines are echoed in the
 terminal summary so each criterion shows one pass/fail line.  Also the
 independent references the tests compare the library against: a whole
-sampled row, the law of one entry, the covariance band, the window
-variance summed from it, and Var S_n over enumerated outcomes."""
+sampled row, the law of one entry, the law of a sign combination over
+every sign pattern, the covariance band, the window variance summed from
+it, and Var S_n over enumerated outcomes."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from mdepclt.laws import DiscreteLaw, tap_sum
 from mdepclt.models import (
-    _innovation_count,
     _row_entries,
     _tap_law,
     _weighted_sum,
@@ -46,7 +47,7 @@ def _innovations(rng: Generator, kind: str, size: int) -> np.ndarray:
 
 def draw_innovations(model: ArrayModel, n: int, rng: Generator) -> np.ndarray:
     """The innovations of row n, in declaration order, drawn from rng."""
-    return _innovations(rng, model.innovation, _innovation_count(model, n))
+    return _innovations(rng, model.innovation, linear_row(model, n)[0])
 
 
 def sample_row(model, n, seed=0, replicate=0):
@@ -64,6 +65,17 @@ def marginal_law(model, n, i):
             return _tap_law(model, model.amplitude * scale, tuple(c for _, c in taps))
         i -= count
     raise IndexError("the entry index lies past the row")
+
+
+def sign_pattern_law(coeffs):
+    """Law of sum(c_l * s_l) over independent signs s_l in {-1, +1}, from
+    all 2^k sign patterns with atoms formed by tap_sum: the reference for
+    laws.sign_combination_law's binomial lattice."""
+    coeffs = [float(c) for c in coeffs]
+    k = len(coeffs)
+    idx = np.arange(2**k, dtype=np.uint32)
+    signs = ((idx[:, None] >> np.arange(k)) & 1).astype(float) * 2.0 - 1.0
+    return DiscreteLaw.from_points(tap_sum(coeffs, signs.T), np.full(2**k, 2.0**-k))
 
 
 def exact_cov(model, n, i, j):

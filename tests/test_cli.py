@@ -279,6 +279,23 @@ def test_clt_runs_at_a_row_of_2_40_innovations(capsys):
     assert json.loads(capsys.readouterr().out)["grid"][0]["n"] == 2**40
 
 
+def test_conditions_runs_on_twenty_four_equal_taps(tmp_path):
+    # one magnitude group of 24 taps is a 25-atom law
+    cfg = tmp_path / "ma24.json"
+    cfg.write_text(json.dumps({"family": "moving-average", "coeffs": [1.0] * 24}))
+    out = tmp_path / "out.json"
+    code = run_cli("--cmd", "conditions", "--config", str(cfg), "--n-grid", "6..9", "--out", str(out))
+    assert code == 0 and json.loads(out.read_text())["model"]["coeffs"] == [1.0] * 24
+
+
+def test_conditions_over_the_atom_cap_is_exit_2(tmp_path, capsys):
+    # 23 distinct magnitudes give 2^23 atoms, over ENUMERATION_CAP = 2^22
+    cfg = tmp_path / "ma23.json"
+    cfg.write_text(json.dumps({"family": "moving-average", "coeffs": [1 + i / 64 for i in range(23)]}))
+    code = run_cli("--cmd", "conditions", "--config", str(cfg), "--n-grid", "6..9")
+    _assert_config_error(code, capsys, "has 8388608 atoms (cap ENUMERATION_CAP = 4194304)")
+
+
 @pytest.mark.parametrize(
     "model,n,needle",
     [

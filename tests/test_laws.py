@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from mdepclt.laws import (
     DiscreteLaw,
+    EnumerationTooLargeError,
     GaussianLaw,
     normal_abs3_below,
     normal_abs_moment,
@@ -16,6 +17,8 @@ from mdepclt.laws import (
     normal_tail_second_moment,
     sign_combination_law,
 )
+
+from conftest import sign_pattern_law
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 1.0, 2.0, 3.5])
@@ -96,7 +99,7 @@ def test_rademacher_two_point():
 
 def test_sign_combination_merges_support():
     # coefficients (1, 1) give values {-2, 0, 2} with probs {1/4, 1/2, 1/4}
-    law = sign_combination_law([1.0, 1.0])
+    law = sign_combination_law([1.0, 1.0], 1.0)
     assert np.allclose(law.values, [-2.0, 0.0, 2.0])
     assert np.allclose(law.probs, [0.25, 0.5, 0.25])
     assert law.mean() == 0.0
@@ -104,7 +107,7 @@ def test_sign_combination_merges_support():
 
 
 def test_discrete_law_capped_second_moment():
-    law = sign_combination_law([1.0, 0.5])
+    law = sign_combination_law([1.0, 0.5], 1.0)
     # brute force over the four sign patterns
     vals = np.array([1.5, 0.5, -0.5, -1.5])
     expect = np.mean(vals**2 * np.minimum(0.8 * np.abs(vals), 1.0))
@@ -114,3 +117,55 @@ def test_discrete_law_capped_second_moment():
 def test_discrete_law_rejects_bad_probs():
     with pytest.raises(ValueError):
         DiscreteLaw.from_points([1.0, -1.0], [0.6, 0.6])
+
+
+_TWO_SCALE_TAPS = [(n**-0.5, -(n**-a), n**-a) for a in (0.05, 0.25, 0.45) for n in (1, 7, 2**14)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.0,),
+        (1.0, 0.5),
+        tuple(2.5 * c for c in (1.0, -0.5, 0.25)),
+        *_TWO_SCALE_TAPS,
+        (1.0, 0.0, 0.5),
+        (1.0, -0.0, 0.5),
+        (-1.0, 1.0),
+        (1.0, 0.5, 0.5, -0.5, 0.25, 1.0, -1.0),
+        (1.0,) * 20,
+        tuple(1 + i / 64 for i in range(16)),
+    ],
+    ids=lambda c: f"{len(c)}taps-{c[:3]}",
+)
+def test_sign_combination_law_is_the_sign_pattern_law_byte_for_byte(coeffs, scale):
+    # the binomial lattice gives the atoms and probabilities of the 2^k
+    # enumeration scaled afterwards, to the byte: np.array_equal would
+    # take -0.0 for 0.0
+    ref = sign_pattern_law(coeffs)
+    expect = DiscreteLaw.from_points(scale * ref.values, ref.probs)
+    law = sign_combination_law(coeffs, scale)
+    assert law.values.tobytes() == expect.values.tobytes()
+    assert law.probs.tobytes() == expect.probs.tobytes()
+
+
+def test_equal_taps_beyond_twenty_are_one_binomial():
+    # 24 taps of one magnitude: 25 atoms c * (2b - 24) with Bin(24, 1/2) weights
+    law = sign_combination_law([0.3] * 24, 1.0)
+    b = np.arange(25)
+    assert np.array_equal(law.values, 0.3 * (2.0 * b - 24))
+    assert law.probs.tolist() == [math.comb(24, j) / 2**24 for j in b]
+
+
+def test_a_group_past_the_float_range_of_comb_builds():
+    # float(comb(1100, 550)) overflows; the integer division does not
+    law = sign_combination_law([1.0] * 1100, 1.0)
+    assert len(law.values) == 1101
+    assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_distinct_taps_over_the_atom_cap_raise():
+    # 23 distinct magnitudes: 2^23 atoms, over ENUMERATION_CAP = 2^22
+    with pytest.raises(EnumerationTooLargeError, match=r"has 8388608 atoms \(cap ENUMERATION_CAP = 4194304\)"):
+        sign_combination_law([1 + i / 64 for i in range(23)], 1.0)

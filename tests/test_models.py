@@ -17,7 +17,6 @@ from mdepclt.cli import catalogue
 from mdepclt.laws import DiscreteLaw, GaussianLaw
 from mdepclt.models import (
     _enumeration_bits,
-    _innovation_count,
     _row_entries,
     _spike_scale,
     row_rng,
@@ -329,7 +328,7 @@ def test_row_map_leaves_the_innovations_alone(model, n):
     # enumerate_outcomes and the sampled rows rely on this: a row never
     # aliases, nor writes to, the innovations it is mapped from
     rng = np.random.default_rng(n)
-    innov = rng.standard_normal((3, _innovation_count(model, n)))
+    innov = rng.standard_normal((3, models.linear_row(model, n)[0]))
     kept = innov.copy()
     rows = _row_entries(model, n, innov)
     row = _row_entries(model, n, innov[1])
