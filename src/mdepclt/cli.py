@@ -112,7 +112,8 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     """Structure, tower, bound, and truncation checks at enumerable sizes,
     on one trace per size.  Each skipped size gets one stderr line with its
     reason (continuous marginals, or a cap exceeded); when every size is
-    skipped, the smallest one's reason is the configuration error."""
+    skipped, the smallest one's reason is the configuration error, with
+    the largest n below the grid that fits, if any."""
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be strictly increasing")
     ns, skipped = [], []
@@ -124,7 +125,14 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
         else:
             ns.append(n)
     if not ns:
-        raise ConfigError(f"no grid point is exactly enumerable for this model: {skipped[0][1]}")
+        reason = skipped[0][1]
+        if isinstance(reason, ContinuousModelError):
+            fits = "no n fits"
+        elif (largest := mart._largest_trace_n(model, n_grid[0])) is None:
+            fits = f"no n below {n_grid[0]} fits"
+        else:
+            fits = f"the largest n below {n_grid[0]} that fits is {largest}"
+        raise ConfigError(f"no grid point is exactly enumerable for this model: {reason}; {fits}")
     for n, exc in skipped:
         print(f"skipped n={n}: {exc}", file=sys.stderr)
     traces = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -27,6 +28,7 @@ from .conditions import ConditionValue, asymptotic_verdict
 from .models import (
     ArrayModel,
     EnumerationTooLargeError,
+    InvalidParameterError,
     OutcomeTable,
     _check_n,
     _enumeration_bits,
@@ -43,8 +45,9 @@ from .models import (
 #: memory than storing it would (128 MiB) and little time
 TRACE_TENSOR_CAP = 2**24
 #: cap on the cells of the largest array the oracle stores,
-#: max(outcomes, N) * (N+1): M and each prefix partition hold outcomes * (N+1)
-#: and the truncation check's covariances N * N (32 MiB each at the cap)
+#: max(outcomes, N) * (N+1): M holds outcomes * (N+1) floats (32 MiB at the
+#: cap), the prefix partitions as many int32 (16 MiB), and the truncation
+#: check's covariances N * N floats
 TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
 #: pass of the checks compute one slice at a time (tens of seconds at the cap)
@@ -87,11 +90,14 @@ class MartingaleTrace:
     outcome o, for i = 1..N and k = 0..N; M[o, k] and dM[o, k-1] follow
     the same k convention; entries with i <= 0 or i > N are identically 0
     and are not stored.  W itself is not stored either: w_slice(k)
-    computes W[:, :, k] from the prefix partition prefix_ids[k], and the
-    checks walk k = 0..N holding at most two slices, so a trace takes
-    O(outcomes * N) memory.  A slice is laid out variables by outcomes:
-    its transpose, row i-1 holding X_i's conditional means on every
-    outcome, is C-contiguous, and the checks read that transpose.
+    computes W[:, :, k] from the prefix partition prefix_ids[k].  A trace
+    keeps the rows and probabilities, M, dM, Q, q and one int32 cell index
+    per outcome and k, so it takes O(outcomes * N) memory, and each pass
+    over it holds one slice, the at most m+1 rows of the one before that
+    the window identity reads, and O(outcomes) columns.  A slice is laid
+    out variables by outcomes: its transpose, row i-1 holding X_i's
+    conditional means on every outcome, is C-contiguous, and the checks
+    read that transpose.
     """
 
     model: ArrayModel
@@ -102,7 +108,7 @@ class MartingaleTrace:
     dM: np.ndarray  # (outcomes, N)
     Q: np.ndarray  # (outcomes,)
     q: np.ndarray  # (N,)
-    prefix_ids: list  # per k = 0..N: partition cell index of each outcome
+    prefix_ids: list  # per k = 0..N: int32 partition cell index of each outcome
 
     @property
     def sigma2(self) -> float:
@@ -112,29 +118,45 @@ class MartingaleTrace:
 
     def w_slice(self, k: int, weighted: np.ndarray | None = None) -> np.ndarray:
         """W[:, :, k] as an (outcomes, N) array in column-major order, so
-        that its .T is a C-contiguous (N, outcomes) array.  A walk over k
-        passes weighted = _weighted_columns(self.table), computed once."""
+        that its .T is a C-contiguous (N, outcomes) array, filled one
+        variable at a time.  A walk over k passes weighted =
+        _weighted_columns(self.table), computed once."""
         if weighted is None:
             weighted = _weighted_columns(self.table)
-        inv = self.prefix_ids[k]
-        return np.take(_cell_means(self.table, inv, weighted), inv, axis=1).T
+        inv = self.prefix_ids[k].astype(np.intp)
+        out = np.empty(weighted.shape)
+        for row, means in zip(out, _cell_means_by_variable(self.table.probs, inv, weighted)):
+            means.take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
+        return out.T
 
 
 def _weighted_columns(table: OutcomeTable) -> np.ndarray:
-    """(N, outcomes): probs * X_i in row i-1, the weights _cell_means sums."""
+    """(N, outcomes): probs * X_i in row i-1, the weights whose cell sums
+    give the cell means."""
     return np.multiply(table.rows.T, table.probs, order="C")
 
 
-def _cell_means(table: OutcomeTable, inv: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """(N, cells): each X_i averaged over each cell of the partition inv,
-    weighted by probability, given weighted = _weighted_columns(table).
-    Each row is one weighted bincount, which adds in outcome order, as
+def _cell_means_by_variable(probs: np.ndarray, inv: np.ndarray, weighted: np.ndarray):
+    """Yield X_1's, then X_2's, ... mean over each cell of the partition
+    inv, weighted by probability, given weighted = _weighted_columns(table):
+    one weighted bincount per variable, which adds in outcome order, as
     np.add.at does."""
-    cellp = np.bincount(inv, weights=table.probs)
-    means = np.empty((len(weighted), len(cellp)))
-    for j, col in enumerate(weighted):
-        np.divide(np.bincount(inv, weights=col), cellp, out=means[j])
-    return means
+    cellp = np.bincount(inv, weights=probs)
+    for col in weighted:
+        yield np.bincount(inv, weights=col) / cellp
+
+
+def _refine(inv: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The partition inv refined by the values of one more entry: the cell
+    of an outcome is the pair (cell, X_k), numbered by np.unique of cell *
+    (distinct values of X_k) + rank of X_k."""
+    values, rank = np.unique(column, return_inverse=True)
+    return np.unique(inv * len(values) + rank, return_inverse=True)[1]
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| without a temporary the size of x, NaN if x holds one."""
+    return abs(float(max(x.max(), -x.min())))
 
 
 def _require_trace_size(model: ArrayModel, n: int) -> None:
@@ -157,18 +179,32 @@ def _require_trace_size(model: ArrayModel, n: int) -> None:
         )
 
 
+def _largest_trace_n(model: ArrayModel, below: int) -> int | None:
+    """The largest n < below that _require_trace_size admits, or None,
+    decided from the declaration alone; continuous marginals raise.  A
+    row of N entries is admitted only if N (N+1) <= TRACE_TENSOR_CAP, and
+    every row holds more than n/2 entries, so the search starts below
+    2 * isqrt(TRACE_TENSOR_CAP)."""
+    for n in range(min(below, 2 * math.isqrt(TRACE_TENSOR_CAP)) - 1, 0, -1):
+        try:
+            _require_trace_size(model, n)
+        except (EnumerationTooLargeError, InvalidParameterError):
+            continue
+        return n
+    return None
+
+
 def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     """Enumerate the row and compute M, dM, Q, q and the prefix partitions
     exactly.
 
-    The prefix partitions are refined one column at a time: the cell of an
-    outcome at k is the pair (cell at k-1, X_k), numbered by np.unique of
-    cell * (distinct values of X_k) + rank of X_k.  Cells at k-1 are
-    numbered in lexicographic prefix order and ranks in value order, so the
-    numbering is the one np.unique(rows[:, :k], axis=0) gives, without
-    sorting whole prefixes.  M[:, k] adds the cell means of X_1..X_N in
-    order (the last row of np.cumsum over them), the order W.sum(axis=1)
-    over the whole tensor adds them in, so no slice of W is built here.
+    The prefix partitions are refined one column at a time (_refine).
+    Cells at k-1 are numbered in lexicographic prefix order and ranks in
+    value order, so the numbering is the one np.unique(rows[:, :k], axis=0)
+    gives, without sorting whole prefixes.  M[:, k] adds the cell means of
+    X_1..X_N in order, one variable at a time (the last row of np.cumsum
+    over them), the order W.sum(axis=1) over the whole tensor adds them in,
+    so no slice of W is built here; q is summed one column of dM at a time.
     """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
@@ -180,14 +216,13 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     weighted = _weighted_columns(table)
     for k in range(N + 1):
         if k > 0:
-            values, rank = np.unique(rows[:, k - 1], return_inverse=True)
-            _, inv = np.unique(inv * len(values) + rank, return_inverse=True)
-        M[:, k] = np.cumsum(_cell_means(table, inv, weighted), axis=0)[-1, inv]
-        prefix_ids.append(inv)
+            inv = _refine(inv, rows[:, k - 1])
+        M[:, k] = reduce(np.add, _cell_means_by_variable(probs, inv, weighted))[inv]
+        prefix_ids.append(inv.astype(np.int32))
     del weighted  # as large as the rows, and not needed for dM, Q and q
     dM = np.diff(M, axis=1)
     Q = np.einsum("ok,ok->o", dM, dM)
-    q = _weighted_sum(probs, dM**2)
+    q = np.array([_weighted_sum(probs, d**2) for d in dM.T])
     return MartingaleTrace(model, n, model.m(n), table, M, dM, Q, q, prefix_ids)
 
 
@@ -217,9 +252,10 @@ def _scalar_result(name: str, lhs: float, rhs: float, err: float, tol: float, de
 
 
 class _SliceErrors:
-    """One identity's errors along a walk over slices j, the error of a
-    residual r being max(|r| - allowance, 0): the maximum of every slice,
-    and the first worst entry of each slice whose maximum fails tol."""
+    """One identity's errors along a walk over slices (or columns) j, the
+    error of a residual r being max(|r| - allowance, 0): the maximum of
+    every slice, and the first worst entry of each slice whose maximum
+    fails tol."""
 
     __slots__ = ("name", "tol", "names", "allowance", "maxima", "hits")
 
@@ -229,8 +265,7 @@ class _SliceErrors:
 
     def add(self, j: int, block: np.ndarray, i0: int = 0) -> None:
         """Slice j's residuals, laid out (outcomes,) or (i - i0, outcomes)."""
-        # max |block| without a full-size temporary, NaN if it holds one
-        worst = np.maximum(max(block.max(), -block.min()) - self.allowance, 0.0) if block.size else 0.0
+        worst = np.maximum(_max_abs(block) - self.allowance, 0.0) if block.size else 0.0
         self.maxima.append(worst)
         if not worst <= self.tol:  # NaN included
             err = np.abs(block.T)  # (outcome, i) in C order
@@ -275,9 +310,11 @@ def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResul
     residuals over its own rows only (past i < k, future i >= k + m, and
     the window in between), and the window sums add at most m + 1
     contiguous rows.  A slice's errors, indexed (outcome, i), are built
-    only when its maximum fails, to name its first worst entry."""
+    only when its maximum fails, to name its first worst entry.  The
+    past residuals are taken in place in the slice, after every other
+    read of it."""
     rows = trace.table.rows
-    N = rows.shape[1]
+    n_out, N = rows.shape
     m = trace.m
     M, dM = trace.M, trace.dM
     past = _SliceErrors("measurable-past", _STRUCTURE_TOL)
@@ -286,22 +323,23 @@ def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResul
     partial = _SliceErrors("partial-sum-form", _STRUCTURE_TOL, names=("outcome", "k"))
     bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound) if bound is not None else None
     weighted = _weighted_columns(trace.table)
-    head = np.zeros(rows.shape[0])  # X_1 + ... + X_k, added in order
-    prev = None
+    head = np.zeros(n_out)  # X_1 + ... + X_k, added in order
+    prev = np.empty((min(m + 1, N), n_out))  # rows k-1..k-1+m of the last slice
     for k in range(N + 1):
         Wt = trace.w_slice(k, weighted).T
         hi = min(k + m, N)
-        past.add(k, Wt[:k] - rows.T[:k])
         future.add(k, Wt[k + m :], k + m)
         if k > 0:
-            window.add(k - 1, dM[:, k - 1] - (Wt[k - 1 : hi] - prev[: hi - k + 1]).sum(axis=0))
+            diff = np.subtract(Wt[k - 1 : hi], prev[: hi - k + 1], out=prev[: hi - k + 1])
+            window.add(k - 1, dM[:, k - 1] - diff.sum(axis=0))
             head += rows[:, k - 1]
         partial.add(k, M[:, k] - (head + (Wt[k:hi].sum(axis=0) if hi > k else 0.0)))
         if bounded:
             bounded.add(k, Wt)
-        # the next window reads rows k..k+m of this slice only: a copy of
-        # them lets the slice go before the next one is built
-        prev = Wt[k : k + m + 1].copy()
+        # the next window reads rows k..k+m of this slice only
+        prev[: min(m + 1, N - k)] = Wt[k : k + m + 1]
+        # last, as nothing else reads the slice: the past residuals in place
+        past.add(k, np.subtract(Wt[:k], rows.T[:k], out=Wt[:k]))
         del Wt
 
     s = trace.table.row_sums()
@@ -328,7 +366,7 @@ def _hypotheses(trace: MartingaleTrace, eps: float) -> tuple[float, float]:
     """(eps/max(m, 1), sigma_n^2) once the hypotheses of check_bounds
     hold; raises HypothesisViolationError otherwise."""
     bound = eps / max(trace.m, 1)
-    max_x = float(np.abs(trace.table.rows).max())
+    max_x = _max_abs(trace.table.rows)
     if max_x > bound * (1 + 1e-12):
         raise HypothesisViolationError(
             f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})"
@@ -341,28 +379,28 @@ def _hypotheses(trace: MartingaleTrace, eps: float) -> tuple[float, float]:
 
 def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> list[CheckResult]:
     """check_bounds' results after conditional-bound, which need no slice
-    of W, given s2 = sigma_n^2 from _hypotheses."""
+    of W, given s2 = sigma_n^2 from _hypotheses.  The increment and prefix
+    bounds run one column of dM and of M at a time, T_j = X_1 + ... + X_j
+    added in order, as np.cumsum adds it."""
     rows = trace.table.rows
     probs = trace.table.probs
+    M, dM = trace.M, trace.dM
     N = rows.shape[1]
-    results = []
+    increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
+    gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
+    head, j = rows[:, 0].copy(), 1  # T_j
+    for i in range(N):
+        increment.add(i, dM[:, i])
+        while j < min(i + 1 + trace.m, N):
+            head += rows[:, j]
+            j += 1
+        gap.add(i, head - M[:, i + 1])  # T_{i+1+m} - M_{i+1}, T_N beyond N
 
-    err = np.abs(trace.dM)
-    dm_max = float(err.max())
-    err -= 4.0 * eps
-    res = _result("increment-bound", np.maximum(err, 0.0, out=err), _BOUND_TOL, names=("outcome", "k"))
-    results.append(
-        CheckResult(res.name, res.passed, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
-        if res.passed
-        else res
-    )
-
-    idx = np.minimum(np.arange(1, N + 1) + trace.m, N) - 1
-    err = np.cumsum(rows, axis=1)[:, idx]  # T_{i+m}
-    err -= trace.M[:, 1 : N + 1]
-    np.abs(err, out=err)
-    err -= 2.0 * eps
-    results.append(_result("prefix-gap", np.maximum(err, 0.0, out=err), _BOUND_TOL, names=("outcome", "i")))
+    dm_max = _max_abs(dM)
+    res = increment.result()
+    if res.passed:
+        res = CheckResult(res.name, True, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
+    results = [res, gap.result()]
 
     eq = float(_weighted_sum(probs, trace.Q))
     results.append(_scalar_result("mean-quadratic-variation", eq, s2, abs(eq - s2), 1e-10))
@@ -417,42 +455,53 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     """
     table = trace.table
     split = truncated_model(trace.model, trace.n, eps)
-    probs = table.probs
-    N = table.rows.shape[1]
+    rows, probs = table.rows, table.probs
+    N = rows.shape[1]
     m = trace.m
-    results = []
 
-    # one (N, outcomes) copy of the rows, so that the parts, laid out as it
-    # is, hold each X_i's values on every outcome contiguously; each del
-    # frees an array that size before the next one is made, which keeps
-    # this check's peak below that of trace_summary
-    rows_t = np.ascontiguousarray(table.rows.T)
-    x_lo, x_hi = split.split_rows(rows_t.T)  # (outcomes, N) views of that layout
-    tail_sum = float(sum(_weighted_sum(probs, x**2 * (np.abs(x) > split.threshold)) for x in rows_t))
-    del rows_t
-
-    err = x_lo + x_hi
-    err -= table.rows
-    results.append(_result("split-additivity", np.abs(err, out=err), 0.0, names=("outcome", "i")))
-    del err
-
-    mean_lo = _weighted_sum(probs, x_lo)
-    mean_hi = _weighted_sum(probs, x_hi)
-    err = np.maximum(np.abs(mean_lo), np.abs(mean_hi))
-    results.append(_result("split-centred", err, _EXPECTATION_TOL, names=("i",)))
-
-    # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
-    # order numpy sums it; taken before the parts are centred in place
-    lhs = float(_weighted_sum(probs, np.ascontiguousarray(x_hi).sum(axis=1) ** 2))
+    # one part of the split at a time, X' then X'', in one buffer laid out
+    # (N, outcomes) so that it holds each X_i's values on every outcome
+    # contiguously, filled row by row from one column of the rows at a time
+    # and centred in place
+    n_out = len(probs)
+    part = np.empty((N, n_out))
+    beyond = np.empty((N, n_out), dtype=bool)  # row i-1: where X_i goes to X''
     idx = np.arange(N)
     beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
-    err = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band; NaN wins
-    for part, mean in ((x_lo.T, mean_lo), (x_hi.T, mean_hi)):
-        part -= mean[:, None]
+    banded = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band; NaN wins
+    means = []
+
+    def centre_and_band(part):
+        means.append(_weighted_sum(probs, part.T))
+        part -= means[-1][:, None]
         # einsum rather than a BLAS product, whose sums vary with the thread count
         cov = np.einsum("io,jo->ij", part * probs, part)
-        np.maximum(err, np.abs(cov), out=err, where=beyond_band)
-    results.append(_result("split-banded", err, _EXPECTATION_TOL, names=("i", "j")))
+        np.maximum(banded, np.abs(cov), out=banded, where=beyond_band)
+
+    # X' from contiguous copies of the columns, which additivity and the
+    # tail sum read too
+    additivity = _SliceErrors("split-additivity", 0.0, names=("outcome", "i"))
+    tail_sum = 0.0
+    for i in range(N):
+        x = rows[:, i].copy()
+        beyond[i] = split.beyond(x)
+        np.multiply(x, ~beyond[i], out=part[i])
+        hi = x * beyond[i]
+        additivity.add(i, part[i] + hi - x)
+        tail_sum += _weighted_sum(probs, hi**2)
+    centre_and_band(part)
+    # X'' from the same masks
+    for i in range(N):
+        np.multiply(rows[:, i], beyond[i], out=part[i])
+    # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
+    # order numpy sums it
+    lhs = float(_weighted_sum(probs, np.ascontiguousarray(part.T).sum(axis=1) ** 2))
+    centre_and_band(part)
+    tail_sum = float(tail_sum)
+    results = [additivity.result()]
+    err = np.maximum(np.abs(means[0]), np.abs(means[1]))
+    results.append(_result("split-centred", err, _EXPECTATION_TOL, names=("i",)))
+    results.append(_result("split-banded", banded, _EXPECTATION_TOL, names=("i", "j")))
 
     rhs = (2 * m + 1) * tail_sum
     results.append(_scalar_result("tail-variance-bound", lhs, rhs, max(lhs - rhs, 0.0), _EXPECTATION_TOL))
@@ -600,7 +649,7 @@ def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
     checks included at the smallest eps they apply to, max(m, 1) * max|X|.
     The structure and bound checks share one walk over the slices of W."""
-    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    eps = max(trace.m, 1) * _max_abs(trace.table.rows)
     bound, s2 = _hypotheses(trace, eps)
     *structure, conditional = _walk(trace, bound)
     tower = check_tower(trace)
@@ -615,7 +664,7 @@ def trace_summary(trace: MartingaleTrace) -> dict:
         "sigma2": s2,
         "sum_q": float(trace.q.sum()),
         "var_q": var_q,
-        "max_abs_dm": float(np.abs(trace.dM).max()),
+        "max_abs_dm": _max_abs(trace.dM),
         "structure_passed": all(r.passed for r in structure),
         "tower_passed": all(r.passed for r in tower),
         "checks": {r.name: r.passed for r in structure + tower + bounds},

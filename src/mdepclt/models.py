@@ -234,11 +234,14 @@ class TruncationSplit:
 
     threshold: float
 
+    def beyond(self, rows: np.ndarray) -> np.ndarray:
+        """Where the entries go to X'': not |X| <= t, so NaN included."""
+        return ~(np.abs(rows) <= self.threshold)
+
     def split_rows(self, rows: np.ndarray):
-        """(X', X'') of an (outcomes, N) array, laid out in memory as rows is."""
-        rows = np.atleast_2d(rows)
-        below = np.abs(rows) <= self.threshold
-        return rows * below, rows * ~below
+        """(X', X'') of an array of entries, laid out in memory as rows is."""
+        beyond = self.beyond(rows)
+        return rows * ~beyond, rows * beyond
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,40 @@ def test_oracle_says_why_no_grid_point_fits(tmp_path, capsys, argv, needle):
     assert needle in err, err
 
 
+@pytest.mark.parametrize(
+    "argv,tail",
+    [
+        (["--model", "tail-coupled"], "; no n fits"),
+        (["--model", "iid-baseline", "--n-grid", "64,128"], "; the largest n below 64 that fits is 17"),
+        (["--model", "iid-baseline", "--n-grid", "18,64"], "; the largest n below 18 that fits is 17"),
+        (["--model", "two-scale", "--n-grid", str(10**12)], "; the largest n below 1000000000000 that fits is 8"),
+        (["--config", "{block}", "--n-grid", "4096"], "; no n below 4096 fits"),
+        # below 8192 this row has one block, which a spike row refuses
+        (["--config", "{spike}", "--n-grid", "8192"], "; no n below 8192 fits"),
+    ],
+    ids=["continuous", "outcome-cap", "just-below-the-grid", "far-beyond-the-caps", "trace-cap-at-every-n", "one-block-spike"],
+)
+def test_oracle_error_names_the_largest_n_that_fits(tmp_path, capsys, monkeypatch, argv, tail):
+    # found from the declaration: nothing is enumerated, stdout stays empty
+    def enumerate_outcomes(*args, **kwargs):
+        raise AssertionError("enumerated while looking for a fitting n")
+
+    monkeypatch.setattr(mart, "enumerate_outcomes", enumerate_outcomes)
+    block, spike = tmp_path / "block.json", tmp_path / "spike.json"
+    block.write_text(json.dumps({"family": "block-repeat", "m": 4096}))
+    spike.write_text(json.dumps({"family": "block-repeat", "m": 4096, "spike_frac": 0.5}))
+    code = run_cli("--cmd", "oracle", *(a.format(block=block, spike=spike) for a in argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: no grid point is exactly enumerable for this model: ")
+    assert captured.err.endswith(tail + "\n"), captured.err
+    if "largest" in tail:  # the n named fits, and the one above it does not
+        n, model = int(tail.rsplit(" ", 1)[1]), models.build_model(argv[1])
+        mart._require_trace_size(model, n)
+        with pytest.raises(models.EnumerationTooLargeError):
+            mart._require_trace_size(model, n + 1)
+
+
 def test_oracle_skips_infeasible_trace_sizes(tmp_path, two_scale_config, capsys):
     # n = 10 for the two-scale row fits the outcome cap but not the trace
     # tensor cap; it must be skipped, not crash

@@ -280,6 +280,38 @@ def test_conditional_bound_names_the_first_worst_entry_in_c_order(traces):
     assert (res.detail["outcome"], res.detail["i"], res.detail["k"]) == first
 
 
+def test_increment_bound_names_the_first_worst_entry_in_c_order(traces):
+    # equal worst |dM| at two outcomes: the one first in (outcome, k) order
+    # is named, though its column comes later
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    dM = trace.dM.copy()
+    dM[4, 3], dM[9, 1], dM[6, 2] = 5 * eps, -5 * eps, 4.5 * eps
+    res = {r.name: r for r in m.check_bounds(dataclasses.replace(trace, dM=dM), eps)}["increment-bound"]
+    assert not res.passed and res.max_abs_err == 5 * eps - 4 * eps
+    assert res.detail == {"outcome": 4, "k": 3, "err": 5 * eps - 4 * eps, "identity": "increment-bound"}
+
+
+def test_prefix_gap_names_the_first_worst_entry_in_c_order(traces):
+    # M_{i+1} = T_{i+m} + 3 eps at two outcomes with equal T_{i+m}, and
+    # 2.5 eps at a third: the first of the two worst in (outcome, i) order
+    # is named, though its column comes later
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    rows = trace.table.rows
+    N = rows.shape[1]
+    eps = max(trace.m, 1) * float(np.abs(rows).max())
+    T = np.cumsum(rows, axis=1)[:, np.minimum(np.arange(1, N + 1) + trace.m, N) - 1]
+    later = (9, 0)
+    first = next((o, 2) for o in range(later[0]) if T[o, 2] == T[later])
+    M = trace.M.copy()
+    for (o, i), gap in ((first, 3.0), (later, 3.0), ((7, 1), 2.5)):
+        M[o, i + 1] = T[o, i] + gap * eps
+    res = {r.name: r for r in m.check_bounds(dataclasses.replace(trace, M=M), eps)}["prefix-gap"]
+    want = abs(T[first] - M[first[0], first[1] + 1]) - 2.0 * eps
+    assert not res.passed and res.max_abs_err == want > 0.5 * eps
+    assert res.detail == {"outcome": first[0], "i": 2, "err": want, "identity": "prefix-gap"}
+
+
 def test_bounds_pass_with_tight_eps(traces):
     for model, n, trace in traces.values():
         eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
@@ -378,7 +410,10 @@ def test_growing_m_block_repeat_passes_at_n_144():
 
 def test_trace_memory_stays_below_one_w_tensor():
     # two-scale at n = 8: 2^17 outcomes and N = 8, so one (outcomes, N, N+1)
-    # float tensor takes 72 MiB
+    # float tensor takes 72 MiB, nine times the rows.  The trace keeps the
+    # rows, M, dM and the int32 prefix ids (about 4 times the rows), and
+    # each pass adds one slice, the weighted rows and O(outcomes) columns:
+    # 54.5 MiB, 6.8 times the rows, at the last measurement
     ts = m.build_model("two-scale", alpha=0.25)
     tracemalloc.start()
     try:
@@ -390,8 +425,10 @@ def test_trace_memory_stays_below_one_w_tensor():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert trace.table.rows.shape == (2**17, 8)
-    assert peak < 2**17 * 8 * 9 * 8
+    rows = trace.table.rows
+    assert rows.shape == (2**17, 8)
+    assert all(ids.dtype == np.int32 for ids in trace.prefix_ids)
+    assert peak < 7 * rows.nbytes
 
 
 def test_trace_size_is_checked_before_enumerating(monkeypatch):
