@@ -32,6 +32,7 @@ from .models import (
     OutcomeTable,
     _check_n,
     _enumeration_bits,
+    _row_sums,
     _sigma,
     _weighted_sum,
     enumerate_outcomes,
@@ -46,8 +47,9 @@ from .models import (
 TRACE_TENSOR_CAP = 2**24
 #: cap on the cells of the largest array the oracle stores,
 #: max(outcomes, N) * (N+1): M holds outcomes * (N+1) floats (32 MiB at the
-#: cap), the prefix partitions as many int32 (16 MiB), and the truncation
-#: check's covariances N * N floats
+#: cap), the prefix partitions as many int32 (16 MiB), the table one float
+#: fewer per outcome, and the truncation check's covariances N * N floats;
+#: no array of dM is kept, nor a probability per outcome
 TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
 #: pass of the checks compute one slice at a time (tens of seconds at the cap)
@@ -90,14 +92,15 @@ class MartingaleTrace:
     outcome o, for i = 1..N and k = 0..N; M[o, k] and dM[o, k-1] follow
     the same k convention; entries with i <= 0 or i > N are identically 0
     and are not stored.  W itself is not stored either: w_slice(k)
-    computes W[:, :, k] from the prefix partition prefix_ids[k].  A trace
-    keeps the rows and probabilities, M, dM, Q, q and one int32 cell index
-    per outcome and k, so it takes O(outcomes * N) memory, and each pass
-    over it holds one slice, the at most m+1 rows of the one before that
-    the window identity reads, and O(outcomes) columns.  A slice is laid
-    out variables by outcomes: its transpose, row i-1 holding X_i's
-    conditional means on every outcome, is C-contiguous, and the checks
-    read that transpose.
+    computes W[:, :, k] from the prefix partition prefix_ids[k].  Nor is
+    dM: each pass reads dM_k as the column M[:, k] - M[:, k-1], and the
+    dM property derives the whole array.  A trace keeps the table, M, Q,
+    q and one int32 cell index per outcome and k, so it takes
+    O(outcomes * N) memory, and each pass over it holds one slice, the at
+    most m+1 rows of the one before that the window identity reads, and
+    O(outcomes) columns.  A slice is laid out variables by outcomes, as
+    the table is: its transpose, row i-1 holding X_i's conditional means
+    on every outcome, is C-contiguous, and the checks read that transpose.
     """
 
     model: ArrayModel
@@ -105,10 +108,17 @@ class MartingaleTrace:
     m: int
     table: OutcomeTable
     M: np.ndarray  # (outcomes, N+1)
-    dM: np.ndarray  # (outcomes, N)
     Q: np.ndarray  # (outcomes,)
     q: np.ndarray  # (N,)
     prefix_ids: list  # per k = 0..N: int32 partition cell index of each outcome
+
+    @property
+    def dM(self) -> np.ndarray:
+        """(outcomes, N): dM[:, k-1] = M_k - M_{k-1}, derived from M on
+        every read, and read-only."""
+        dM = np.diff(self.M, axis=1)
+        dM.flags.writeable = False
+        return dM
 
     @property
     def sigma2(self) -> float:
@@ -116,34 +126,38 @@ class MartingaleTrace:
         s = self.table.row_sums()
         return float(_weighted_sum(self.table.probs, s**2))
 
-    def w_slice(self, k: int, weighted: np.ndarray | None = None) -> np.ndarray:
+    def w_slice(self, k: int) -> np.ndarray:
         """W[:, :, k] as an (outcomes, N) array in column-major order, so
         that its .T is a C-contiguous (N, outcomes) array, filled one
-        variable at a time.  A walk over k passes weighted =
-        _weighted_columns(self.table), computed once."""
-        if weighted is None:
-            weighted = _weighted_columns(self.table)
+        variable at a time."""
         inv = self.prefix_ids[k].astype(np.intp)
-        out = np.empty(weighted.shape)
-        for row, means in zip(out, _cell_means_by_variable(self.table.probs, inv, weighted)):
+        out = np.empty(self.table.columns.shape)
+        for row, means in zip(out, _cell_means_by_variable(self.table, inv)):
             means.take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
         return out.T
 
 
-def _weighted_columns(table: OutcomeTable) -> np.ndarray:
-    """(N, outcomes): probs * X_i in row i-1, the weights whose cell sums
-    give the cell means."""
-    return np.multiply(table.rows.T, table.probs, order="C")
-
-
-def _cell_means_by_variable(probs: np.ndarray, inv: np.ndarray, weighted: np.ndarray):
+def _cell_means_by_variable(table: OutcomeTable, inv: np.ndarray):
     """Yield X_1's, then X_2's, ... mean over each cell of the partition
-    inv, weighted by probability, given weighted = _weighted_columns(table):
-    one weighted bincount per variable, which adds in outcome order, as
-    np.add.at does."""
-    cellp = np.bincount(inv, weights=probs)
-    for col in weighted:
-        yield np.bincount(inv, weights=col) / cellp
+    inv: one bincount per variable, which adds in outcome order, as
+    np.add.at does, over the cell's count.  Every outcome has the same
+    probability, a power of two, so these are exactly the
+    probability-weighted means."""
+    counts = np.bincount(inv).astype(float)  # once: an int64 divisor is slower
+    for col in table.columns:
+        yield np.bincount(inv, weights=col) / counts
+
+
+def _increments(M: np.ndarray):
+    """Yield dM_1, ..., dM_N, each the column M[:, k] - M[:, k-1], as
+    np.diff computes it."""
+    return (M[:, k] - M[:, k - 1] for k in range(1, M.shape[1]))
+
+
+def _max_abs_increment(M: np.ndarray) -> float:
+    """max |dM| over every outcome and k, one column at a time; NaN if dM
+    holds one."""
+    return float(np.max([_max_abs(d) for d in _increments(M)]))
 
 
 def _refine(inv: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -195,7 +209,7 @@ def _largest_trace_n(model: ArrayModel, below: int) -> int | None:
 
 
 def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
-    """Enumerate the row and compute M, dM, Q, q and the prefix partitions
+    """Enumerate the row and compute M, Q, q and the prefix partitions
     exactly.
 
     The prefix partitions are refined one column at a time (_refine).
@@ -204,26 +218,26 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     gives, without sorting whole prefixes.  M[:, k] adds the cell means of
     X_1..X_N in order, one variable at a time (the last row of np.cumsum
     over them), the order W.sum(axis=1) over the whole tensor adds them in,
-    so no slice of W is built here; q is summed one column of dM at a time.
+    so no slice of W is built here.  Q and q are summed from one transient
+    dM, which the trace does not keep; q one column at a time.
     """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
-    rows, probs = table.rows, table.probs
-    n_out, N = rows.shape
+    cols = table.columns
+    N, n_out = cols.shape
     M = np.empty((n_out, N + 1))
     inv = np.zeros(n_out, dtype=np.intp)
     prefix_ids = []
-    weighted = _weighted_columns(table)
     for k in range(N + 1):
         if k > 0:
-            inv = _refine(inv, rows[:, k - 1])
-        M[:, k] = reduce(np.add, _cell_means_by_variable(probs, inv, weighted))[inv]
+            inv = _refine(inv, cols[k - 1])
+        M[:, k] = reduce(np.add, _cell_means_by_variable(table, inv))[inv]
         prefix_ids.append(inv.astype(np.int32))
-    del weighted  # as large as the rows, and not needed for dM, Q and q
     dM = np.diff(M, axis=1)
     Q = np.einsum("ok,ok->o", dM, dM)
-    q = np.array([_weighted_sum(probs, d**2) for d in dM.T])
-    return MartingaleTrace(model, n, model.m(n), table, M, dM, Q, q, prefix_ids)
+    q = np.array([_weighted_sum(table.probs, d**2) for d in dM.T])
+    del dM
+    return MartingaleTrace(model, n, model.m(n), table, M, Q, q, prefix_ids)
 
 
 def _first_violation(err: np.ndarray, names=("outcome", "i", "k")) -> dict:
@@ -313,33 +327,32 @@ def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResul
     only when its maximum fails, to name its first worst entry.  The
     past residuals are taken in place in the slice, after every other
     read of it."""
-    rows = trace.table.rows
-    n_out, N = rows.shape
+    cols = trace.table.columns
+    N, n_out = cols.shape
     m = trace.m
-    M, dM = trace.M, trace.dM
+    M = trace.M
     past = _SliceErrors("measurable-past", _STRUCTURE_TOL)
     future = _SliceErrors("independent-future", _STRUCTURE_TOL)
     window = _SliceErrors("window-difference", _STRUCTURE_TOL, names=("outcome", "k"))
     partial = _SliceErrors("partial-sum-form", _STRUCTURE_TOL, names=("outcome", "k"))
     bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound) if bound is not None else None
-    weighted = _weighted_columns(trace.table)
     head = np.zeros(n_out)  # X_1 + ... + X_k, added in order
     prev = np.empty((min(m + 1, N), n_out))  # rows k-1..k-1+m of the last slice
     for k in range(N + 1):
-        Wt = trace.w_slice(k, weighted).T
+        Wt = trace.w_slice(k).T
         hi = min(k + m, N)
         future.add(k, Wt[k + m :], k + m)
         if k > 0:
             diff = np.subtract(Wt[k - 1 : hi], prev[: hi - k + 1], out=prev[: hi - k + 1])
-            window.add(k - 1, dM[:, k - 1] - diff.sum(axis=0))
-            head += rows[:, k - 1]
+            window.add(k - 1, (M[:, k] - M[:, k - 1]) - diff.sum(axis=0))
+            head += cols[k - 1]
         partial.add(k, M[:, k] - (head + (Wt[k:hi].sum(axis=0) if hi > k else 0.0)))
         if bounded:
             bounded.add(k, Wt)
         # the next window reads rows k..k+m of this slice only
         prev[: min(m + 1, N - k)] = Wt[k : k + m + 1]
         # last, as nothing else reads the slice: the past residuals in place
-        past.add(k, np.subtract(Wt[:k], rows.T[:k], out=Wt[:k]))
+        past.add(k, np.subtract(Wt[:k], cols[:k], out=Wt[:k]))
         del Wt
 
     s = trace.table.row_sums()
@@ -382,21 +395,21 @@ def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> list[CheckResult]:
     of W, given s2 = sigma_n^2 from _hypotheses.  The increment and prefix
     bounds run one column of dM and of M at a time, T_j = X_1 + ... + X_j
     added in order, as np.cumsum adds it."""
-    rows = trace.table.rows
+    cols = trace.table.columns
     probs = trace.table.probs
-    M, dM = trace.M, trace.dM
-    N = rows.shape[1]
+    M = trace.M
+    N = cols.shape[0]
     increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
     gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
-    head, j = rows[:, 0].copy(), 1  # T_j
-    for i in range(N):
-        increment.add(i, dM[:, i])
+    head, j = cols[0].copy(), 1  # T_j
+    for i, d in enumerate(_increments(M)):
+        increment.add(i, d)
         while j < min(i + 1 + trace.m, N):
-            head += rows[:, j]
+            head += cols[j]
             j += 1
         gap.add(i, head - M[:, i + 1])  # T_{i+1+m} - M_{i+1}, T_N beyond N
 
-    dm_max = _max_abs(dM)
+    dm_max = _max_abs_increment(M)
     res = increment.result()
     if res.passed:
         res = CheckResult(res.name, True, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
@@ -415,14 +428,15 @@ def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> list[CheckResult]:
 def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
     """Full conditional-mean-zero test: E[dM_k 1{cell}] = 0 for every
     partition cell of the prefix of length k-1.  A NaN cell sum fails it,
-    and the detail names the first k that holds one."""
-    probs = trace.table.probs
+    and the detail names the first k that holds one.  A cell sum is the
+    outcomes' probability, a power of two, times the plain sum of dM_k."""
+    p = trace.table.prob
     results = []
     worst = 0.0
     detail = None
-    for k in range(1, trace.dM.shape[1] + 1):
+    for k, d in enumerate(_increments(trace.M), start=1):
         inv = trace.prefix_ids[k - 1]
-        cell_sums = np.bincount(inv, weights=probs * trace.dM[:, k - 1])
+        cell_sums = np.bincount(inv, weights=d) * p
         w = float(np.abs(cell_sums).max())
         if not w <= worst:  # also true for a NaN, which ends the search
             worst = w
@@ -455,15 +469,15 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     """
     table = trace.table
     split = truncated_model(trace.model, trace.n, eps)
-    rows, probs = table.rows, table.probs
-    N = rows.shape[1]
+    cols, probs, p = table.columns, table.probs, table.prob
+    N, n_out = cols.shape
     m = trace.m
 
     # one part of the split at a time, X' then X'', in one buffer laid out
-    # (N, outcomes) so that it holds each X_i's values on every outcome
-    # contiguously, filled row by row from one column of the rows at a time
-    # and centred in place
-    n_out = len(probs)
+    # as the table's columns, (N, outcomes), filled row by row from one
+    # column at a time and centred in place.  Every outcome has probability
+    # p, a power of two, so the means and covariances are plain sums times
+    # p, exactly the probability-weighted sums
     part = np.empty((N, n_out))
     beyond = np.empty((N, n_out), dtype=bool)  # row i-1: where X_i goes to X''
     idx = np.arange(N)
@@ -472,18 +486,17 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     means = []
 
     def centre_and_band(part):
-        means.append(_weighted_sum(probs, part.T))
+        means.append(part.sum(axis=1) * p)
         part -= means[-1][:, None]
         # einsum rather than a BLAS product, whose sums vary with the thread count
-        cov = np.einsum("io,jo->ij", part * probs, part)
+        cov = np.einsum("io,jo->ij", part, part) * p
         np.maximum(banded, np.abs(cov), out=banded, where=beyond_band)
 
-    # X' from contiguous copies of the columns, which additivity and the
-    # tail sum read too
+    # X' from the table's contiguous columns, which additivity and the tail
+    # sum read too
     additivity = _SliceErrors("split-additivity", 0.0, names=("outcome", "i"))
     tail_sum = 0.0
-    for i in range(N):
-        x = rows[:, i].copy()
+    for i, x in enumerate(cols):
         beyond[i] = split.beyond(x)
         np.multiply(x, ~beyond[i], out=part[i])
         hi = x * beyond[i]
@@ -491,11 +504,10 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
         tail_sum += _weighted_sum(probs, hi**2)
     centre_and_band(part)
     # X'' from the same masks
-    for i in range(N):
-        np.multiply(rows[:, i], beyond[i], out=part[i])
+    np.multiply(cols, beyond, out=part)
     # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
-    # order numpy sums it
-    lhs = float(_weighted_sum(probs, np.ascontiguousarray(part.T).sum(axis=1) ** 2))
+    # order numpy sums it, one block of outcomes at a time
+    lhs = float(_weighted_sum(probs, _row_sums(part.T) ** 2))
     centre_and_band(part)
     tail_sum = float(tail_sum)
     results = [additivity.result()]
@@ -664,7 +676,7 @@ def trace_summary(trace: MartingaleTrace) -> dict:
         "sigma2": s2,
         "sum_q": float(trace.q.sum()),
         "var_q": var_q,
-        "max_abs_dm": _max_abs(trace.dM),
+        "max_abs_dm": _max_abs_increment(trace.M),
         "structure_passed": all(r.passed for r in structure),
         "tower_passed": all(r.passed for r in tower),
         "checks": {r.name: r.passed for r in structure + tower + bounds},

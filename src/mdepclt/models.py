@@ -196,14 +196,51 @@ class ArrayModel:
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """Exhaustive list of (row, probability) pairs for one model row."""
+    """Every outcome of one model row, each of probability prob.
+
+    The table stores the rows variable-major: rows, of shape (outcomes, N_n),
+    is the transpose of the C-contiguous (N_n, outcomes) array columns,
+    whose row i-1 holds X_i on every outcome.  Rows laid out otherwise are
+    copied into that layout once.
+    """
 
     n: int
-    rows: np.ndarray  # shape (n_outcomes, N_n)
-    probs: np.ndarray  # shape (n_outcomes,)
+    rows: np.ndarray  # shape (n_outcomes, N_n), a transposed view of columns
+    prob: float  # of every outcome, 2^-bits
+
+    def __post_init__(self):
+        if not self.rows.T.flags.c_contiguous:
+            object.__setattr__(self, "rows", np.ascontiguousarray(self.rows.T).T)
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(N_n, outcomes), C-contiguous: X_i's values in row i-1."""
+        return self.rows.T
+
+    @property
+    def probs(self) -> np.ndarray:
+        """(n_outcomes,): prob on every outcome, a read-only view."""
+        return np.broadcast_to(self.prob, self.rows.shape[:1])
 
     def row_sums(self) -> np.ndarray:
-        return self.rows.sum(axis=1)
+        return _row_sums(self.rows)
+
+
+#: entries of the block of rows that _row_sums copies to C order at a time
+_ROW_SUM_BLOCK = 2**16
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """The sum of each row of an (outcomes, N) array of any layout, added
+    as numpy adds a C-contiguous row, one block of rows copied at a time.
+    Summed along axis 1 in place, a variable-major array adds its entries
+    in another order, and the last digits differ."""
+    n_out, N = rows.shape
+    step = max(1, _ROW_SUM_BLOCK // N)
+    out = np.empty(n_out)
+    for lo in range(0, n_out, step):
+        np.ascontiguousarray(rows[lo : lo + step]).sum(axis=1, out=out[lo : lo + step])
+    return out
 
 
 def _weighted_sum(weights: np.ndarray, x: np.ndarray):
@@ -579,16 +616,20 @@ def _enumeration_bits(model: ArrayModel, n: int) -> int:
 
 
 def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
-    """All outcomes of a finitely supported model row with probabilities."""
+    """All outcomes of a finitely supported model row, each of probability
+    2^-bits.  The signs are laid out innovations by outcomes, one
+    innovation at a time, so that the entries of a one-segment row come
+    out in the table's variable-major layout without a copy."""
     _check_n(n)
     bits = _enumeration_bits(model, n)
     count = 2**bits
     idx = np.arange(count, dtype=np.uint64)
-    signs = ((idx[:, None] >> np.arange(bits, dtype=np.uint64)) & 1).astype(float)
-    signs = signs * 2.0 - 1.0
-    rows = _row_entries(model, n, signs)
-    probs = np.full(count, 2.0**-bits)
-    return OutcomeTable(n, rows, probs)
+    signs = np.empty((bits, count))
+    for b, row in enumerate(signs):
+        row[:] = (idx >> np.uint64(b)) & np.uint64(1)
+    signs *= 2.0
+    signs -= 1.0
+    return OutcomeTable(n, _row_entries(model, n, signs.T), 2.0**-bits)
 
 
 # ---------------------------------------------------------------------------

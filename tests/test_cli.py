@@ -135,6 +135,42 @@ def test_oracle_enumerates_each_grid_point_once(monkeypatch):
     assert calls == []
 
 
+#: the floats oracle_payload prints for two-scale (alpha = 0.25) at n = 4
+#: and 7 over DEFAULT_EPS_GRID, as repr gives them, recorded before the
+#: table became variable-major: per n, the trace summary's floats in key
+#: order, and per (n, eps) the truncation values in key order
+_PINNED_TRACES = {
+    4: ["2.0", "1.999999999999999", "1.1249999999999987", "1.9142135623730951",
+        "1.9142135623730951", "0.15351179466616602", "1.0"],
+    7: ["1.7559289460184546", "1.755928946018524", "0.4408879691534524", "1.6075407789117562",
+        "1.607540778911756", "0.09716219395162712", "1.0000000000000002"],
+}
+_PINNED_TRUNCATION = [
+    ["0.07071067811865477", "5.0", "2.0", "15.0"],
+    ["0.14142135623730953", "5.0", "2.0", "15.0"],
+    ["0.7071067811865476", "4.5", "1.5", "13.5"],
+    ["1.4142135623730951", "3.6642135623730954", "2.2901334764831844", "10.992640687119286"],
+    ["0.06625573458234492", "6.2915026221291805", "1.7559289460184546", "18.874507866387543"],
+    ["0.13251146916468984", "6.2915026221291805", "1.7559289460184546", "18.874507866387543"],
+    ["0.6625573458234492", "5.791502622129181", "1.2559289460184544", "17.374507866387546"],
+    ["1.3251146916468983", "4.522327872762377", "2.5841873558642154", "13.56698361828713"],
+]
+
+
+def test_oracle_payload_floats_are_pinned():
+    # the cell means, tower sums and truncation moments are plain sums
+    # scaled by 2^-bits, which round exactly as the probability-weighted
+    # sums: the printed digits do not move.  At n = 7 (2^15 outcomes) the
+    # row sums span several blocks
+    model = models.build_model("two-scale", alpha=0.25)
+    payload = cli.oracle_payload(model, [4, 7], cond.DEFAULT_EPS_GRID)
+    traces = {t["n"]: [repr(v) for v in t.values() if isinstance(v, float)] for t in payload["traces"]}
+    assert traces == _PINNED_TRACES
+    rows = [[repr(v) for key, v in t.items() if key != "eps" and isinstance(v, float)] for t in payload["truncation"]]
+    assert rows == _PINNED_TRUNCATION
+    assert payload["passed"]
+
+
 def test_oracle_rejects_unenumerable_model():
     code = run_cli("--cmd", "oracle", "--model", "tail-coupled", "--n-grid", "4,6")
     assert code == 2

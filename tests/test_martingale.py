@@ -63,6 +63,26 @@ def test_telescoping_to_row_sum(traces):
         assert np.allclose(trace.M[:, 0], 0.0, atol=1e-12)
 
 
+def test_increments_are_derived_from_m(traces):
+    # the trace stores no dM: the property is M's difference, byte for
+    # byte, and read-only, so a write cannot go astray
+    for _, _, trace in traces.values():
+        assert "dM" not in vars(trace)
+        assert trace.dM.tobytes() == np.diff(trace.M, axis=1).tobytes()
+        assert not trace.dM.flags.writeable
+
+
+def test_max_abs_increment_reads_every_column(traces):
+    # max |dM|, taken one column at a time, sees a largest entry in the
+    # first column and a NaN anywhere
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    M = trace.M.copy()
+    M[2, 0], M[2, 1:] = 0.0, 9.0  # dM is 9 at k = 1 on outcome 2, and 0 after it
+    assert mart._max_abs_increment(M) == 9.0 == float(np.abs(np.diff(M, axis=1)).max())
+    M[5, 3] = np.nan
+    assert math.isnan(mart._max_abs_increment(M))
+
+
 def test_independent_case_increments_are_entries(traces):
     _, _, trace = traces["iid-baseline(rademacher)"]
     assert np.allclose(trace.dM, trace.table.rows, atol=1e-14)
@@ -282,12 +302,17 @@ def test_conditional_bound_names_the_first_worst_entry_in_c_order(traces):
 
 def test_increment_bound_names_the_first_worst_entry_in_c_order(traces):
     # equal worst |dM| at two outcomes: the one first in (outcome, k) order
-    # is named, though its column comes later
+    # is named, though its column comes later.  A trace derives dM from M,
+    # so each of these outcomes gets an M that steps once, from 0 to the
+    # value, and its dM is that value at k and 0 elsewhere, exactly
     _, _, trace = traces["two-scale(alpha=0.3)"]
     eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    dM = trace.dM.copy()
-    dM[4, 3], dM[9, 1], dM[6, 2] = 5 * eps, -5 * eps, 4.5 * eps
-    res = {r.name: r for r in m.check_bounds(dataclasses.replace(trace, dM=dM), eps)}["increment-bound"]
+    M = trace.M.copy()
+    for (o, k), value in (((4, 3), 5 * eps), ((9, 1), -5 * eps), ((6, 2), 4.5 * eps)):
+        M[o, : k + 1], M[o, k + 1 :] = 0.0, value
+    bad = dataclasses.replace(trace, M=M)
+    assert (bad.dM[4, 3], bad.dM[9, 1], bad.dM[6, 2]) == (5 * eps, -5 * eps, 4.5 * eps)
+    res = {r.name: r for r in m.check_bounds(bad, eps)}["increment-bound"]
     assert not res.passed and res.max_abs_err == 5 * eps - 4 * eps
     assert res.detail == {"outcome": 4, "k": 3, "err": 5 * eps - 4 * eps, "identity": "increment-bound"}
 
@@ -411,9 +436,9 @@ def test_growing_m_block_repeat_passes_at_n_144():
 def test_trace_memory_stays_below_one_w_tensor():
     # two-scale at n = 8: 2^17 outcomes and N = 8, so one (outcomes, N, N+1)
     # float tensor takes 72 MiB, nine times the rows.  The trace keeps the
-    # rows, M, dM and the int32 prefix ids (about 4 times the rows), and
-    # each pass adds one slice, the weighted rows and O(outcomes) columns:
-    # 54.5 MiB, 6.8 times the rows, at the last measurement
+    # variable-major rows, M and the int32 prefix ids (about 3 times the
+    # rows) but no dM, and each pass adds one slice and O(outcomes)
+    # columns: 37.5 MiB, 4.7 times the rows, at the last measurement
     ts = m.build_model("two-scale", alpha=0.25)
     tracemalloc.start()
     try:
@@ -427,8 +452,10 @@ def test_trace_memory_stays_below_one_w_tensor():
         tracemalloc.stop()
     rows = trace.table.rows
     assert rows.shape == (2**17, 8)
+    assert rows.T.flags.c_contiguous
+    assert "dM" not in vars(trace)
     assert all(ids.dtype == np.int32 for ids in trace.prefix_ids)
-    assert peak < 7 * rows.nbytes
+    assert peak < 5 * rows.nbytes
 
 
 def test_trace_size_is_checked_before_enumerating(monkeypatch):
@@ -527,7 +554,10 @@ def test_split_banded_fails_when_the_band_is_too_narrow():
 
 
 def _nan_increments(trace):
-    trace.dM[3, 2] = trace.dM[0, 3] = np.nan  # at k = 3 and k = 4
+    # a NaN in M_3 on outcome 3 reaches dM_3 and dM_4 there, and one in
+    # M_4 = M_N on outcome 0 reaches dM_4 only
+    trace.M[3, 3] = trace.M[0, 4] = np.nan
+    assert np.isnan(trace.dM[3, 2]) and np.isnan(trace.dM[0, 3])
     return m.check_tower(trace)[0]
 
 

@@ -200,6 +200,31 @@ def test_enumeration_matches_closed_forms(model, n):
             assert cov[i - 1, j - 1] == pytest.approx(exact_cov(model, n, i, j), abs=1e-12)
 
 
+@pytest.mark.parametrize("model,n", [*discrete_catalogue(), (m.build_model("two-scale", alpha=ALPHA), 7)])
+def test_enumerated_table_is_variable_major_and_uniform(model, n):
+    # one (N, outcomes) buffer, one probability: probs is a read-only view
+    # of exactly 2^-bits, and the row sums add each row as a C-contiguous
+    # row, in blocks of outcomes (several at two-scale n = 7, 2^15 outcomes)
+    table = m.enumerate_outcomes(model, n)
+    bits = models.linear_row(model, n)[0]
+    assert table.columns.flags.c_contiguous and np.shares_memory(table.columns, table.rows)
+    assert table.prob == 2.0**-bits
+    assert np.all(table.probs == 2.0**-bits) and len(table.probs) == 2**bits
+    assert not table.probs.flags.writeable
+    want = np.ascontiguousarray(table.rows).sum(axis=1)
+    assert table.row_sums().tobytes() == want.tobytes()
+
+
+def test_a_table_keeps_rows_in_its_layout():
+    # rows laid out outcome-major are copied once into the variable-major
+    # buffer, and writes through rows reach it
+    table = m.enumerate_outcomes(m.build_model("iid-baseline"), 4)
+    copy = m.OutcomeTable(table.n, np.ascontiguousarray(table.rows), table.prob)
+    assert copy.columns.flags.c_contiguous and np.array_equal(copy.rows, table.rows)
+    copy.rows[3, 1] = 7.0
+    assert copy.columns[1, 3] == 7.0
+
+
 def test_two_scale_outcome_count_and_support():
     ts = m.build_model("two-scale", alpha=ALPHA)
     table = m.enumerate_outcomes(ts, 3)
