@@ -45,15 +45,19 @@ from .models import (
 #: is feasible whatever the two caps below say: streaming that W needs less
 #: memory than storing it would (128 MiB) and little time
 TRACE_TENSOR_CAP = 2**24
-#: cap on the cells of the largest array the oracle stores,
-#: max(outcomes, N) * (N+1): M holds outcomes * (N+1) floats (32 MiB at the
-#: cap), the prefix partitions as many int32 (16 MiB), the table one float
-#: fewer per outcome, and the truncation check's covariances N * N floats;
-#: no array of dM is kept, nor a probability per outcome
+#: cap on the cells of the largest array the oracle holds,
+#: max(outcomes, N) * (N+1): the prefix partitions hold outcomes * (N+1)
+#: ids, one to four bytes each (at most 16 MiB at the cap), M's cell
+#: values at most as many floats and usually far fewer, the table one float
+#: fewer per outcome, trace.M outcomes * (N+1) floats (32 MiB) when it is
+#: read, and the truncation check's covariances N * N floats; no array of
+#: dM or of M per outcome is kept, nor a probability per outcome
 TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
 #: pass of the checks compute one slice at a time (tens of seconds at the cap)
 TRACE_WORK_CAP = 2**30
+#: entries of M that build_trace gathers per block of outcomes to sum Q
+_GATHER_BLOCK = 2**16
 #: tolerances of check_structure, of check_bounds, and of check_tower and
 #: check_truncation; trace_summary applies them as those checks do
 _STRUCTURE_TOL = 1e-10
@@ -86,18 +90,23 @@ class CheckResult:
 
 @dataclass
 class MartingaleTrace:
-    """Per-outcome martingale objects for one enumerable model row.
+    """Martingale objects for one enumerable model row.
 
     Index conventions: W[o, i-1, k] = E(X_i | prefix of length k) on
     outcome o, for i = 1..N and k = 0..N; M[o, k] and dM[o, k-1] follow
     the same k convention; entries with i <= 0 or i > N are identically 0
-    and are not stored.  W itself is not stored either: w_slice(k)
-    computes W[:, :, k] from the prefix partition prefix_ids[k].  Nor is
-    dM: each pass reads dM_k as the column M[:, k] - M[:, k-1], and the
-    dM property derives the whole array.  A trace keeps the table, M, Q,
-    q and one int32 cell index per outcome and k, so it takes
-    O(outcomes * N) memory, and each pass over it holds one slice, the at
-    most m+1 rows of the one before that the window identity reads, and
+    and are not stored.  The filtration is the prefix partitions:
+    prefix_ids[k] is the cell of each outcome in the partition by
+    (X_1, ..., X_k), in the narrowest unsigned dtype that holds its cell
+    count.  M_k is constant on those cells, so M_cells[k] holds one value
+    per cell, and every pass reads M_k on the outcomes through
+    m_columns(), which gathers it.  W is not stored either: w_slice(k)
+    computes W[:, :, k] from prefix_ids[k].  The M and dM properties
+    derive the whole per-outcome arrays on every read.  A trace keeps the
+    table, Q, q, the partitions and M's cell values, so it takes
+    O(outcomes * N) memory, about the table and one narrow index per
+    outcome and k; each pass over it holds one slice, the at most m+1
+    rows of the one before that the window identity reads, and
     O(outcomes) columns.  A slice is laid out variables by outcomes, as
     the table is: its transpose, row i-1 holding X_i's conditional means
     on every outcome, is C-contiguous, and the checks read that transpose.
@@ -107,10 +116,29 @@ class MartingaleTrace:
     n: int
     m: int
     table: OutcomeTable
-    M: np.ndarray  # (outcomes, N+1)
+    M_cells: list  # per k = 0..N: M_k on each cell of prefix_ids[k]
     Q: np.ndarray  # (outcomes,)
     q: np.ndarray  # (N,)
-    prefix_ids: list  # per k = 0..N: int32 partition cell index of each outcome
+    prefix_ids: list  # per k = 0..N: partition cell index of each outcome
+
+    def m_columns(self):
+        """Yield M_0, M_1, ..., M_N on every outcome, in order.  Each is
+        gathered once, through prefix_ids[k], into one of two buffers in
+        turn, so M_{k-1} stays valid beside M_k until the next column is
+        yielded; a caller that keeps a column longer copies it."""
+        out = np.empty((2, len(self.prefix_ids[0])))
+        for k, (cells, ids) in enumerate(zip(self.M_cells, self.prefix_ids)):
+            yield cells.take(ids, out=out[k % 2], mode="clip")  # every index is in range
+
+    @property
+    def M(self) -> np.ndarray:
+        """(outcomes, N+1): M[:, k] = M_k, gathered from the cell values on
+        every read, and read-only."""
+        M = np.empty((len(self.prefix_ids[0]), len(self.prefix_ids)))
+        for k, column in enumerate(self.m_columns()):
+            M[:, k] = column
+        M.flags.writeable = False
+        return M
 
     @property
     def dM(self) -> np.ndarray:
@@ -132,32 +160,39 @@ class MartingaleTrace:
         variable at a time."""
         inv = self.prefix_ids[k].astype(np.intp)
         out = np.empty(self.table.columns.shape)
-        for row, means in zip(out, _cell_means_by_variable(self.table, inv)):
-            means.take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
+        cell_means = _cell_means(inv)
+        for row, x in zip(out, self.table.columns):
+            cell_means(x).take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
         return out.T
 
 
-def _cell_means_by_variable(table: OutcomeTable, inv: np.ndarray):
-    """Yield X_1's, then X_2's, ... mean over each cell of the partition
-    inv: one bincount per variable, which adds in outcome order, as
-    np.add.at does, over the cell's count.  Every outcome has the same
-    probability, a power of two, so these are exactly the
-    probability-weighted means."""
+def _cell_means(inv: np.ndarray):
+    """The function taking a variable's values x on every outcome to its
+    mean over each cell of the partition inv: one bincount, which adds in
+    outcome order, as np.add.at does, over the cell's count.  Every
+    outcome has the same probability, a power of two, so these are
+    exactly the probability-weighted means.  The caller drops each result
+    before the next, so one array of means is held at a time."""
     counts = np.bincount(inv).astype(float)  # once: an int64 divisor is slower
-    for col in table.columns:
-        yield np.bincount(inv, weights=col) / counts
+
+    def means(x: np.ndarray) -> np.ndarray:
+        out = np.bincount(inv, weights=x)
+        out /= counts
+        return out
+
+    return means
 
 
-def _increments(M: np.ndarray):
-    """Yield dM_1, ..., dM_N, each the column M[:, k] - M[:, k-1], as
-    np.diff computes it."""
-    return (M[:, k] - M[:, k - 1] for k in range(1, M.shape[1]))
-
-
-def _max_abs_increment(M: np.ndarray) -> float:
-    """max |dM| over every outcome and k, one column at a time; NaN if dM
-    holds one."""
-    return float(np.max([_max_abs(d) for d in _increments(M)]))
+def _steps(trace: MartingaleTrace):
+    """Yield (M_k, dM_k) for k = 1..N from one pass of trace.m_columns(),
+    dM_k = M_k - M_{k-1} as np.diff computes it, in one buffer that the
+    next step overwrites."""
+    columns = trace.m_columns()
+    prev = next(columns)
+    d = np.empty_like(prev)
+    for column in columns:
+        yield column, np.subtract(column, prev, out=d)
+        prev = column
 
 
 def _refine(inv: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -215,29 +250,35 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     The prefix partitions are refined one column at a time (_refine).
     Cells at k-1 are numbered in lexicographic prefix order and ranks in
     value order, so the numbering is the one np.unique(rows[:, :k], axis=0)
-    gives, without sorting whole prefixes.  M[:, k] adds the cell means of
-    X_1..X_N in order, one variable at a time (the last row of np.cumsum
-    over them), the order W.sum(axis=1) over the whole tensor adds them in,
-    so no slice of W is built here.  Q and q are summed from one transient
-    dM, which the trace does not keep; q one column at a time.
+    gives, without sorting whole prefixes.  M_k on a cell adds the cell
+    means of X_1..X_N in order, one variable at a time (the last row of
+    np.cumsum over them), the order W.sum(axis=1) over the whole tensor
+    adds them in, so no slice of W is built here.  q is summed one column
+    of dM at a time, gathered from the cells; Q one block of outcomes at a
+    time, from a C-contiguous block of dM, whose rows np.einsum adds as it
+    adds the rows of the whole array.
     """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
     cols = table.columns
     N, n_out = cols.shape
-    M = np.empty((n_out, N + 1))
     inv = np.zeros(n_out, dtype=np.intp)
-    prefix_ids = []
+    M_cells, prefix_ids = [], []
     for k in range(N + 1):
         if k > 0:
             inv = _refine(inv, cols[k - 1])
-        M[:, k] = reduce(np.add, _cell_means_by_variable(table, inv))[inv]
-        prefix_ids.append(inv.astype(np.int32))
-    dM = np.diff(M, axis=1)
-    Q = np.einsum("ok,ok->o", dM, dM)
-    q = np.array([_weighted_sum(table.probs, d**2) for d in dM.T])
-    del dM
-    return MartingaleTrace(model, n, model.m(n), table, M, Q, q, prefix_ids)
+        M_cells.append(reduce(np.add, map(_cell_means(inv), cols)))
+        prefix_ids.append(inv.astype(np.min_scalar_type(len(M_cells[k]) - 1)))
+    del inv
+    trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids)
+    for i, (_, d) in enumerate(_steps(trace)):
+        trace.q[i] = _weighted_sum(table.probs, d**2)
+    step = max(1, _GATHER_BLOCK // (N + 1))
+    for lo in range(0, n_out, step):
+        block = np.array([cells[ids[lo : lo + step]] for cells, ids in zip(M_cells, prefix_ids)])
+        d = np.subtract(block[1:].T, block[:-1].T, order="C")
+        trace.Q[lo : lo + step] = np.einsum("ok,ok->o", d, d)
+    return trace
 
 
 def _first_violation(err: np.ndarray, names=("outcome", "i", "k")) -> dict:
@@ -326,27 +367,31 @@ def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResul
     contiguous rows.  A slice's errors, indexed (outcome, i), are built
     only when its maximum fails, to name its first worst entry.  The
     past residuals are taken in place in the slice, after every other
-    read of it."""
+    read of it.  M_k comes from the same pass's trace.m_columns(), held
+    beside M_{k-1}; the endpoint check reads M_0 first and M_N last."""
     cols = trace.table.columns
     N, n_out = cols.shape
     m = trace.m
-    M = trace.M
     past = _SliceErrors("measurable-past", _STRUCTURE_TOL)
     future = _SliceErrors("independent-future", _STRUCTURE_TOL)
     window = _SliceErrors("window-difference", _STRUCTURE_TOL, names=("outcome", "k"))
     partial = _SliceErrors("partial-sum-form", _STRUCTURE_TOL, names=("outcome", "k"))
+    endpoint = _SliceErrors("endpoint", _STRUCTURE_TOL, names=("outcome",))  # M_0 = 0, then M_N = S_n
     bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound) if bound is not None else None
     head = np.zeros(n_out)  # X_1 + ... + X_k, added in order
     prev = np.empty((min(m + 1, N), n_out))  # rows k-1..k-1+m of the last slice
-    for k in range(N + 1):
+    for k, Mk in enumerate(trace.m_columns()):
         Wt = trace.w_slice(k).T
         hi = min(k + m, N)
         future.add(k, Wt[k + m :], k + m)
-        if k > 0:
+        if k == 0:
+            endpoint.add(k, Mk)
+        else:
             diff = np.subtract(Wt[k - 1 : hi], prev[: hi - k + 1], out=prev[: hi - k + 1])
-            window.add(k - 1, (M[:, k] - M[:, k - 1]) - diff.sum(axis=0))
+            window.add(k - 1, (Mk - M_prev) - diff.sum(axis=0))
             head += cols[k - 1]
-        partial.add(k, M[:, k] - (head + (Wt[k:hi].sum(axis=0) if hi > k else 0.0)))
+        partial.add(k, Mk - (head + Wt[k:hi].sum(axis=0)) if hi > k else Mk - head)
+        M_prev = Mk
         if bounded:
             bounded.add(k, Wt)
         # the next window reads rows k..k+m of this slice only
@@ -355,10 +400,8 @@ def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResul
         past.add(k, np.subtract(Wt[:k], cols[:k], out=Wt[:k]))
         del Wt
 
-    s = trace.table.row_sums()
-    err = np.maximum(np.abs(M[:, 0]), np.abs(M[:, N] - s))
-    results = [w.result() for w in (past, future, window, partial)]
-    results.append(_result("endpoint", err, _STRUCTURE_TOL, names=("outcome",)))
+    endpoint.add(N, M_prev - trace.table.row_sums())  # M_prev is M_N
+    results = [w.result() for w in (past, future, window, partial, endpoint)]
     return results + ([bounded.result()] if bounded else [])
 
 
@@ -372,7 +415,7 @@ def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
     bound, s2 = _hypotheses(trace, eps)
-    return _walk(trace, bound)[-1:] + _bounds(trace, eps, s2)
+    return _walk(trace, bound)[-1:] + _bounds(trace, eps, s2)[0]
 
 
 def _hypotheses(trace: MartingaleTrace, eps: float) -> tuple[float, float]:
@@ -390,26 +433,29 @@ def _hypotheses(trace: MartingaleTrace, eps: float) -> tuple[float, float]:
     return bound, s2
 
 
-def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> list[CheckResult]:
+def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> tuple[list[CheckResult], float]:
     """check_bounds' results after conditional-bound, which need no slice
-    of W, given s2 = sigma_n^2 from _hypotheses.  The increment and prefix
-    bounds run one column of dM and of M at a time, T_j = X_1 + ... + X_j
-    added in order, as np.cumsum adds it."""
+    of W, given s2 = sigma_n^2 from _hypotheses, and max |dM|, NaN if dM
+    holds one.  The increment and prefix bounds run one column of dM and
+    of M at a time, T_j = X_1 + ... + X_j added in order, as np.cumsum
+    adds it."""
     cols = trace.table.columns
     probs = trace.table.probs
-    M = trace.M
     N = cols.shape[0]
     increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
     gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
     head, j = cols[0].copy(), 1  # T_j
-    for i, d in enumerate(_increments(M)):
+    residual = np.empty_like(head)
+    dm_maxima = []
+    for i, (Mk, d) in enumerate(_steps(trace)):
         increment.add(i, d)
+        dm_maxima.append(_max_abs(d))
         while j < min(i + 1 + trace.m, N):
             head += cols[j]
             j += 1
-        gap.add(i, head - M[:, i + 1])  # T_{i+1+m} - M_{i+1}, T_N beyond N
+        gap.add(i, np.subtract(head, Mk, out=residual))  # T_{i+1+m} - M_{i+1}, T_N beyond N
 
-    dm_max = _max_abs_increment(M)
+    dm_max = float(np.max(dm_maxima))
     res = increment.result()
     if res.passed:
         res = CheckResult(res.name, True, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
@@ -422,7 +468,7 @@ def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> list[CheckResult]:
     cap = 48.0 * eps**2 * s2
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
     results.append(_scalar_result("variance-bound", var_q, cap, max(var_q - cap, 0.0), _BOUND_TOL, slack))
-    return results
+    return results, dm_max
 
 
 def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
@@ -434,7 +480,7 @@ def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
     results = []
     worst = 0.0
     detail = None
-    for k, d in enumerate(_increments(trace.M), start=1):
+    for k, (_, d) in enumerate(_steps(trace), start=1):
         inv = trace.prefix_ids[k - 1]
         cell_sums = np.bincount(inv, weights=d) * p
         w = float(np.abs(cell_sums).max())
@@ -479,7 +525,6 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     # p, a power of two, so the means and covariances are plain sums times
     # p, exactly the probability-weighted sums
     part = np.empty((N, n_out))
-    beyond = np.empty((N, n_out), dtype=bool)  # row i-1: where X_i goes to X''
     idx = np.arange(N)
     beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
     banded = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band; NaN wins
@@ -488,23 +533,28 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     def centre_and_band(part):
         means.append(part.sum(axis=1) * p)
         part -= means[-1][:, None]
-        # einsum rather than a BLAS product, whose sums vary with the thread count
-        cov = np.einsum("io,jo->ij", part, part) * p
-        np.maximum(banded, np.abs(cov), out=banded, where=beyond_band)
+        # einsum rather than a BLAS product, whose sums vary with the thread
+        # count; scaled and made absolute in place, one N x N array at a time
+        cov = np.einsum("io,jo->ij", part, part)
+        cov *= p
+        np.maximum(banded, np.abs(cov, out=cov), out=banded, where=beyond_band)
 
-    # X' from the table's contiguous columns, which additivity and the tail
-    # sum read too
+    # X' from the table's contiguous columns, one mask at a time, and X''_i
+    # in one row buffer, from which the tail sum and then additivity read
     additivity = _SliceErrors("split-additivity", 0.0, names=("outcome", "i"))
     tail_sum = 0.0
+    row = np.empty(n_out)
     for i, x in enumerate(cols):
-        beyond[i] = split.beyond(x)
-        np.multiply(x, ~beyond[i], out=part[i])
-        hi = x * beyond[i]
-        additivity.add(i, part[i] + hi - x)
-        tail_sum += _weighted_sum(probs, hi**2)
+        beyond = split.beyond(x)  # where X_i goes to X''
+        np.multiply(x, ~beyond, out=part[i])
+        np.multiply(x, beyond, out=row)
+        tail_sum += _weighted_sum(probs, row**2)
+        np.add(part[i], row, out=row)
+        additivity.add(i, np.subtract(row, x, out=row))
     centre_and_band(part)
-    # X'' from the same masks
-    np.multiply(cols, beyond, out=part)
+    # X'', each row's mask taken again from its column
+    for x, out in zip(cols, part):
+        np.multiply(x, split.beyond(x), out=out)
     # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
     # order numpy sums it, one block of outcomes at a time
     lhs = float(_weighted_sum(probs, _row_sums(part.T) ** 2))
@@ -665,7 +715,8 @@ def trace_summary(trace: MartingaleTrace) -> dict:
     bound, s2 = _hypotheses(trace, eps)
     *structure, conditional = _walk(trace, bound)
     tower = check_tower(trace)
-    bounds = [conditional] + _bounds(trace, eps, s2)
+    rest, dm_max = _bounds(trace, eps, s2)
+    bounds = [conditional] + rest
     probs = trace.table.probs
     eq = float(_weighted_sum(probs, trace.Q))
     var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
@@ -676,7 +727,7 @@ def trace_summary(trace: MartingaleTrace) -> dict:
         "sigma2": s2,
         "sum_q": float(trace.q.sum()),
         "var_q": var_q,
-        "max_abs_dm": _max_abs_increment(trace.M),
+        "max_abs_dm": dm_max,
         "structure_passed": all(r.passed for r in structure),
         "tower_passed": all(r.passed for r in tower),
         "checks": {r.name: r.passed for r in structure + tower + bounds},

@@ -617,19 +617,34 @@ def _enumeration_bits(model: ArrayModel, n: int) -> int:
 
 def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
     """All outcomes of a finitely supported model row, each of probability
-    2^-bits.  The signs are laid out innovations by outcomes, one
-    innovation at a time, so that the entries of a one-segment row come
-    out in the table's variable-major layout without a copy."""
+    2^-bits: innovation j of outcome o is +1 where bit j of o is set, else
+    -1, so its signs run in alternating blocks of 2^j outcomes.
+
+    The table is built one variable at a time, straight into its
+    variable-major layout: an entry's signs are written when it needs
+    them, one row per tap, and the entry is their tap_sum times amplitude
+    * scale, as _row_entries forms it, so the values are those of a
+    sampled row with the same innovations.  A block of repeated entries is
+    formed once and copied to each of its rows."""
     _check_n(n)
     bits = _enumeration_bits(model, n)
-    count = 2**bits
-    idx = np.arange(count, dtype=np.uint64)
-    signs = np.empty((bits, count))
-    for b, row in enumerate(signs):
-        row[:] = (idx >> np.uint64(b)) & np.uint64(1)
-    signs *= 2.0
-    signs -= 1.0
-    return OutcomeTable(n, _row_entries(model, n, signs.T), 2.0**-bits)
+    _, scale, segments = linear_row(model, n)
+    factor = model.amplitude * scale
+    columns = np.empty((model.length(n), 2**bits))
+    start = 0
+    for count, taps, repeat in segments:
+        signs = np.empty((len(taps), 2**bits))
+        for block in range(count // repeat):
+            for row, (j, _) in zip(signs, taps):
+                runs = row.reshape(-1, 2, 2 ** (j + block))  # innovation j + block
+                runs[:, 0] = -1.0
+                runs[:, 1] = 1.0
+            entry = tap_sum([c for _, c in taps], signs)
+            if factor != 1.0:
+                entry *= factor  # rounds as factor * entry does
+            columns[start : start + repeat] = entry
+            start += repeat
+    return OutcomeTable(n, columns.T, 2.0**-bits)
 
 
 # ---------------------------------------------------------------------------

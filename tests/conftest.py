@@ -3,9 +3,12 @@ terminal summary so each criterion shows one pass/fail line.  Also the
 independent references the tests compare the library against: a whole
 sampled row, the law of one entry, the law of a sign combination over
 every sign pattern, the covariance band, the window variance summed from
-it, and Var S_n over enumerated outcomes."""
+it, Var S_n over enumerated outcomes, the outcome table from one matrix of
+every innovation's signs, and the martingale M stored per outcome."""
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -132,3 +135,38 @@ def enumerated_var_sum(table):
     s = table.row_sums()
     mu = _weighted_sum(table.probs, s)
     return float(_weighted_sum(table.probs, (s - mu) ** 2))
+
+
+def sign_matrix_rows(model, n):
+    """The (outcomes, N_n) rows of every outcome of a Rademacher row, from
+    one (bits, outcomes) matrix of signs, innovation j of outcome o being
+    +1 where (o >> j) & 1 is set, mapped to entries by _row_entries all at
+    once: the reference for models.enumerate_outcomes, which builds the
+    table one variable at a time."""
+    bits = linear_row(model, n)[0]
+    idx = np.arange(2**bits, dtype=np.uint64)
+    signs = np.empty((bits, 2**bits))
+    for j, row in enumerate(signs):
+        row[:] = (idx >> np.uint64(j)) & np.uint64(1)
+    signs *= 2.0
+    signs -= 1.0
+    return _row_entries(model, n, signs.T)
+
+
+def per_outcome_M(table):
+    """M[:, k] = E(S_n | X_1..X_k) on every outcome of an OutcomeTable, as
+    one (outcomes, N+1) array: the cells of each prefix from np.unique over
+    whole prefixes, each variable's mean over a cell as its bincount over
+    the cell's count, added over the variables in order and gathered per
+    outcome.  The reference for MartingaleTrace.M, which the trace derives
+    from one value per cell."""
+    rows = table.rows
+    n_out, N = rows.shape
+    M = np.empty((n_out, N + 1))
+    for k in range(N + 1):
+        inv = np.zeros(n_out, dtype=np.intp)
+        if k > 0:
+            inv = np.unique(rows[:, :k], axis=0, return_inverse=True)[1].ravel()
+        counts = np.bincount(inv).astype(float)
+        M[:, k] = reduce(np.add, (np.bincount(inv, weights=x) / counts for x in table.columns))[inv]
+    return M

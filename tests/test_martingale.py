@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import mdepclt as m
 from mdepclt import martingale as mart
 
+from conftest import per_outcome_M
+
 
 def oracle_models():
     return [
@@ -72,15 +74,42 @@ def test_increments_are_derived_from_m(traces):
         assert not trace.dM.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "model,n",
+    oracle_models() + [(m.build_model("two-scale", alpha=0.25), 7)],
+    ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v),
+)
+def test_m_is_the_per_outcome_reference_and_read_only(model, n):
+    # the trace keeps M_k once per prefix cell; gathered per outcome it is
+    # the per-outcome M byte for byte, derived on every read, and read-only
+    trace = m.build_trace(model, n)
+    assert "M" not in vars(trace)
+    M = trace.M
+    assert M.tobytes() == per_outcome_M(trace.table).tobytes()
+    assert not M.flags.writeable
+    for k, column in enumerate(trace.m_columns()):
+        assert column.tobytes() == M[:, k].tobytes(), k
+
+
+def test_each_m_k_has_one_value_per_prefix_cell(traces):
+    for _, _, trace in traces.values():
+        N = trace.table.rows.shape[1]
+        assert len(trace.M_cells) == len(trace.prefix_ids) == N + 1
+        for k, (cells, ids) in enumerate(zip(trace.M_cells, trace.prefix_ids)):
+            assert len(cells) == len(np.unique(ids)) == int(ids.max()) + 1, k
+            assert ids.dtype == np.min_scalar_type(len(cells) - 1), k
+
+
 def test_max_abs_increment_reads_every_column(traces):
     # max |dM|, taken one column at a time, sees a largest entry in the
     # first column and a NaN anywhere
     _, _, trace = traces["two-scale(alpha=0.3)"]
     M = trace.M.copy()
     M[2, 0], M[2, 1:] = 0.0, 9.0  # dM is 9 at k = 1 on outcome 2, and 0 after it
-    assert mart._max_abs_increment(M) == 9.0 == float(np.abs(np.diff(M, axis=1)).max())
+    bad = _with_M(trace, M)
+    assert m.trace_summary(bad)["max_abs_dm"] == 9.0 == float(np.abs(np.diff(M, axis=1)).max())
     M[5, 3] = np.nan
-    assert math.isnan(mart._max_abs_increment(M))
+    assert math.isnan(m.trace_summary(_with_M(trace, M))["max_abs_dm"])
 
 
 def test_independent_case_increments_are_entries(traces):
@@ -107,6 +136,26 @@ def _perturbed(trace, edit):
 
     bad.w_slice = w_slice
     return bad
+
+
+def _m_perturbed(trace, edit):
+    """A copy of trace whose M reader hands every gathered M_k to
+    edit(k, Mk), which changes it in place; W and the stored cell values
+    stay as built."""
+    bad = copy.copy(trace)
+
+    def m_columns():
+        for k, Mk in enumerate(trace.m_columns()):
+            edit(k, Mk)
+            yield Mk
+
+    bad.m_columns = m_columns
+    return bad
+
+
+def _with_M(trace, M):
+    """A copy of trace that reads the per-outcome array M as its M."""
+    return _m_perturbed(trace, lambda k, Mk: np.copyto(Mk, M[:, k]))
 
 
 def _bumped(trace, o, i, k, delta):
@@ -310,7 +359,7 @@ def test_increment_bound_names_the_first_worst_entry_in_c_order(traces):
     M = trace.M.copy()
     for (o, k), value in (((4, 3), 5 * eps), ((9, 1), -5 * eps), ((6, 2), 4.5 * eps)):
         M[o, : k + 1], M[o, k + 1 :] = 0.0, value
-    bad = dataclasses.replace(trace, M=M)
+    bad = _with_M(trace, M)
     assert (bad.dM[4, 3], bad.dM[9, 1], bad.dM[6, 2]) == (5 * eps, -5 * eps, 4.5 * eps)
     res = {r.name: r for r in m.check_bounds(bad, eps)}["increment-bound"]
     assert not res.passed and res.max_abs_err == 5 * eps - 4 * eps
@@ -331,7 +380,7 @@ def test_prefix_gap_names_the_first_worst_entry_in_c_order(traces):
     M = trace.M.copy()
     for (o, i), gap in ((first, 3.0), (later, 3.0), ((7, 1), 2.5)):
         M[o, i + 1] = T[o, i] + gap * eps
-    res = {r.name: r for r in m.check_bounds(dataclasses.replace(trace, M=M), eps)}["prefix-gap"]
+    res = {r.name: r for r in m.check_bounds(_with_M(trace, M), eps)}["prefix-gap"]
     want = abs(T[first] - M[first[0], first[1] + 1]) - 2.0 * eps
     assert not res.passed and res.max_abs_err == want > 0.5 * eps
     assert res.detail == {"outcome": first[0], "i": 2, "err": want, "identity": "prefix-gap"}
@@ -436,9 +485,10 @@ def test_growing_m_block_repeat_passes_at_n_144():
 def test_trace_memory_stays_below_one_w_tensor():
     # two-scale at n = 8: 2^17 outcomes and N = 8, so one (outcomes, N, N+1)
     # float tensor takes 72 MiB, nine times the rows.  The trace keeps the
-    # variable-major rows, M and the int32 prefix ids (about 3 times the
-    # rows) but no dM, and each pass adds one slice and O(outcomes)
-    # columns: 37.5 MiB, 4.7 times the rows, at the last measurement
+    # variable-major rows, M's cell values and the prefix ids in their
+    # narrowest dtype (about 1.5 times the rows) but no per-outcome M or
+    # dM, and each pass adds one slice and O(outcomes) columns: 28.3 MiB,
+    # 3.5 times the rows, at the last measurement
     ts = m.build_model("two-scale", alpha=0.25)
     tracemalloc.start()
     try:
@@ -453,9 +503,40 @@ def test_trace_memory_stays_below_one_w_tensor():
     rows = trace.table.rows
     assert rows.shape == (2**17, 8)
     assert rows.T.flags.c_contiguous
-    assert "dM" not in vars(trace)
-    assert all(ids.dtype == np.int32 for ids in trace.prefix_ids)
-    assert peak < 5 * rows.nbytes
+    assert "dM" not in vars(trace) and "M" not in vars(trace)
+    assert all(ids.dtype == np.min_scalar_type(ids.max()) for ids in trace.prefix_ids)
+    assert [ids.dtype.itemsize for ids in trace.prefix_ids] == [1] * 4 + [2] * 4 + [4]
+    assert peak < 4 * rows.nbytes
+
+
+#: the peak of each oracle stage at two-scale n = 8, counting the trace
+#: it reads, as a multiple of the rows: 1.75, 2.37, 3.54 and 2.94 at the
+#: last measurement.  A stage over its bound is the ceiling on the
+#: oracle's peak memory
+_STAGE_MULTIPLES = {"enumeration": 2.0, "build": 2.5, "summary": 3.75, "truncation": 3.25}
+
+
+@pytest.mark.parametrize("stage", _STAGE_MULTIPLES)
+def test_each_oracle_stage_peaks_below_its_multiple_of_the_rows(stage):
+    ts = m.build_model("two-scale", alpha=0.25)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if stage == "enumeration":
+            rows = m.enumerate_outcomes(ts, 8).rows
+        else:
+            trace = m.build_trace(ts, 8)
+            rows = trace.table.rows
+            tracemalloc.reset_peak()
+            if stage == "summary":
+                m.trace_summary(trace)
+            elif stage == "truncation":
+                m.check_truncation(trace, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (2**17, 8)
+    assert peak < _STAGE_MULTIPLES[stage] * rows.nbytes, peak / rows.nbytes
 
 
 def test_trace_size_is_checked_before_enumerating(monkeypatch):
@@ -556,7 +637,11 @@ def test_split_banded_fails_when_the_band_is_too_narrow():
 def _nan_increments(trace):
     # a NaN in M_3 on outcome 3 reaches dM_3 and dM_4 there, and one in
     # M_4 = M_N on outcome 0 reaches dM_4 only
-    trace.M[3, 3] = trace.M[0, 4] = np.nan
+    def edit(k, Mk):
+        if k in (3, 4):
+            Mk[{3: 3, 4: 0}[k]] = np.nan
+
+    trace = _m_perturbed(trace, edit)
     assert np.isnan(trace.dM[3, 2]) and np.isnan(trace.dM[0, 3])
     return m.check_tower(trace)[0]
 

@@ -2,6 +2,7 @@
 truncation."""
 
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -28,6 +29,7 @@ from conftest import (
     exact_cov,
     marginal_law,
     sample_row,
+    sign_matrix_rows,
     window_variance_max_generic,
 )
 
@@ -215,6 +217,36 @@ def test_enumerated_table_is_variable_major_and_uniform(model, n):
     assert table.row_sums().tobytes() == want.tobytes()
 
 
+def _enumerated_rows():
+    """(model, n): every discrete catalogue row, the spiked block-repeat
+    row and the benchmark's two-scale config (the catalogue's two-scale
+    row), at each n of a fixed list where the row is defined and has at
+    most 2^17 outcomes."""
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two-scale.json"
+    spiked = m.build_model("block-repeat", m_schedule=3, spike_frac=0.5)
+    rows = [*(mod for mod in catalogue().values() if mod.is_discrete), spiked]
+    rows.append(m.model_from_config(json.loads(config.read_text())))
+    return [
+        (model, n)
+        for model in dict.fromkeys(rows)
+        for n in (1, 2, 3, 4, 6, 7, 8, 9, 12, 16)
+        if not (model is spiked and model.blocks(n) < 2) and models.linear_row(model, n)[0] <= 17
+    ]
+
+
+@pytest.mark.parametrize(
+    "model,n", _enumerated_rows(), ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v)
+)
+def test_enumeration_is_the_sign_matrix_table_byte_for_byte(model, n):
+    # built one variable at a time, the table holds the very bytes of the
+    # rows mapped from one matrix of every innovation's signs
+    table = m.enumerate_outcomes(model, n)
+    want = sign_matrix_rows(model, n)
+    assert table.rows.shape == want.shape
+    assert table.rows.tobytes() == want.tobytes()
+    assert table.columns.flags.c_contiguous
+
+
 def test_a_table_keeps_rows_in_its_layout():
     # rows laid out outcome-major are copied once into the variable-major
     # buffer, and writes through rows reach it
@@ -350,8 +382,8 @@ def _factor_one_rows():
 
 @pytest.mark.parametrize("model,n", small_catalogue() + _factor_one_rows())
 def test_row_map_leaves_the_innovations_alone(model, n):
-    # enumerate_outcomes and the sampled rows rely on this: a row never
-    # aliases, nor writes to, the innovations it is mapped from
+    # the sampled rows and the enumeration reference rely on this: a row
+    # never aliases, nor writes to, the innovations it is mapped from
     rng = np.random.default_rng(n)
     innov = rng.standard_normal((3, models.linear_row(model, n)[0]))
     kept = innov.copy()
