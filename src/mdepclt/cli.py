@@ -111,9 +111,10 @@ def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
 def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     """Structure, tower, bound, and truncation checks at enumerable sizes,
     on one trace per size.  Each skipped size gets one stderr line with its
-    reason (continuous marginals, or a cap exceeded); when every size is
-    skipped, the smallest one's reason is the configuration error, with
-    the largest n below the grid that fits, if any."""
+    reason (continuous marginals, or a cap exceeded), once every check has
+    run; when every size is skipped, the smallest one's reason is the
+    configuration error, with the largest n below the grid that fits, if
+    any."""
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be strictly increasing")
     ns, skipped = [], []
@@ -133,8 +134,6 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
         else:
             fits = f"the largest n below {n_grid[0]} that fits is {largest}"
         raise ConfigError(f"no grid point is exactly enumerable for this model: {reason}; {fits}")
-    for n, exc in skipped:
-        print(f"skipped n={n}: {exc}", file=sys.stderr)
     traces = []
     trunc = []
     for n in ns:
@@ -143,6 +142,8 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
         for eps in eps_list:
             chk = mart.check_truncation(trace, eps)
             trunc.append({"n": n, "eps": eps, "passed": chk.passed, **chk.values})
+    for n, exc in skipped:
+        print(f"skipped n={n}: {exc}", file=sys.stderr)
     passed = all(t["structure_passed"] and t["tower_passed"] and t["bounds_passed"] for t in traces)
     passed = passed and all(t["passed"] for t in trunc)
     return {

@@ -34,7 +34,6 @@ from .models import (
     _enumeration_bits,
     _row_sums,
     _sigma,
-    _weighted_sum,
     enumerate_outcomes,
     linear_row,
     sum_weight_groups,
@@ -42,16 +41,16 @@ from .models import (
 )
 
 #: a point whose whole W, outcomes * N * (N+1) entries, fits within this
-#: is feasible whatever the two caps below say: streaming that W needs less
-#: memory than storing it would (128 MiB) and little time
+#: is feasible whatever the two caps below say.  No path stores W: what
+#: this cap does is admit the one-block rows, of two outcomes, with
+#: 2048 <= N <= 2895, which TRACE_CELL_CAP alone would refuse
 TRACE_TENSOR_CAP = 2**24
 #: cap on the cells of the largest array the oracle holds,
 #: max(outcomes, N) * (N+1): the prefix partitions hold outcomes * (N+1)
 #: ids, one to four bytes each (at most 16 MiB at the cap), M's cell
 #: values at most as many floats and usually far fewer, the table one float
-#: fewer per outcome, trace.M outcomes * (N+1) floats (32 MiB) when it is
-#: read, and the truncation check's covariances N * N floats; no array of
-#: dM or of M per outcome is kept, nor a probability per outcome
+#: fewer per outcome, and the truncation check's covariances N * N floats;
+#: no array of dM or of M per outcome is kept, nor a probability per outcome
 TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
 #: pass of the checks compute one slice at a time (tens of seconds at the cap)
@@ -93,17 +92,16 @@ class MartingaleTrace:
     """Martingale objects for one enumerable model row.
 
     Index conventions: W[o, i-1, k] = E(X_i | prefix of length k) on
-    outcome o, for i = 1..N and k = 0..N; M[o, k] and dM[o, k-1] follow
-    the same k convention; entries with i <= 0 or i > N are identically 0
-    and are not stored.  The filtration is the prefix partitions:
-    prefix_ids[k] is the cell of each outcome in the partition by
-    (X_1, ..., X_k), in the narrowest unsigned dtype that holds its cell
-    count.  M_k is constant on those cells, so M_cells[k] holds one value
-    per cell, and every pass reads M_k on the outcomes through
+    outcome o, for i = 1..N and k = 0..N; M_k and dM_k = M_k - M_{k-1}
+    follow the same k convention; entries with i <= 0 or i > N are
+    identically 0 and are not stored.  The filtration is the prefix
+    partitions: prefix_ids[k] is the cell of each outcome in the partition
+    by (X_1, ..., X_k), in the narrowest unsigned dtype that holds its
+    cell count.  M_k is constant on those cells, so M_cells[k] holds one
+    value per cell, and every pass reads M_k on the outcomes through
     m_columns(), which gathers it.  W is not stored either: w_slice(k)
-    computes W[:, :, k] from prefix_ids[k].  The M and dM properties
-    derive the whole per-outcome arrays on every read.  A trace keeps the
-    table, Q, q, the partitions and M's cell values, so it takes
+    computes W[:, :, k] from prefix_ids[k].  A trace keeps the table, Q,
+    q, the partitions and M's cell values, so it takes
     O(outcomes * N) memory, about the table and one narrow index per
     outcome and k; each pass over it holds one slice, the at most m+1
     rows of the one before that the window identity reads, and
@@ -131,28 +129,9 @@ class MartingaleTrace:
             yield cells.take(ids, out=out[k % 2], mode="clip")  # every index is in range
 
     @property
-    def M(self) -> np.ndarray:
-        """(outcomes, N+1): M[:, k] = M_k, gathered from the cell values on
-        every read, and read-only."""
-        M = np.empty((len(self.prefix_ids[0]), len(self.prefix_ids)))
-        for k, column in enumerate(self.m_columns()):
-            M[:, k] = column
-        M.flags.writeable = False
-        return M
-
-    @property
-    def dM(self) -> np.ndarray:
-        """(outcomes, N): dM[:, k-1] = M_k - M_{k-1}, derived from M on
-        every read, and read-only."""
-        dM = np.diff(self.M, axis=1)
-        dM.flags.writeable = False
-        return dM
-
-    @property
     def sigma2(self) -> float:
         """E S_n^2 computed from the table itself."""
-        s = self.table.row_sums()
-        return float(_weighted_sum(self.table.probs, s**2))
+        return float(self.table.prob * np.sum(self.table.row_sums() ** 2))
 
     def w_slice(self, k: int) -> np.ndarray:
         """W[:, :, k] as an (outcomes, N) array in column-major order, so
@@ -272,7 +251,7 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     del inv
     trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids)
     for i, (_, d) in enumerate(_steps(trace)):
-        trace.q[i] = _weighted_sum(table.probs, d**2)
+        trace.q[i] = table.prob * np.sum(d**2)
     step = max(1, _GATHER_BLOCK // (N + 1))
     for lo in range(0, n_out, step):
         block = np.array([cells[ids[lo : lo + step]] for cells, ids in zip(M_cells, prefix_ids)])
@@ -281,20 +260,13 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     return trace
 
 
-def _first_violation(err: np.ndarray, names=("outcome", "i", "k")) -> dict:
-    flat = int(np.argmax(err))
-    idx = np.unravel_index(flat, err.shape)
-    detail = dict(zip(names[: err.ndim], (int(v) for v in idx)))
-    detail["err"] = float(err[idx])
-    return detail
-
-
-def _result(name: str, err: np.ndarray, tol: float, names=("outcome", "i", "k")) -> CheckResult:
+def _result(name: str, err: np.ndarray, tol: float, names: tuple) -> CheckResult:
+    """The check of a whole error array, a failure naming its first worst entry."""
     worst = float(err.max()) if err.size else 0.0
     if worst <= tol:
         return CheckResult(name, True, worst)
-    detail = _first_violation(err, names)
-    detail["identity"] = name
+    idx = np.unravel_index(int(np.argmax(err)), err.shape)
+    detail = {**dict(zip(names, (int(v) for v in idx))), "err": float(err[idx]), "identity": name}
     return CheckResult(name, False, worst, detail)
 
 
@@ -433,14 +405,14 @@ def _hypotheses(trace: MartingaleTrace, eps: float) -> tuple[float, float]:
     return bound, s2
 
 
-def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> tuple[list[CheckResult], float]:
+def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> tuple[list[CheckResult], float, float]:
     """check_bounds' results after conditional-bound, which need no slice
-    of W, given s2 = sigma_n^2 from _hypotheses, and max |dM|, NaN if dM
-    holds one.  The increment and prefix bounds run one column of dM and
-    of M at a time, T_j = X_1 + ... + X_j added in order, as np.cumsum
-    adds it."""
+    of W, given s2 = sigma_n^2 from _hypotheses; max |dM|, NaN if dM
+    holds one; and Var Q.  The increment and prefix bounds run one column
+    of dM and of M at a time, T_j = X_1 + ... + X_j added in order, as
+    np.cumsum adds it."""
     cols = trace.table.columns
-    probs = trace.table.probs
+    p = trace.table.prob
     N = cols.shape[0]
     increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
     gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
@@ -461,14 +433,14 @@ def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> tuple[list[CheckRe
         res = CheckResult(res.name, True, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
     results = [res, gap.result()]
 
-    eq = float(_weighted_sum(probs, trace.Q))
+    eq = float(p * np.sum(trace.Q))
     results.append(_scalar_result("mean-quadratic-variation", eq, s2, abs(eq - s2), 1e-10))
 
-    var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
+    var_q = float(p * np.sum((trace.Q - eq) ** 2))
     cap = 48.0 * eps**2 * s2
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
     results.append(_scalar_result("variance-bound", var_q, cap, max(var_q - cap, 0.0), _BOUND_TOL, slack))
-    return results, dm_max
+    return results, dm_max, var_q
 
 
 def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
@@ -477,7 +449,6 @@ def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
     and the detail names the first k that holds one.  A cell sum is the
     outcomes' probability, a power of two, times the plain sum of dM_k."""
     p = trace.table.prob
-    results = []
     worst = 0.0
     detail = None
     for k, (_, d) in enumerate(_steps(trace), start=1):
@@ -490,8 +461,7 @@ def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
             if math.isnan(w):
                 break
     passed = worst <= _EXPECTATION_TOL
-    results.append(CheckResult("tower-mean-zero", passed, worst, None if passed else detail))
-    return results
+    return [CheckResult("tower-mean-zero", passed, worst, None if passed else detail)]
 
 
 @dataclass(frozen=True)
@@ -515,7 +485,7 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     """
     table = trace.table
     split = truncated_model(trace.model, trace.n, eps)
-    cols, probs, p = table.columns, table.probs, table.prob
+    cols, p = table.columns, table.prob
     N, n_out = cols.shape
     m = trace.m
 
@@ -548,7 +518,7 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
         beyond = split.beyond(x)  # where X_i goes to X''
         np.multiply(x, ~beyond, out=part[i])
         np.multiply(x, beyond, out=row)
-        tail_sum += _weighted_sum(probs, row**2)
+        tail_sum += p * np.sum(row**2)
         np.add(part[i], row, out=row)
         additivity.add(i, np.subtract(row, x, out=row))
     centre_and_band(part)
@@ -557,7 +527,7 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
         np.multiply(x, split.beyond(x), out=out)
     # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
     # order numpy sums it, one block of outcomes at a time
-    lhs = float(_weighted_sum(probs, _row_sums(part.T) ** 2))
+    lhs = float(p * np.sum(_row_sums(part.T) ** 2))
     centre_and_band(part)
     tail_sum = float(tail_sum)
     results = [additivity.result()]
@@ -639,8 +609,8 @@ def _gaussian_max_moments(groups: list) -> dict:
     weights[-1] = weights[0]
     return {
         "max_dm_q95": quantile(math.log(0.95)),
-        "max_dm_mean": lo + float(_weighted_sum(weights, tail)),
-        "max_dm2_mean": lo * lo + float(_weighted_sum(weights, 2 * ts * tail)),
+        "max_dm_mean": lo + float(np.sum(weights * tail)),
+        "max_dm2_mean": lo * lo + float(np.sum(weights * (2 * ts * tail))),
     }
 
 
@@ -715,11 +685,8 @@ def trace_summary(trace: MartingaleTrace) -> dict:
     bound, s2 = _hypotheses(trace, eps)
     *structure, conditional = _walk(trace, bound)
     tower = check_tower(trace)
-    rest, dm_max = _bounds(trace, eps, s2)
+    rest, dm_max, var_q = _bounds(trace, eps, s2)
     bounds = [conditional] + rest
-    probs = trace.table.probs
-    eq = float(_weighted_sum(probs, trace.Q))
-    var_q = float(_weighted_sum(probs, (trace.Q - eq) ** 2))
     out = {
         "n": trace.n,
         "m": trace.m,

@@ -243,18 +243,6 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_sum(weights: np.ndarray, x: np.ndarray):
-    """sum_o weights[o] * x[o] along the first axis of x, as a pairwise
-    numpy sum and never a BLAS call: BLAS splits long sums across threads,
-    so its last digits depend on the thread count.  A 2-D x is reduced as
-    a contiguous (columns, outcomes) array, whose rows numpy sums pairwise;
-    summing the (outcomes, columns) product along axis 0 would add the
-    outcomes one by one."""
-    if x.ndim == 1:
-        return np.sum(weights * x)
-    return np.multiply(x.T, weights, order="C").sum(axis=1)
-
-
 @dataclass(frozen=True)
 class TruncationSplit:
     """Per-variable truncation X = X' + X'' at threshold eps*sigma_n/m_n.
@@ -274,11 +262,6 @@ class TruncationSplit:
     def beyond(self, rows: np.ndarray) -> np.ndarray:
         """Where the entries go to X'': not |X| <= t, so NaN included."""
         return ~(np.abs(rows) <= self.threshold)
-
-    def split_rows(self, rows: np.ndarray):
-        """(X', X'') of an array of entries, laid out in memory as rows is."""
-        beyond = self.beyond(rows)
-        return rows * ~beyond, rows * beyond
 
 
 # ---------------------------------------------------------------------------
@@ -493,28 +476,6 @@ def row_rng(seed: int, n: int, stream: int) -> Generator:
     return Generator(Philox(key=key, counter=counter))
 
 
-def _row_entries(model: ArrayModel, n: int, innov: np.ndarray) -> np.ndarray:
-    """Map raw innovations (array or matrix with trailing axis) to row values.
-
-    Taps sharing a coefficient magnitude are summed before they are scaled,
-    and the amplitude * scale factor is applied once, so entries equal in
-    exact arithmetic are bit-equal (the oracle partitions on exact values).
-    """
-    _, scale, segments = linear_row(model, n)
-    parts = []
-    for count, taps, repeat in segments:
-        width = count // repeat
-        part = tap_sum([c for _, c in taps], [innov[..., j : j + width] for j, _ in taps])
-        parts.append(np.repeat(part, repeat, axis=-1) if repeat > 1 else part)
-    row = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    factor = model.amplitude * scale
-    if np.may_share_memory(row, innov):
-        return factor * row  # a new array even when factor is 1.0
-    if factor != 1.0:
-        row *= factor  # rounds as factor * row does
-    return row
-
-
 def _check_reps(reps: int) -> None:
     """Raise unless 100 <= reps <= SAMPLE_CAP, before anything is allocated."""
     if reps < 100:
@@ -623,9 +584,11 @@ def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
     The table is built one variable at a time, straight into its
     variable-major layout: an entry's signs are written when it needs
     them, one row per tap, and the entry is their tap_sum times amplitude
-    * scale, as _row_entries forms it, so the values are those of a
-    sampled row with the same innovations.  A block of repeated entries is
-    formed once and copied to each of its rows."""
+    * scale, applied once, so entries equal in exact arithmetic are
+    bit-equal (the oracle partitions on exact values); the tests'
+    sign_matrix_rows builds the same table from one matrix of every
+    innovation's signs.  A block of repeated entries is formed once and
+    copied to each of its rows."""
     _check_n(n)
     bits = _enumeration_bits(model, n)
     _, scale, segments = linear_row(model, n)

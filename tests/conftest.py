@@ -4,7 +4,8 @@ independent references the tests compare the library against: a whole
 sampled row, the law of one entry, the law of a sign combination over
 every sign pattern, the covariance band, the window variance summed from
 it, Var S_n over enumerated outcomes, the outcome table from one matrix of
-every innovation's signs, and the martingale M stored per outcome."""
+every innovation's signs, the martingale M stored per outcome, and the
+per-outcome M, dM and truncation parts of a trace."""
 
 from __future__ import annotations
 
@@ -13,13 +14,7 @@ from functools import reduce
 import numpy as np
 
 from mdepclt.laws import DiscreteLaw, tap_sum
-from mdepclt.models import (
-    _row_entries,
-    _tap_law,
-    _weighted_sum,
-    linear_row,
-    row_rng,
-)
+from mdepclt.models import _tap_law, linear_row, row_rng
 
 _ACCEPTANCE_LINES = []
 
@@ -53,11 +48,33 @@ def draw_innovations(model: ArrayModel, n: int, rng: Generator) -> np.ndarray:
     return _innovations(rng, model.innovation, linear_row(model, n)[0])
 
 
+def row_entries(model, n, innov):
+    """Map raw innovations (array or matrix with trailing axis) to row values.
+
+    Taps sharing a coefficient magnitude are summed before they are scaled,
+    and the amplitude * scale factor is applied once, so entries equal in
+    exact arithmetic are bit-equal (the oracle partitions on exact values).
+    """
+    _, scale, segments = linear_row(model, n)
+    parts = []
+    for count, taps, repeat in segments:
+        width = count // repeat
+        part = tap_sum([c for _, c in taps], [innov[..., j : j + width] for j, _ in taps])
+        parts.append(np.repeat(part, repeat, axis=-1) if repeat > 1 else part)
+    row = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    factor = model.amplitude * scale
+    if np.may_share_memory(row, innov):
+        return factor * row  # a new array even when factor is 1.0
+    if factor != 1.0:
+        row *= factor  # rounds as factor * row does
+    return row
+
+
 def sample_row(model, n, seed=0, replicate=0):
     """Row n as the entries of the innovations drawn from row_rng(seed, n,
     replicate): the whole-row reference for the Monte Carlo's direct draws
     of S_n, which never build a row."""
-    return _row_entries(model, n, draw_innovations(model, n, row_rng(seed, n, replicate)))
+    return row_entries(model, n, draw_innovations(model, n, row_rng(seed, n, replicate)))
 
 
 def marginal_law(model, n, i):
@@ -130,17 +147,24 @@ def window_variance_max_generic(model, n):
     return float(total.max())
 
 
+def weighted_sum(table, x):
+    """E x over the outcomes of an OutcomeTable, x one value per outcome,
+    as the pairwise numpy sum of x weighted by the broadcast probabilities:
+    the reference for the oracle's probability times a plain sum."""
+    return np.sum(table.probs * x)
+
+
 def enumerated_var_sum(table):
     """Var S_n over the outcomes of an OutcomeTable, from its row sums."""
     s = table.row_sums()
-    mu = _weighted_sum(table.probs, s)
-    return float(_weighted_sum(table.probs, (s - mu) ** 2))
+    mu = weighted_sum(table, s)
+    return float(weighted_sum(table, (s - mu) ** 2))
 
 
 def sign_matrix_rows(model, n):
     """The (outcomes, N_n) rows of every outcome of a Rademacher row, from
     one (bits, outcomes) matrix of signs, innovation j of outcome o being
-    +1 where (o >> j) & 1 is set, mapped to entries by _row_entries all at
+    +1 where (o >> j) & 1 is set, mapped to entries by row_entries all at
     once: the reference for models.enumerate_outcomes, which builds the
     table one variable at a time."""
     bits = linear_row(model, n)[0]
@@ -150,7 +174,7 @@ def sign_matrix_rows(model, n):
         row[:] = (idx >> np.uint64(j)) & np.uint64(1)
     signs *= 2.0
     signs -= 1.0
-    return _row_entries(model, n, signs.T)
+    return row_entries(model, n, signs.T)
 
 
 def per_outcome_M(table):
@@ -158,8 +182,8 @@ def per_outcome_M(table):
     one (outcomes, N+1) array: the cells of each prefix from np.unique over
     whole prefixes, each variable's mean over a cell as its bincount over
     the cell's count, added over the variables in order and gathered per
-    outcome.  The reference for MartingaleTrace.M, which the trace derives
-    from one value per cell."""
+    outcome.  The reference for trace_M, which gathers M from the trace's
+    one value per cell."""
     rows = table.rows
     n_out, N = rows.shape
     M = np.empty((n_out, N + 1))
@@ -170,3 +194,21 @@ def per_outcome_M(table):
         counts = np.bincount(inv).astype(float)
         M[:, k] = reduce(np.add, (np.bincount(inv, weights=x) / counts for x in table.columns))[inv]
     return M
+
+
+def trace_M(trace):
+    """(outcomes, N+1): M[:, k] = M_k on every outcome, as the trace's
+    m_columns() gathers it, copied column by column."""
+    return np.stack(list(map(np.copy, trace.m_columns())), axis=1)
+
+
+def trace_dM(trace):
+    """(outcomes, N): dM[:, k-1] = M_k - M_{k-1} on every outcome."""
+    return np.diff(trace_M(trace), axis=1)
+
+
+def split_rows(split, rows):
+    """(X', X'') of an array of entries under a TruncationSplit, laid out
+    in memory as rows is."""
+    beyond = split.beyond(rows)
+    return rows * ~beyond, rows * beyond

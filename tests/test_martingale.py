@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import mdepclt as m
 from mdepclt import martingale as mart
 
-from conftest import per_outcome_M
+from conftest import per_outcome_M, split_rows, trace_dM, trace_M, weighted_sum
 
 
 def oracle_models():
@@ -61,17 +61,18 @@ def test_quadratic_variation_identity(traces):
 def test_telescoping_to_row_sum(traces):
     for _, _, trace in traces.values():
         s = trace.table.row_sums()
-        assert np.allclose(trace.dM.sum(axis=1), s, atol=1e-12)
-        assert np.allclose(trace.M[:, 0], 0.0, atol=1e-12)
+        assert np.allclose(trace_dM(trace).sum(axis=1), s, atol=1e-12)
+        assert np.allclose(trace_M(trace)[:, 0], 0.0, atol=1e-12)
 
 
 def test_increments_are_derived_from_m(traces):
-    # the trace stores no dM: the property is M's difference, byte for
-    # byte, and read-only, so a write cannot go astray
+    # the trace stores no dM, nor any per-outcome array of it: the
+    # increments every pass reads are M's difference, byte for byte
     for _, _, trace in traces.values():
-        assert "dM" not in vars(trace)
-        assert trace.dM.tobytes() == np.diff(trace.M, axis=1).tobytes()
-        assert not trace.dM.flags.writeable
+        assert not hasattr(trace, "dM") and not hasattr(trace, "M")
+        dM = np.diff(per_outcome_M(trace.table), axis=1)
+        for k, (_, d) in enumerate(mart._steps(trace)):
+            assert d.tobytes() == dM[:, k].tobytes(), k
 
 
 @pytest.mark.parametrize(
@@ -81,14 +82,14 @@ def test_increments_are_derived_from_m(traces):
 )
 def test_m_is_the_per_outcome_reference_and_read_only(model, n):
     # the trace keeps M_k once per prefix cell; gathered per outcome it is
-    # the per-outcome M byte for byte, derived on every read, and read-only
+    # the per-outcome M byte for byte, and a write to a gathered column
+    # does not reach the cell values, so the next pass reads M unchanged
     trace = m.build_trace(model, n)
-    assert "M" not in vars(trace)
-    M = trace.M
-    assert M.tobytes() == per_outcome_M(trace.table).tobytes()
-    assert not M.flags.writeable
+    M = per_outcome_M(trace.table)
     for k, column in enumerate(trace.m_columns()):
         assert column.tobytes() == M[:, k].tobytes(), k
+        column[:] = np.nan
+    assert trace_M(trace).tobytes() == M.tobytes()
 
 
 def test_each_m_k_has_one_value_per_prefix_cell(traces):
@@ -104,7 +105,7 @@ def test_max_abs_increment_reads_every_column(traces):
     # max |dM|, taken one column at a time, sees a largest entry in the
     # first column and a NaN anywhere
     _, _, trace = traces["two-scale(alpha=0.3)"]
-    M = trace.M.copy()
+    M = trace_M(trace)
     M[2, 0], M[2, 1:] = 0.0, 9.0  # dM is 9 at k = 1 on outcome 2, and 0 after it
     bad = _with_M(trace, M)
     assert m.trace_summary(bad)["max_abs_dm"] == 9.0 == float(np.abs(np.diff(M, axis=1)).max())
@@ -114,14 +115,15 @@ def test_max_abs_increment_reads_every_column(traces):
 
 def test_independent_case_increments_are_entries(traces):
     _, _, trace = traces["iid-baseline(rademacher)"]
-    assert np.allclose(trace.dM, trace.table.rows, atol=1e-14)
+    assert np.allclose(trace_dM(trace), trace.table.rows, atol=1e-14)
 
 
 def test_block_repeat_increments_jump_at_block_starts(traces):
     model, n, trace = traces["block-repeat(rademacher, m=2)"]
     # dM is Y_j at the first index of block j and zero inside the block
-    assert np.allclose(trace.dM[:, 1::2], 0.0, atol=1e-14)
-    assert np.allclose(trace.dM[:, 0::2], trace.table.rows[:, 0::2] * 2, atol=1e-14)
+    dM = trace_dM(trace)
+    assert np.allclose(dM[:, 1::2], 0.0, atol=1e-14)
+    assert np.allclose(dM[:, 0::2], trace.table.rows[:, 0::2] * 2, atol=1e-14)
 
 
 def _perturbed(trace, edit):
@@ -356,11 +358,12 @@ def test_increment_bound_names_the_first_worst_entry_in_c_order(traces):
     # value, and its dM is that value at k and 0 elsewhere, exactly
     _, _, trace = traces["two-scale(alpha=0.3)"]
     eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    M = trace.M.copy()
+    M = trace_M(trace)
     for (o, k), value in (((4, 3), 5 * eps), ((9, 1), -5 * eps), ((6, 2), 4.5 * eps)):
         M[o, : k + 1], M[o, k + 1 :] = 0.0, value
     bad = _with_M(trace, M)
-    assert (bad.dM[4, 3], bad.dM[9, 1], bad.dM[6, 2]) == (5 * eps, -5 * eps, 4.5 * eps)
+    dM = trace_dM(bad)
+    assert (dM[4, 3], dM[9, 1], dM[6, 2]) == (5 * eps, -5 * eps, 4.5 * eps)
     res = {r.name: r for r in m.check_bounds(bad, eps)}["increment-bound"]
     assert not res.passed and res.max_abs_err == 5 * eps - 4 * eps
     assert res.detail == {"outcome": 4, "k": 3, "err": 5 * eps - 4 * eps, "identity": "increment-bound"}
@@ -377,7 +380,7 @@ def test_prefix_gap_names_the_first_worst_entry_in_c_order(traces):
     T = np.cumsum(rows, axis=1)[:, np.minimum(np.arange(1, N + 1) + trace.m, N) - 1]
     later = (9, 0)
     first = next((o, 2) for o in range(later[0]) if T[o, 2] == T[later])
-    M = trace.M.copy()
+    M = trace_M(trace)
     for (o, i), gap in ((first, 3.0), (later, 3.0), ((7, 1), 2.5)):
         M[o, i + 1] = T[o, i] + gap * eps
     res = {r.name: r for r in m.check_bounds(_with_M(trace, M), eps)}["prefix-gap"]
@@ -429,6 +432,43 @@ def test_larger_two_scale_trace():
     assert all(res.passed for res in m.check_structure(trace))
     assert all(res.passed for res in m.check_tower(trace))
     assert trace.q.sum() == pytest.approx(m.exact_sigma2(ts, 7), abs=1e-10)
+
+
+#: the CLI's default eps, which perfbench's oracle-enum runs, and six more
+_TEN_EPS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "model,n",
+    oracle_models() + [(m.build_model("two-scale", alpha=0.25), 7)],
+    ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v),
+)
+def test_expectations_equal_the_probability_weighted_sums_bit_for_bit(model, n):
+    # every outcome has the probability p = 2^-bits, and scaling by a power
+    # of two is exact, so p times a plain sum is the sum of p-weighted
+    # values to the last bit: compared with ==, no tolerance
+    trace = m.build_trace(model, n)
+    table = trace.table
+    assert trace.sigma2 == float(weighted_sum(table, table.row_sums() ** 2))
+    q = [weighted_sum(table, d**2) for d in trace_dM(trace).T]
+    assert trace.q.tobytes() == np.array(q).tobytes()
+    eq = float(weighted_sum(table, trace.Q))
+    assert float(table.prob * np.sum(trace.Q)) == eq
+    assert m.trace_summary(trace)["var_q"] == float(weighted_sum(table, (trace.Q - eq) ** 2))
+    for eps in _TEN_EPS:
+        split = m.truncated_model(model, n, eps)
+        tail = split_rows(split, table.rows)[1]
+        tail_sum = 0.0
+        for x in tail.T:
+            tail_sum += weighted_sum(table, x**2)
+        lhs = float(weighted_sum(table, m.models._row_sums(tail) ** 2))
+        want = {
+            "threshold": split.threshold,
+            "tail_second_moment_sum": float(tail_sum),
+            "s_tail_second_moment": lhs,
+            "bound": (2 * trace.m + 1) * float(tail_sum),
+        }
+        assert m.check_truncation(trace, eps).values == want, eps
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -555,7 +595,7 @@ def test_degenerate_moving_average_is_independent():
     ma0 = m.build_model("moving-average", coeffs=(2.0,))
     assert ma0.m(16) == 0
     trace = m.build_trace(ma0, 5)
-    assert np.allclose(trace.dM, trace.table.rows, atol=1e-14)
+    assert np.allclose(trace_dM(trace), trace.table.rows, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +652,7 @@ def _max_covariance_beyond_band(model, n, eps, band):
     probs = table.probs
     N = table.rows.shape[1]
     worst = 0.0
-    for part in m.truncated_model(model, n, eps).split_rows(table.rows):
+    for part in split_rows(m.truncated_model(model, n, eps), table.rows):
         mu = probs @ part
         for i in range(N):
             for j in range(i + band + 1, N):
@@ -642,7 +682,8 @@ def _nan_increments(trace):
             Mk[{3: 3, 4: 0}[k]] = np.nan
 
     trace = _m_perturbed(trace, edit)
-    assert np.isnan(trace.dM[3, 2]) and np.isnan(trace.dM[0, 3])
+    dM = trace_dM(trace)
+    assert np.isnan(dM[3, 2]) and np.isnan(dM[0, 3])
     return m.check_tower(trace)[0]
 
 
@@ -718,7 +759,7 @@ def test_closed_form_increments_match_enumeration(model, n):
     trace = m.build_trace(model, n)
     sigma2 = trace.sigma2
     mass = [0.0] * len(exact)
-    for x, q, p in zip(np.abs(trace.dM).max(axis=1) / math.sqrt(sigma2), trace.Q / sigma2, trace.table.probs):
+    for x, q, p in zip(np.abs(trace_dM(trace)).max(axis=1) / math.sqrt(sigma2), trace.Q / sigma2, trace.table.probs):
         [j] = [j for j, a in enumerate(exact) if abs(a[0] - x) <= tol and abs(a[1] - q) <= tol]
         mass[j] += p
     assert mass == pytest.approx([p for _, _, p in exact], abs=tol)

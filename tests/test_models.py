@@ -18,7 +18,6 @@ from mdepclt.cli import catalogue
 from mdepclt.laws import DiscreteLaw, GaussianLaw
 from mdepclt.models import (
     _enumeration_bits,
-    _row_entries,
     _spike_scale,
     row_rng,
 )
@@ -28,8 +27,10 @@ from conftest import (
     enumerated_var_sum,
     exact_cov,
     marginal_law,
+    row_entries,
     sample_row,
     sign_matrix_rows,
+    split_rows,
     window_variance_max_generic,
 )
 
@@ -364,7 +365,7 @@ def test_two_scale_row_draws_its_signs_from_the_raw_stream():
     bits = [int(words[i // 64]) >> (i % 64) & 1 for i in range(2 * n + 1)]
     innov = np.array(bits, dtype=float) * 2.0 - 1.0
     row = sample_row(ts, n, seed=3, replicate=1)
-    assert np.array_equal(row, _row_entries(ts, n, innov))
+    assert np.array_equal(row, row_entries(ts, n, innov))
 
 
 def _factor_one_rows():
@@ -387,8 +388,8 @@ def test_row_map_leaves_the_innovations_alone(model, n):
     rng = np.random.default_rng(n)
     innov = rng.standard_normal((3, models.linear_row(model, n)[0]))
     kept = innov.copy()
-    rows = _row_entries(model, n, innov)
-    row = _row_entries(model, n, innov[1])
+    rows = row_entries(model, n, innov)
+    row = row_entries(model, n, innov[1])
     assert np.array_equal(innov, kept)
     assert not np.shares_memory(rows, innov) and not np.shares_memory(row, innov)
     assert np.array_equal(rows[1], row)
@@ -421,7 +422,7 @@ def test_monte_carlo_variance_matches_exact(model, n):
 def test_truncation_algebra_on_enumeration(model, n):
     table = m.enumerate_outcomes(model, n)
     split = m.truncated_model(model, n, eps=0.4)
-    x_lo, x_hi = split.split_rows(table.rows)
+    x_lo, x_hi = split_rows(split, table.rows)
     assert np.array_equal(x_lo + x_hi, table.rows)  # exact recovery
     assert np.max(np.abs(table.probs @ x_lo)) < 1e-12
     assert np.max(np.abs(table.probs @ x_hi)) < 1e-12
@@ -434,7 +435,7 @@ def test_truncation_threshold_above_support_keeps_everything():
     table = m.enumerate_outcomes(iid, 4)
     eps = 10.0  # threshold far above max |X| = 1/2
     split = m.truncated_model(iid, 4, eps)
-    x_lo, x_hi = split.split_rows(table.rows)
+    x_lo, x_hi = split_rows(split, table.rows)
     assert np.array_equal(x_lo, table.rows)
     assert not x_hi.any()
 
@@ -444,7 +445,7 @@ def test_truncation_threshold_below_support_moves_everything():
     iid = m.build_model("iid-baseline")
     table = m.enumerate_outcomes(iid, 4)
     split = m.truncated_model(iid, 4, eps=0.1)  # threshold 0.1 < 1/2
-    x_lo, x_hi = split.split_rows(table.rows)
+    x_lo, x_hi = split_rows(split, table.rows)
     assert not x_lo.any()
     assert np.array_equal(x_hi, table.rows)
 
