@@ -104,30 +104,29 @@ class ConditionReport:
 # condition functionals
 
 
-def lindeberg_classic(model: ArrayModel, n: int, eps: float) -> ConditionValue:
-    """(1/sigma_n^2) sum_i E[X_i^2 1{|X_i| > eps*sigma_n}]."""
+def _lindeberg(model: ArrayModel, n: int, eps: float, m: int) -> float:
+    """(m/sigma_n^2) sum_i E[X_i^2 1{|X_i| > eps*sigma_n/m}]: the classic
+    sum at m = 1, where eps*sigma_n/1 and 1*total are exact."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    sigma = _sigma(model, n)
-    total = sum(
-        count * law.tail_second_moment(eps * sigma)
-        for count, law in marginal_law_groups(model, n)
-    )
-    return ConditionValue(f"lindeberg-classic(eps={eps:g})", n, total / sigma**2, eq="tmL")
-
-
-def lindeberg_mdep(model: ArrayModel, n: int, eps: float) -> ConditionValue:
-    """(m_n/sigma_n^2) sum_i E[X_i^2 1{|X_i| > eps*sigma_n/m_n}]; m_n floored
-    at 1, since an independent row (m_n = 0) is also 1-dependent."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    m = max(model.m(n), 1)
     sigma = _sigma(model, n)
     t = eps * sigma / m
     total = sum(
         count * law.tail_second_moment(t) for count, law in marginal_law_groups(model, n)
     )
-    return ConditionValue(f"lindeberg-mdep(eps={eps:g})", n, m * total / sigma**2, eq="tmnL")
+    return m * total / sigma**2
+
+
+def lindeberg_classic(model: ArrayModel, n: int, eps: float) -> ConditionValue:
+    """(1/sigma_n^2) sum_i E[X_i^2 1{|X_i| > eps*sigma_n}]."""
+    return ConditionValue(f"lindeberg-classic(eps={eps:g})", n, _lindeberg(model, n, eps, 1), eq="tmL")
+
+
+def lindeberg_mdep(model: ArrayModel, n: int, eps: float) -> ConditionValue:
+    """(m_n/sigma_n^2) sum_i E[X_i^2 1{|X_i| > eps*sigma_n/m_n}]; m_n floored
+    at 1, since an independent row (m_n = 0) is also 1-dependent."""
+    value = _lindeberg(model, n, eps, max(model.m(n), 1))
+    return ConditionValue(f"lindeberg-mdep(eps={eps:g})", n, value, eq="tmnL")
 
 
 def lyapunov_ratio(model: ArrayModel, n: int, r: float) -> ConditionValue:
@@ -158,6 +157,15 @@ def rio_functional(model: ArrayModel, n: int) -> ConditionValue:
     return ConditionValue("rio", n, m * total / sigma**2, eq="rio")
 
 
+def _block_terms(model: ArrayModel, n: int, delta: float) -> tuple:
+    """(sigma_n^2, N_n, max(m_n, 1), sup_i E|X_i|^(2+delta)), the terms
+    both block criteria read."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    sigma2, N, m = _sigma(model, n) ** 2, model.length(n), max(model.m(n), 1)
+    return sigma2, N, m, max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
+
+
 def berk_check(model: ArrayModel, n: int, delta: float) -> list[ConditionValue]:
     """The three quantities entering the bounded-moment block criterion.
 
@@ -165,12 +173,7 @@ def berk_check(model: ArrayModel, n: int, delta: float) -> list[ConditionValue]:
     sigma_n^2/N_n (must converge to a positive constant), and
     m_n^(2+2/delta)/N_n (must vanish).
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    sigma2 = _sigma(model, n) ** 2
-    N = model.length(n)
-    m = max(model.m(n), 1)
-    sup_mom = max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
+    sigma2, N, m, sup_mom = _block_terms(model, n, delta)
     tag = f"berk(delta={delta:g})"
     return [
         ConditionValue(f"{tag}:moment", n, sup_mom, eq="berki"),
@@ -197,12 +200,7 @@ def romano_wolf_check(model: ArrayModel, n: int, delta: float) -> list[Condition
     Delta_n is the exact supremum of E|X_i|^(2+delta) over the row and L_n
     is sigma_n^2/N_n, the largest admissible choice.  m_n is floored at 1.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    sigma2 = _sigma(model, n) ** 2
-    N = model.length(n)
-    m = max(model.m(n), 1)
-    sup_mom = max(law.abs_moment(2 + delta) for _, law in marginal_law_groups(model, n))
+    sigma2, N, m, sup_mom = _block_terms(model, n, delta)
     ln = exact_sigma2(model, n) / N
     wvar = window_variance_max(model, n)
     tag = f"romano-wolf(delta={delta:g},gamma=0)"

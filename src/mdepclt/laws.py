@@ -91,11 +91,8 @@ class DiscreteLaw:
     def mean(self) -> float:
         return float(self.probs @ self.values)
 
-    def second_moment(self) -> float:
-        return float(self.probs @ self.values**2)
-
     def var(self) -> float:
-        return self.second_moment() - self.mean() ** 2
+        return float(self.probs @ self.values**2) - self.mean() ** 2
 
     def abs_moment(self, r: float) -> float:
         return float(self.probs @ np.abs(self.values) ** r)
@@ -121,12 +118,6 @@ class GaussianLaw:
         if not self.sd > 0.0:
             raise ValueError(f"sd must be positive, got {self.sd}")
 
-    def mean(self) -> float:
-        return 0.0
-
-    def second_moment(self) -> float:
-        return self.sd**2
-
     def var(self) -> float:
         return self.sd**2
 
@@ -146,27 +137,19 @@ def tap_sum(coeffs, terms):
 
     Sums of signs are exact, so c*(s1 + s2) gives one value wherever the
     exact value is the same; c*s1 + c*s2 could round two ways.  A factor
-    of exactly 1 is not applied, so the result may be one of the terms.
-    Scaling and accumulation run in place on arrays allocated here, never
-    on a caller's term; x *= f rounds as f * x does, so the values are the
-    same either way.
+    of exactly 1 is not applied, so the result may be one of the terms;
+    no term is written to.
     """
     groups: dict = {}
     for c, x in zip(coeffs, terms):
         groups.setdefault(abs(c), []).append((c, x))
-    total = total_buf = None
+    total = None
     for (f, part), *rest in groups.values():
-        buf = None  # storage allocated here for part; out=None allocates it
         for c, x in rest:
-            op = np.add if (c < 0) == (f < 0) else np.subtract
-            part = buf = op(part, x, out=buf)
+            part = part + x if (c < 0) == (f < 0) else part - x
         if f != 1.0:
-            part = buf = np.multiply(f, part, out=buf)
-        if total is None:
-            total, total_buf = part, buf
-        else:
-            out = total_buf if total_buf is not None else buf
-            total = total_buf = np.add(total, part, out=out)
+            part = f * part
+        total = part if total is None else total + part
     return total
 
 

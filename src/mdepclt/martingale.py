@@ -552,8 +552,8 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
 
 
 def _increment_law(model: ArrayModel, n: int) -> tuple:
-    """(groups, atoms): the nonzero weight groups [(count, |w|), ...] of S_n
-    in units of sigma_n, and the law of (max_k |dM_k|/sigma_n,
+    """(groups, atoms): the weight groups [(count, |w|), ...] of S_n, all
+    nonzero, in units of sigma_n, and the law of (max_k |dM_k|/sigma_n,
     Q_n/sigma_n^2) as atoms [(max, q, probability), ...], or None on a
     Gaussian row, whose law the groups give.
 
@@ -566,7 +566,7 @@ def _increment_law(model: ArrayModel, n: int) -> tuple:
     a xi_K + b eta_K and dM_n = a xi_n + b eta_n, independent, if K < n,
     and dM_n = a xi_n + 2 b eta_n if K = n."""
     _sigma(model, n)  # a degenerate sigma_n raises
-    groups = [(c, abs(w)) for c, w in sum_weight_groups(model, n) if w != 0.0]
+    groups = [(c, abs(w)) for c, w in sum_weight_groups(model, n)]
     s = math.sqrt(sum(c * w * w for c, w in groups))
     groups = [(c, w / s) for c, w in groups]
     if model.family != "two-scale":

@@ -52,11 +52,6 @@ from .laws import ENUMERATION_CAP, EnumerationTooLargeError, GaussianLaw, sign_c
 
 INNOVATIONS = ("rademacher", "normal")
 
-#: keys of a model config (model_to_config / model_from_config)
-MODEL_CONFIG_KEYS = (
-    "family", "alpha", "beta", "m", "m_kind", "innovation", "coeffs", "spike_frac", "amplitude",
-)
-
 #: hard cap on the Monte Carlo replicates of one grid point (512 MiB of floats)
 SAMPLE_CAP = 2**26
 
@@ -356,6 +351,10 @@ _FAMILIES = {
 }
 FAMILIES = tuple(_FAMILIES)
 
+#: keys of a model config (model_to_config / model_from_config): the
+#: family, the parameters, and a schedule by one of its three keys
+MODEL_CONFIG_KEYS = ("family", *(name for name in _PARAMS if name != "m_schedule"), "m", "beta", "m_kind")
+
 
 def build_model(family: str, **params) -> ArrayModel:
     """Validate parameters and build an ArrayModel.
@@ -430,8 +429,8 @@ def linear_row(model: ArrayModel, n: int) -> tuple:
 
 def sum_weight_groups(model: ArrayModel, n: int) -> list:
     """S_n = amplitude * scale * sum(w * zeta) as [(count, w), ...] over
-    consecutive runs of innovations sharing one weight; the counts add up
-    to the innovation count."""
+    consecutive runs of innovations sharing one weight w != 0; innovations
+    of weight 0 are left out."""
     total, _, segments = linear_row(model, n)
     spans = [
         (j, j + count // repeat, c * repeat)
@@ -439,10 +438,8 @@ def sum_weight_groups(model: ArrayModel, n: int) -> list:
         for j, c in taps
     ]
     edges = sorted({0, total}.union(*((lo, hi) for lo, hi, _ in spans)))
-    return [
-        (hi - lo, sum(c for a, b, c in spans if a <= lo < b))
-        for lo, hi in zip(edges, edges[1:])
-    ]
+    groups = ((hi - lo, sum(c for a, b, c in spans if a <= lo < b)) for lo, hi in zip(edges, edges[1:]))
+    return [(count, w) for count, w in groups if w != 0.0]
 
 
 def _tap_law(model: ArrayModel, a: float, coeffs: tuple):
@@ -456,12 +453,12 @@ def _tap_law(model: ArrayModel, a: float, coeffs: tuple):
 # sampling
 
 
-def row_rng(seed: int, n: int, stream: int) -> Generator:
+def row_rng(seed: int, n: int, stream: int) -> np.random.Generator:
     """Counter-based stream for one (seed, n, stream) cell.
 
     Philox keyed by the seed with (n, stream) placed in the high counter
-    words: streams never overlap.  The Monte Carlo draws nonzero weight
-    group g of S_n from stream g.
+    words: streams never overlap.  The Monte Carlo draws weight group g
+    of S_n from stream g.
     """
     # imported here: numpy.random loads secrets and hashlib, which no
     # command but clt needs

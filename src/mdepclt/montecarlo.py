@@ -4,13 +4,13 @@ Every row is linear in independent innovations, so S_n/sigma_n is drawn
 straight from the weight groups of S_n (models.sum_weight_groups) instead of
 summing a sampled row: S_n = a * sum(w * zeta) over groups of c innovations
 sharing the weight w, with a = amplitude * scale, and sigma_n =
-a * sqrt(sum(c * w^2)), so a cancels.  A Rademacher group contributes
-w * (2B - c) with B ~ Bin(c, 1/2), so a grid point takes one binomial call
-per group with w != 0, each for all replicates at once; a Gaussian
-S_n/sigma_n is a standard normal, one call for all replicates.  The cost of
-a grid point does not grow with n.  A whole row mapped from its drawn
-innovations stays the independent reference: the tests (tests/conftest.py)
-check that its row sums and these draws agree in law.
+a * sqrt(sum(c * w^2)), so a cancels.  Every group has w != 0.  A
+Rademacher group contributes w * (2B - c) with B ~ Bin(c, 1/2), so a grid
+point takes one binomial call per group, each for all replicates at once;
+a Gaussian S_n/sigma_n is a standard normal, one call for all replicates.
+The cost of a grid point does not grow with n.  A whole row mapped from
+its drawn innovations stays the independent reference: the tests
+(tests/conftest.py) check that its row sums and these draws agree in law.
 
 S_n is normalized by the exact closed-form sigma_n (never the sample
 standard deviation), so the empirical distribution targets exactly the
@@ -68,15 +68,15 @@ def simulate_normalized_sums(
     """Draw reps independent values of S_n/sigma_n, sorted ascending.
 
     S_n/sigma_n is drawn from the weight groups of S_n (see the module
-    docstring), not summed from a sampled row and divided.  Nonzero weight
-    group g draws its reps binomials from its own stream, row_rng(seed, n, g);
+    docstring), not summed from a sampled row and divided.  Weight group g
+    draws its reps binomials from its own stream, row_rng(seed, n, g);
     a Gaussian row draws its reps normals from row_rng(seed, n, 0).  So the
     first r draws are the same for every reps >= r.
     """
     _check_reps(reps)
     _sigma(model, n)  # raises unless 0 < sigma_n^2 < inf
     if model.is_discrete:
-        groups = [(c, w) for c, w in sum_weight_groups(model, n) if w != 0.0]
+        groups = sum_weight_groups(model, n)
         largest = max(c for c, _ in groups)
         if largest >= 2**62:  # 2B - c of a larger group's draw B can overflow int64
             raise SampleTooLargeError(

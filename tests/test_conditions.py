@@ -454,6 +454,23 @@ def test_every_emitted_eq_token_has_a_holding_rule():
     assert all(set(ok) <= set(c.VERDICTS) for ok in c.HOLDING_VERDICTS.values())
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        m.build_model("iid-baseline"),
+        m.build_model("two-scale", alpha=0.25),
+        m.build_model("moving-average", coeffs=(1.0, 0.5)),
+    ],
+    ids=lambda model: model.family,
+)
+@pytest.mark.parametrize("n", [1, 5, 64, 2**14])
+@pytest.mark.parametrize("eps", [0.05, 0.3, 1.0, 4.0])
+def test_classic_lindeberg_is_the_m_adapted_sum_where_m_is_at_most_one(model, n, eps):
+    # the classic sum is the m-adapted one at m = 1: eps*sigma/1 and 1*total are exact
+    assert model.m(n) <= 1
+    assert c.lindeberg_classic(model, n, eps).value == c.lindeberg_mdep(model, n, eps).value
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

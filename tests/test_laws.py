@@ -16,6 +16,7 @@ from mdepclt.laws import (
     normal_capped_second_moment,
     normal_tail_second_moment,
     sign_combination_law,
+    tap_sum,
 )
 
 from conftest import sign_pattern_law
@@ -169,3 +170,64 @@ def test_distinct_taps_over_the_atom_cap_raise():
     # 23 distinct magnitudes: 2^23 atoms, over ENUMERATION_CAP = 2^22
     with pytest.raises(EnumerationTooLargeError, match=r"has 8388608 atoms \(cap ENUMERATION_CAP = 4194304\)"):
         sign_combination_law([1 + i / 64 for i in range(23)], 1.0)
+
+
+def _read_only(x):
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
+def test_tap_sum_writes_to_no_term():
+    # every term read-only: an in-place step on a term would raise
+    rng = np.random.default_rng(3)
+    terms = [_read_only(rng.choice([-1.0, 1.0], 64)) for _ in range(5)]
+    before = [t.tobytes() for t in terms]
+    for coeffs in ([1.0, 1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.5, 1.0, -0.5], [0.3, 0.3, -0.3, 2.0, 1.0]):
+        tap_sum(coeffs, terms)
+    assert [t.tobytes() for t in terms] == before
+
+
+def test_a_single_unit_tap_returns_its_term():
+    # tests/conftest.py::row_entries tells this case apart by np.may_share_memory
+    term = _read_only([1.0, -1.0, 1.0])
+    assert tap_sum([1.0], [term]) is term
+    assert tap_sum([-1.0], [term]).tobytes() == (-term).tobytes()
+
+
+def _grouped_reference(coeffs, terms):
+    """sum over magnitudes f, in order of first appearance, of f * (sum of
+    +-x), where f is the first tap of that magnitude and a tap of the other
+    sign is subtracted; taken one float at a time."""
+    out = []
+    for xs in zip(*terms):
+        groups: dict = {}
+        for c, x in zip(coeffs, map(float, xs)):
+            if abs(c) not in groups:
+                groups[abs(c)] = [c, x]
+            else:
+                f, part = groups[abs(c)]
+                groups[abs(c)][1] = part + x if (c < 0) == (f < 0) else part - x
+        total = None
+        for f, part in groups.values():
+            part = part if f == 1.0 else f * part
+            total = part if total is None else total + part
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.0, 0.5),
+        (1.0, -1.0, 0.5, 1.0),
+        (0.7, -0.7, 1.3, 0.7, -1.3, 1.0, -1.0, 0.7),
+        (-2.5, 1e-3, 2.5, -1e-3, 1.0),
+        tuple(1 + i / 64 for i in range(12)),
+    ],
+)
+def test_tap_sum_is_the_grouped_sum_byte_for_byte(coeffs):
+    # normal terms, so any other order of the adds would show in the last bits
+    rng = np.random.default_rng(len(coeffs))
+    terms = [_read_only(rng.standard_normal(200)) for _ in coeffs]
+    assert tap_sum(coeffs, terms).tobytes() == _grouped_reference(coeffs, terms).tobytes()

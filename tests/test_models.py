@@ -2,9 +2,12 @@
 truncation."""
 
 import ast
+import importlib
+import inspect
 import json
 import math
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -653,6 +656,50 @@ def test_every_exported_name_has_a_program_caller():
         for word in re.findall(r"\w+", re.sub(r"^\s*(def|class) \w+", "", line))
     }
     assert [name for name in exported if name not in used] == []
+
+
+def _defined_functions(module):
+    """The functions a module defines, with the methods of its classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for member in members:
+            member = getattr(member, "__func__", getattr(member, "fget", member))
+            if callable(member) and not inspect.isclass(member):
+                yield member
+
+
+@pytest.mark.parametrize(
+    "name", [p.stem for p in sorted(Path(models.__file__).parent.glob("*.py")) if p.stem != "__init__"]
+)
+def test_every_annotation_resolves(name):
+    # annotations are strings (from __future__ import annotations), read
+    # in the module's globals: a name imported only inside a function
+    # does not resolve there
+    functions = list(_defined_functions(importlib.import_module(f"mdepclt.{name}")))
+    assert functions
+    for func in functions:
+        typing.get_type_hints(func)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *catalogue().values(),
+        m.model_from_config({"family": "block-repeat", "beta": 0.25, "spike_frac": 0.9}),
+        m.build_model("moving-average", coeffs=(1.0, -1.0, 0.5)),
+    ],
+    ids=lambda model: model.describe(),
+)
+@pytest.mark.parametrize("n", [2, 7, 64, 1000])
+def test_sum_weight_groups_are_nonzero_and_add_up_to_sigma2(model, n):
+    # two-scale's eta_1..eta_{n-1} cancel, and in MA (1, -1, .5) the taps
+    # 1 and -1 alone reach zeta_{n-1}: such innovations are no group of S_n
+    groups = models.sum_weight_groups(model, n)
+    assert groups and all(w != 0.0 for _, w in groups)
+    a = model.amplitude * models.linear_row(model, n)[1]
+    assert a * a * sum(c * w * w for c, w in groups) == models.exact_sigma2(model, n)
 
 
 def test_schedule_describe():
