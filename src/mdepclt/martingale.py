@@ -57,6 +57,10 @@ TRACE_CELL_CAP = 2**22
 TRACE_WORK_CAP = 2**30
 #: entries of M that build_trace gathers per block of outcomes to sum Q
 _GATHER_BLOCK = 2**16
+#: keys per outcome up to which _refine numbers the prefix cells by a
+#: running count over the whole key space, one int32 per key, so that its
+#: array takes no more bytes than one float column of the table
+_RELABEL_SPAN = 2
 #: tolerances of check_structure, of check_bounds, and of check_tower and
 #: check_truncation; trace_summary applies them as those checks do
 _STRUCTURE_TOL = 1e-10
@@ -174,12 +178,26 @@ def _steps(trace: MartingaleTrace):
         prev = column
 
 
-def _refine(inv: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """The partition inv refined by the values of one more entry: the cell
-    of an outcome is the pair (cell, X_k), numbered by np.unique of cell *
-    (distinct values of X_k) + rank of X_k."""
+def _refine(inv: np.ndarray, cells: int, column: np.ndarray) -> np.ndarray:
+    """The partition inv, of `cells` cells, refined by the values of one
+    more entry: the cell of an outcome is the pair (cell, X_k), numbered
+    in the order of its key cell * (distinct values of X_k) + rank of X_k,
+    as np.unique(key, return_inverse=True) numbers it.  A key space of at
+    most _RELABEL_SPAN keys per outcome is numbered without a sort: the
+    keys that occur are marked in it, and a key's cell is the running
+    count of marks up to it, minus 1.  The ranks, and the ids of a larger
+    key space, come from np.unique with return_inverse, which, unlike
+    plain np.unique, does not import numpy.ma."""
     values, rank = np.unique(column, return_inverse=True)
-    return np.unique(inv * len(values) + rank, return_inverse=True)[1]
+    key = inv * len(values)
+    key += rank
+    space = cells * len(values)
+    if space > _RELABEL_SPAN * len(key):
+        return np.unique(key, return_inverse=True)[1]
+    count = np.zeros(space, dtype=np.int32)
+    count[key] = 1
+    np.cumsum(count, out=count)
+    return np.subtract(count.take(key), 1, out=key)
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -234,8 +252,9 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     np.cumsum over them), the order W.sum(axis=1) over the whole tensor
     adds them in, so no slice of W is built here.  q is summed one column
     of dM at a time, gathered from the cells; Q one block of outcomes at a
-    time, from a C-contiguous block of dM, whose rows np.einsum adds as it
-    adds the rows of the whole array.
+    time: M_0..M_N are gathered into the rows of one reused block, dM into
+    one reused C-contiguous block, whose rows np.einsum adds as it adds
+    the rows of the whole array.
     """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
@@ -245,18 +264,21 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     M_cells, prefix_ids = [], []
     for k in range(N + 1):
         if k > 0:
-            inv = _refine(inv, cols[k - 1])
+            inv = _refine(inv, len(M_cells[k - 1]), cols[k - 1])
         M_cells.append(reduce(np.add, map(_cell_means(inv), cols)))
         prefix_ids.append(inv.astype(np.min_scalar_type(len(M_cells[k]) - 1)))
     del inv
     trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids)
     for i, (_, d) in enumerate(_steps(trace)):
         trace.q[i] = table.prob * np.sum(d**2)
-    step = max(1, _GATHER_BLOCK // (N + 1))
+    step = min(n_out, max(1, _GATHER_BLOCK // (N + 1)))
+    block, dM = np.empty((N + 1, step)), np.empty((step, N))
     for lo in range(0, n_out, step):
-        block = np.array([cells[ids[lo : lo + step]] for cells, ids in zip(M_cells, prefix_ids)])
-        d = np.subtract(block[1:].T, block[:-1].T, order="C")
-        trace.Q[lo : lo + step] = np.einsum("ok,ok->o", d, d)
+        width = min(step, n_out - lo)
+        for cells, ids, row in zip(M_cells, prefix_ids, block):
+            cells.take(ids[lo : lo + width], out=row[:width], mode="clip")  # every index is in range
+        d = np.subtract(block[1:, :width].T, block[:-1, :width].T, out=dM[:width])
+        np.einsum("ok,ok->o", d, d, out=trace.Q[lo : lo + width])
     return trace
 
 
@@ -495,19 +517,23 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     # p, a power of two, so the means and covariances are plain sums times
     # p, exactly the probability-weighted sums
     part = np.empty((N, n_out))
-    idx = np.arange(N)
-    beyond_band = np.abs(idx[:, None] - idx[None, :]) > m
-    banded = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band; NaN wins
+    banded = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band, j > i + m; NaN wins
     means = []
 
     def centre_and_band(part):
         means.append(part.sum(axis=1) * p)
         part -= means[-1][:, None]
         # einsum rather than a BLAS product, whose sums vary with the thread
-        # count; scaled and made absolute in place, one N x N array at a time
-        cov = np.einsum("io,jo->ij", part, part)
-        cov *= p
-        np.maximum(banded, np.abs(cov, out=cov), out=banded, where=beyond_band)
+        # count, over the pairs j > i + m only, one row i at a time, scaled
+        # and made absolute in place.  Each sum over outcomes is the one the
+        # whole N x N product takes, a symmetric matrix whose first worst
+        # pair lies in this upper triangle; a single row j would be summed
+        # in another order, so a row's call reads at least two
+        for i in range(N - m - 1):
+            out = banded[i, i + m + 1 :]
+            cov = np.einsum("jo,o->j", part[min(i + m + 1, N - 2) :], part[i])[-len(out) :]
+            cov *= p
+            np.maximum(out, np.abs(cov, out=cov), out=out)
 
     # X' from the table's contiguous columns, one mask at a time, and X''_i
     # in one row buffer, from which the tail sum and then additivity read

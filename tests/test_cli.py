@@ -573,6 +573,7 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(argv) in (0, 1), argv  # a verdict, not a configuration error
     assert "scipy" not in sys.modules, argv[1]
+    assert "numpy.ma" not in sys.modules, argv[1]  # plain np.unique imports it
 """
     proc = _fresh_python(script, tmp_path)
     assert proc.returncode == 0, proc.stderr

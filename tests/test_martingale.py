@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdepclt as m
@@ -255,7 +255,12 @@ def _reference_partition_and_W(table):
 
 @pytest.mark.parametrize(
     "model,n",
-    oracle_models() + [(m.build_model("two-scale", alpha=0.25), 7)],
+    oracle_models()
+    + [
+        (m.build_model("two-scale", alpha=0.25), 7),
+        # its last key space is 4 keys per outcome, beyond _RELABEL_SPAN
+        (m.build_model("moving-average", coeffs=(1.0, 0.5, 0.25)), 10),
+    ],
     ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v),
 )
 def test_prefix_refinement_is_the_whole_prefix_partition(model, n):
@@ -268,6 +273,42 @@ def test_prefix_refinement_is_the_whole_prefix_partition(model, n):
         assert np.array_equal(got, want), f"k={k}"
     N = trace.table.rows.shape[1]
     assert np.array_equal(np.stack([trace.w_slice(k) for k in range(N + 1)], axis=2), W)
+
+
+def _refinement(cells, labels, values):
+    """(inv, cells, column): outcome o in cell labels[o] % cells, with
+    X_k = values[o % len(values)]."""
+    inv = np.array(list(labels), dtype=np.intp) % cells
+    return inv, cells, np.resize(np.array(values, dtype=float), len(inv))
+
+
+@st.composite
+def _refinements(draw):
+    labels = draw(st.lists(st.integers(0, 99), min_size=1, max_size=40))
+    values = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=len(labels)))
+    return _refinement(draw(st.integers(1, 2 * len(labels) + 1)), labels, values)
+
+
+#: cells that 3 values refine into 6 * _RELABEL_SPAN keys, the bound at 6 outcomes
+_SPAN_CELLS = 2 * mart._RELABEL_SPAN
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_refinements())
+@example(case=_refinement(1, [0] * 5, [0.25, -2.0, 0.25, 3.0, -2.0]))  # one cell
+@example(case=_refinement(3, [0, 1, 2, 1, 0], [0.25]))  # one distinct value
+@example(case=_refinement(_SPAN_CELLS, range(6), [1.0, -2.0, 0.25]))  # 6 outcomes: at the bound
+@example(case=_refinement(_SPAN_CELLS, range(5), [1.0, -2.0, 0.25]))  # 5 outcomes: beyond it
+def test_refine_numbers_cells_as_the_unique_pair(case):
+    # the running count over the key space, and the np.unique fallback
+    # beyond _RELABEL_SPAN keys per outcome, number the refined cells as
+    # np.unique of cell * (distinct values) + rank does
+    inv, cells, column = case
+    values, rank = np.unique(column, return_inverse=True)
+    want = np.unique(inv * len(values) + rank, return_inverse=True)[1]
+    got = mart._refine(inv.copy(), cells, column)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -647,31 +688,81 @@ def test_truncation_identities_all_models(model, n, traces):
 
 def _max_covariance_beyond_band(model, n, eps, band):
     """Loop reference for the split-banded check: the largest |Cov| of
-    either split part over all pairs i < j with j - i > band."""
+    either split part over all pairs i < j with j - i > band, and every
+    pair within 1e-12 of it, in C order.  Pairs whose covariances are
+    equal in exact arithmetic differ in their last digits, and this
+    loop's sums break such a tie otherwise than the check's."""
     table = m.enumerate_outcomes(model, n)
     probs = table.probs
     N = table.rows.shape[1]
-    worst = 0.0
+    covs = np.zeros((N, N))
     for part in split_rows(m.truncated_model(model, n, eps), table.rows):
         mu = probs @ part
         for i in range(N):
             for j in range(i + band + 1, N):
                 cov = float(probs @ ((part[:, i] - mu[i]) * (part[:, j] - mu[j])))
-                worst = max(worst, abs(cov))
-    return worst
+                covs[i, j] = max(covs[i, j], abs(cov))
+    worst = float(covs.max())
+    return worst, [(int(i), int(j)) for i, j in np.argwhere(covs >= worst * (1 - 1e-12))]
+
+
+def _split_banded_alone_fails(config, n, eps, m_claimed):
+    """The split-banded result of check_truncation on the row of config,
+    claimed m_claimed-dependent, and the loop reference's worst pairs,
+    once every other check passes and split-banded fails at the value
+    the loop gives, naming one of its worst pairs beyond the claimed band."""
+    model = m.model_from_config(config)
+    trace = m.build_trace(model, n)
+    assert trace.m > m_claimed
+    chk = m.check_truncation(dataclasses.replace(trace, m=m_claimed), eps=eps)
+    by_name = {r.name: r for r in chk.results}
+    banded = by_name.pop("split-banded")
+    assert not chk.passed and not banded.passed
+    assert all(r.passed for r in by_name.values())
+    expected, pairs = _max_covariance_beyond_band(model, n, eps, band=m_claimed)
+    assert banded.max_abs_err == pytest.approx(expected, rel=1e-12)
+    named = (banded.detail["i"], banded.detail["j"])
+    assert named in pairs and named[1] - named[0] > m_claimed
+    return named, pairs
 
 
 def test_split_banded_fails_when_the_band_is_too_narrow():
     # the two-scale row is 1-dependent; claiming m = 0 must trip only the
-    # covariance-band check, at the value the pairwise loop gives
+    # covariance-band check, at the value the pairwise loop gives.  Its
+    # adjacent pairs tie, so the check may name any of them
+    _, pairs = _split_banded_alone_fails({"family": "two-scale", "alpha": 0.25}, 6, 0.4, 0)
+    assert pairs == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+
+
+def test_split_banded_names_the_one_worst_pair():
+    # the spike shares its block with entry 1 alone, so (0, 1) is the one
+    # worst pair of a row of m = 2 claimed 0-dependent
+    named, pairs = _split_banded_alone_fails({"family": "block-repeat", "beta": 0.25, "spike_frac": 0.9}, 16, 2.0, 0)
+    assert named == (0, 1) and pairs == [(0, 1)]
+
+
+@pytest.mark.parametrize("m_claimed", [0, 1, 6])
+def test_split_banded_reads_the_whole_covariance_product_bit_for_bit(m_claimed):
+    # the beyond-band pairs, summed one row at a time, give the entries of
+    # the whole N x N einsum product of each centred part, and the check
+    # names its first worst pair in C order; 2^17 outcomes, more than one
+    # einsum buffer of 8192, so a single pair summed alone would differ
     ts = m.build_model("two-scale", alpha=0.25)
-    trace = dataclasses.replace(m.build_trace(ts, 6), m=0)
-    chk = m.check_truncation(trace, eps=0.4)
-    by_name = {r.name: r for r in chk.results}
-    assert not chk.passed and not by_name["split-banded"].passed
-    assert all(r.passed for name, r in by_name.items() if name != "split-banded")
-    expected = _max_covariance_beyond_band(ts, 6, 0.4, band=0)
-    assert by_name["split-banded"].max_abs_err == pytest.approx(expected, rel=1e-12)
+    trace = dataclasses.replace(m.build_trace(ts, 8), m=m_claimed)
+    cols, p = trace.table.columns, trace.table.prob
+    N = cols.shape[0]
+    banded = np.zeros((N, N))
+    for part in split_rows(m.truncated_model(ts, 8, 0.2), cols):
+        part -= (part.sum(axis=1) * p)[:, None]
+        banded = np.maximum(banded, np.abs(np.einsum("io,jo->ij", part, part) * p))
+    i, j = np.indices((N, N))
+    banded[abs(i - j) <= m_claimed] = 0.0
+    res = {r.name: r for r in m.check_truncation(trace, 0.2).results}["split-banded"]
+    assert res.max_abs_err == banded.max()
+    assert res.passed == (m_claimed > 0)
+    if not res.passed:
+        worst = np.unravel_index(int(np.argmax(banded)), banded.shape)
+        assert (res.detail["i"], res.detail["j"]) == tuple(int(v) for v in worst)
 
 
 def _nan_increments(trace):
