@@ -139,8 +139,7 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     for n in ns:
         trace = mart.build_trace(model, n)
         traces.append(mart.trace_summary(trace))
-        for eps in eps_list:
-            chk = mart.check_truncation(trace, eps)
+        for eps, chk in zip(eps_list, mart.check_truncations(trace, eps_list)):
             trunc.append({"n": n, "eps": eps, "passed": chk.passed, **chk.values})
     for n, exc in skipped:
         print(f"skipped n={n}: {exc}", file=sys.stderr)

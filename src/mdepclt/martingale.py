@@ -18,13 +18,14 @@ hold one tap each, and at most 7 atoms for the two-scale row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
 from .conditions import ConditionValue, asymptotic_verdict
+from .laws import sign_combination_law
 from .models import (
     ArrayModel,
     EnumerationTooLargeError,
@@ -48,8 +49,9 @@ TRACE_TENSOR_CAP = 2**24
 #: cap on the cells of the largest array the oracle holds,
 #: max(outcomes, N) * (N+1): the prefix partitions hold outcomes * (N+1)
 #: ids, one to four bytes each (at most 16 MiB at the cap), M's cell
-#: values at most as many floats and usually far fewer, the table one float
-#: fewer per outcome, and the truncation check's covariances N * N floats;
+#: values at most as many floats and usually far fewer, the kept cell means
+#: at most one float per outcome, the table one float fewer per outcome,
+#: and the truncation check's covariances N * N floats;
 #: no array of dM or of M per outcome is kept, nor a probability per outcome
 TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
@@ -103,11 +105,16 @@ class MartingaleTrace:
     by (X_1, ..., X_k), in the narrowest unsigned dtype that holds its
     cell count.  M_k is constant on those cells, so M_cells[k] holds one
     value per cell, and every pass reads M_k on the outcomes through
-    m_columns(), which gathers it.  W is not stored either: w_slice(k)
-    computes W[:, :, k] from prefix_ids[k].  A trace keeps the table, Q,
-    q, the partitions and M's cell values, so it takes
-    O(outcomes * N) memory, about the table and one narrow index per
-    outcome and k; each pass over it holds one slice, the at most m+1
+    m_columns(), which gathers it.  W is not stored per outcome either:
+    w_slice(k) gathers W[:, :, k] through prefix_ids[k] from W_cells[k],
+    the (N, cells) means that build_trace added into M_cells[k], for the
+    levels k < len(W_cells) it kept, and recomputes them for the larger
+    levels.  build_trace keeps them from k = 0 while their running total
+    fits one float column of the table, outcomes floats, so a row with
+    fewer outcomes than columns keeps none.  A trace keeps the table, Q,
+    q, the partitions, M's cell values and those small levels' means, so
+    it takes O(outcomes * N) memory, about the table and one narrow index
+    per outcome and k; each pass over it holds one slice, the at most m+1
     rows of the one before that the window identity reads, and
     O(outcomes) columns.  A slice is laid out variables by outcomes, as
     the table is: its transpose, row i-1 holding X_i's conditional means
@@ -122,6 +129,7 @@ class MartingaleTrace:
     Q: np.ndarray  # (outcomes,)
     q: np.ndarray  # (N,)
     prefix_ids: list  # per k = 0..N: partition cell index of each outcome
+    W_cells: list = field(default_factory=list)  # per k < len: (N, cells) W[:, :, k] on each cell
 
     def m_columns(self):
         """Yield M_0, M_1, ..., M_N on every outcome, in order.  Each is
@@ -140,22 +148,29 @@ class MartingaleTrace:
     def w_slice(self, k: int) -> np.ndarray:
         """W[:, :, k] as an (outcomes, N) array in column-major order, so
         that its .T is a C-contiguous (N, outcomes) array, filled one
-        variable at a time."""
+        variable at a time from that variable's cell means: those
+        build_trace kept in W_cells[k], or, for a level it did not keep,
+        means computed here as build_trace computed them."""
         inv = self.prefix_ids[k].astype(np.intp)
         out = np.empty(self.table.columns.shape)
-        cell_means = _cell_means(inv)
-        for row, x in zip(out, self.table.columns):
-            cell_means(x).take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
+        if k < len(self.W_cells):
+            for row, means in zip(out, self.W_cells[k]):
+                means.take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
+        else:
+            cell_means = _cell_means(inv)[1]
+            for row, x in zip(out, self.table.columns):
+                cell_means(x).take(inv, out=row, mode="clip")
         return out.T
 
 
 def _cell_means(inv: np.ndarray):
-    """The function taking a variable's values x on every outcome to its
-    mean over each cell of the partition inv: one bincount, which adds in
-    outcome order, as np.add.at does, over the cell's count.  Every
-    outcome has the same probability, a power of two, so these are
-    exactly the probability-weighted means.  The caller drops each result
-    before the next, so one array of means is held at a time."""
+    """(cells, means): the cell count of the partition inv, and the
+    function taking a variable's values x on every outcome to its mean
+    over each cell: one bincount, which adds in outcome order, as
+    np.add.at does, over the cell's count.  Every outcome has the same
+    probability, a power of two, so these are exactly the
+    probability-weighted means.  The caller drops each result before the
+    next, or keeps it, so one array of means is made at a time."""
     counts = np.bincount(inv).astype(float)  # once: an int64 divisor is slower
 
     def means(x: np.ndarray) -> np.ndarray:
@@ -163,7 +178,7 @@ def _cell_means(inv: np.ndarray):
         out /= counts
         return out
 
-    return means
+    return len(counts), means
 
 
 def _steps(trace: MartingaleTrace):
@@ -178,20 +193,30 @@ def _steps(trace: MartingaleTrace):
         prev = column
 
 
-def _refine(inv: np.ndarray, cells: int, column: np.ndarray) -> np.ndarray:
+def _refine(inv: np.ndarray, cells: int, column: np.ndarray, atoms: np.ndarray | None = None) -> np.ndarray:
     """The partition inv, of `cells` cells, refined by the values of one
     more entry: the cell of an outcome is the pair (cell, X_k), numbered
-    in the order of its key cell * (distinct values of X_k) + rank of X_k,
-    as np.unique(key, return_inverse=True) numbers it.  A key space of at
-    most _RELABEL_SPAN keys per outcome is numbered without a sort: the
-    keys that occur are marked in it, and a key's cell is the running
-    count of marks up to it, minus 1.  The ranks, and the ids of a larger
-    key space, come from np.unique with return_inverse, which, unlike
-    plain np.unique, does not import numpy.ma."""
-    values, rank = np.unique(column, return_inverse=True)
-    key = inv * len(values)
+    in the order of its key cell * (values of X_k) + rank of X_k, as
+    np.unique(key, return_inverse=True) numbers it.  Given the entry's
+    sorted atoms, the ranks are read without a sort, by np.searchsorted,
+    and kept only if every value is the atom of its rank exactly; atoms
+    absent from the column leave gaps in the key space, which the
+    numbering by key order skips.  Without atoms, or if a value is not an
+    atom (a NaN included), the values and ranks come from np.unique.  A
+    key space of at most _RELABEL_SPAN keys per outcome is numbered
+    without a sort: the keys that occur are marked in it, and a key's
+    cell is the running count of marks up to it, minus 1.  The ids of a
+    larger key space come from np.unique with return_inverse, which,
+    unlike plain np.unique, does not import numpy.ma."""
+    if atoms is not None:
+        rank = np.searchsorted(atoms, column)
+        if not np.array_equal(atoms.take(rank, mode="clip"), column):  # a value above every atom has rank len(atoms)
+            atoms = None
+    if atoms is None:
+        atoms, rank = np.unique(column, return_inverse=True)
+    key = inv * len(atoms)
     key += rank
-    space = cells * len(values)
+    space = cells * len(atoms)
     if space > _RELABEL_SPAN * len(key):
         return np.unique(key, return_inverse=True)[1]
     count = np.zeros(space, dtype=np.int32)
@@ -255,20 +280,36 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     time: M_0..M_N are gathered into the rows of one reused block, dM into
     one reused C-contiguous block, whose rows np.einsum adds as it adds
     the rows of the whole array.
+
+    Each entry's ranks are read from the sorted atoms of its law, which
+    sign_combination_law gives bit-equal to the entries enumerate_outcomes
+    forms, one law per segment of linear_row.  The cell means of a level
+    are kept as W_cells[k], an (N, cells) array, from k = 0 while the
+    kept levels hold at most one float per outcome, so that w_slice
+    gathers those levels instead of recomputing them.
     """
     _require_trace_size(model, n)
     table = enumerate_outcomes(model, n)
     cols = table.columns
     N, n_out = cols.shape
+    _, scale, segments = linear_row(model, n)
+    laws = (sign_combination_law([c for _, c in taps], model.amplitude * scale) for _, taps, _ in segments)
+    entry_atoms = chain.from_iterable(repeat(law.values, count) for (count, _, _), law in zip(segments, laws))
     inv = np.zeros(n_out, dtype=np.intp)
-    M_cells, prefix_ids = [], []
-    for k in range(N + 1):
+    M_cells, prefix_ids, W_cells = [], [], []
+    kept = 0  # floats in W_cells
+    for k, atoms in enumerate(chain([None], entry_atoms)):
         if k > 0:
-            inv = _refine(inv, len(M_cells[k - 1]), cols[k - 1])
-        M_cells.append(reduce(np.add, map(_cell_means(inv), cols)))
-        prefix_ids.append(inv.astype(np.min_scalar_type(len(M_cells[k]) - 1)))
-    del inv
-    trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids)
+            inv = _refine(inv, len(M_cells[k - 1]), cols[k - 1], atoms)
+        cells, means = _cell_means(inv)
+        level = map(means, cols)
+        if kept + N * cells <= n_out:  # cell counts grow with k: the kept levels run from 0
+            W_cells.append(level := np.stack(list(level)))
+            kept += level.size
+        M_cells.append(reduce(np.add, level))
+        prefix_ids.append(inv.astype(np.min_scalar_type(cells - 1)))
+    del inv, means, level  # the last level's ids and counts
+    trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids, W_cells)
     for i, (_, d) in enumerate(_steps(trace)):
         trace.q[i] = table.prob * np.sum(d**2)
     step = min(n_out, max(1, _GATHER_BLOCK // (N + 1)))
@@ -347,12 +388,14 @@ def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
     W[:, :, k] and the rows of W[:, :, k-1] its window reads; a failing
     identity is named from the slices that walk holds.
     """
-    return _walk(trace)
+    return _walk(trace)[0]
 
 
-def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResult]:
+def _walk(trace: MartingaleTrace, bound: float | None = None) -> tuple[list[CheckResult], np.ndarray]:
     """check_structure's results and, given a bound, conditional-bound
-    |W| <= bound after them, from one walk over the slices of W.
+    |W| <= bound after them, from one walk over the slices of W; and S_n
+    on every outcome, trace.table.row_sums(), which M_N must equal, taken
+    once the last slice is dropped, for the caller to reuse.
 
     The walk reads each slice as Wt = W[:, :, k].T, whose row i holds
     E(X_{i+1} | prefix k) on every outcome: each identity takes its
@@ -394,9 +437,10 @@ def _walk(trace: MartingaleTrace, bound: float | None = None) -> list[CheckResul
         past.add(k, np.subtract(Wt[:k], cols[:k], out=Wt[:k]))
         del Wt
 
-    endpoint.add(N, M_prev - trace.table.row_sums())  # M_prev is M_N
+    sums = trace.table.row_sums()
+    endpoint.add(N, M_prev - sums)  # M_prev is M_N
     results = [w.result() for w in (past, future, window, partial, endpoint)]
-    return results + ([bounded.result()] if bounded else [])
+    return results + ([bounded.result()] if bounded else []), sums
 
 
 def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
@@ -408,28 +452,34 @@ def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
     E Q = E S^2 and Var Q <= 48 eps^2 E S^2.  The realized slack ratios
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
-    bound, s2 = _hypotheses(trace, eps)
-    return _walk(trace, bound)[-1:] + _bounds(trace, eps, s2)[0]
+    results, sums = _walk(trace, _bound(trace, eps, _max_abs(trace.table.rows)))
+    return results[-1:] + _bounds(trace, eps, _sigma2(trace, eps, sums))[0]
 
 
-def _hypotheses(trace: MartingaleTrace, eps: float) -> tuple[float, float]:
-    """(eps/max(m, 1), sigma_n^2) once the hypotheses of check_bounds
-    hold; raises HypothesisViolationError otherwise."""
+def _bound(trace: MartingaleTrace, eps: float, max_x: float) -> float:
+    """eps/max(m, 1), once max_x = max |X| is within it, the first
+    hypothesis of check_bounds; raises HypothesisViolationError otherwise."""
     bound = eps / max(trace.m, 1)
-    max_x = _max_abs(trace.table.rows)
     if max_x > bound * (1 + 1e-12):
         raise HypothesisViolationError(
             f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})"
         )
-    s2 = trace.sigma2
+    return bound
+
+
+def _sigma2(trace: MartingaleTrace, eps: float, sums: np.ndarray) -> float:
+    """sigma_n^2, taken from S_n on every outcome as trace.sigma2 takes it,
+    once eps^2 sigma_n^2 is a positive float, the second hypothesis of
+    check_bounds; raises HypothesisViolationError otherwise."""
+    s2 = float(trace.table.prob * np.sum(sums**2))
     if not eps**2 * s2 > 0:
         raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps**2 * s2:.6g} is not a positive float")
-    return bound, s2
+    return s2
 
 
 def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> tuple[list[CheckResult], float, float]:
     """check_bounds' results after conditional-bound, which need no slice
-    of W, given s2 = sigma_n^2 from _hypotheses; max |dM|, NaN if dM
+    of W, given s2 = sigma_n^2 from _sigma2; max |dM|, NaN if dM
     holds one; and Var Q.  The increment and prefix bounds run one column
     of dM and of M at a time, T_j = X_1 + ... + X_j added in order, as
     np.cumsum adds it."""
@@ -503,7 +553,11 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     sum obeys E[(S'')^2] <= (2 m_n + 1) * sum_i E[X_i^2 1{|X_i| > t}].
     The split shifts neither part: every entry law is symmetric, so the
     proof's centring mu_i = E[X_i 1{|X_i| <= t}] is 0, and split-centred
-    fails on the first entry whose law is not.
+    fails on the first entry whose law is not.  The split enters only
+    through which entries go beyond the threshold: each column's mask is
+    taken once and read for X' and again for X'', and two eps whose masks
+    agree give the same results and values but for the threshold, which
+    is how check_truncations runs one check per distinct split.
     """
     table = trace.table
     split = truncated_model(trace.model, trace.n, eps)
@@ -535,22 +589,24 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
             cov *= p
             np.maximum(out, np.abs(cov, out=cov), out=out)
 
-    # X' from the table's contiguous columns, one mask at a time, and X''_i
-    # in one row buffer, from which the tail sum and then additivity read
+    # X' from the table's contiguous columns, one mask at a time, each kept
+    # for X'', and X''_i in one row buffer, from which the tail sum and then
+    # additivity read
     additivity = _SliceErrors("split-additivity", 0.0, names=("outcome", "i"))
     tail_sum = 0.0
     row = np.empty(n_out)
+    masks = []  # where X_i goes to X''
     for i, x in enumerate(cols):
-        beyond = split.beyond(x)  # where X_i goes to X''
+        masks.append(beyond := split.beyond(x))
         np.multiply(x, ~beyond, out=part[i])
         np.multiply(x, beyond, out=row)
         tail_sum += p * np.sum(row**2)
         np.add(part[i], row, out=row)
         additivity.add(i, np.subtract(row, x, out=row))
     centre_and_band(part)
-    # X'', each row's mask taken again from its column
-    for x, out in zip(cols, part):
-        np.multiply(x, split.beyond(x), out=out)
+    # X'', from the masks of X'
+    for x, beyond, out in zip(cols, masks, part):
+        np.multiply(x, beyond, out=out)
     # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
     # order numpy sums it, one block of outcomes at a time
     lhs = float(p * np.sum(_row_sums(part.T) ** 2))
@@ -571,6 +627,28 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
         "bound": rhs,
     }
     return TruncationCheck(all(r.passed for r in results), results, values)
+
+
+def check_truncations(trace: MartingaleTrace, eps_list) -> list[TruncationCheck]:
+    """check_truncation(trace, eps) for each eps of eps_list, in order,
+    run once per distinct split.  Thresholds grow with eps, and an entry
+    beyond a threshold is beyond every smaller one (a NaN beyond every
+    threshold), so the splits of two eps are nested, and equal exactly
+    when they put as many entries of the table beyond.  Equal splits give
+    equal results and values but for the threshold, which each eps gets
+    as its own."""
+    splits = [truncated_model(trace.model, trace.n, eps) for eps in eps_list]
+    counts = [0] * len(splits)  # entries beyond each threshold
+    for x in trace.table.columns:
+        for j, split in enumerate(splits):
+            counts[j] += int(np.count_nonzero(split.beyond(x)))
+    checks = {}
+    out = []
+    for eps, split, count in zip(eps_list, splits, counts):
+        if count not in checks:
+            checks[count] = check_truncation(trace, eps)
+        out.append(replace(checks[count], values={**checks[count].values, "threshold": split.threshold}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -706,10 +784,13 @@ def check_hh_hypotheses(model: ArrayModel, n_grid) -> HHReport:
 def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
     checks included at the smallest eps they apply to, max(m, 1) * max|X|.
-    The structure and bound checks share one walk over the slices of W."""
-    eps = max(trace.m, 1) * _max_abs(trace.table.rows)
-    bound, s2 = _hypotheses(trace, eps)
-    *structure, conditional = _walk(trace, bound)
+    The structure and bound checks share one walk over the slices of W.
+    max|X| is taken once, for eps and the bound, and S_n once, for the
+    endpoint check and sigma_n^2."""
+    max_x = _max_abs(trace.table.rows)
+    eps = max(trace.m, 1) * max_x
+    (*structure, conditional), sums = _walk(trace, _bound(trace, eps, max_x))
+    s2 = _sigma2(trace, eps, sums)
     tower = check_tower(trace)
     rest, dm_max, var_q = _bounds(trace, eps, s2)
     bounds = [conditional] + rest

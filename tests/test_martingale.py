@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdepclt as m
+from mdepclt import cli
 from mdepclt import martingale as mart
 
 from conftest import per_outcome_M, split_rows, trace_dM, trace_M, weighted_sum
@@ -309,6 +310,64 @@ def test_refine_numbers_cells_as_the_unique_pair(case):
     got = mart._refine(inv.copy(), cells, column)
     assert got.dtype == np.intp
     assert np.array_equal(got, want)
+
+
+#: values an entry's atoms may hold beside its column's, none of them in
+#: any column _refinements draws
+_SPARE_ATOMS = (-3.0, -1.0, 0.5, 2.0, 4.0)
+
+
+def _atom_refinement(cells, labels, values, atoms):
+    """(inv, cells, column, atoms) for _refine's atom path."""
+    return (*_refinement(cells, labels, values), np.array(atoms, dtype=float))
+
+
+@st.composite
+def _atom_refinements(draw):
+    """A refinement with the sorted atoms of its column, maybe with spare
+    atoms added, and maybe with one of the column's values left out or a
+    NaN written into the column, so that a value is not an atom."""
+    inv, cells, column = draw(_refinements())
+    edit = draw(st.sampled_from(["none", "drop", "nan"]))
+    # an entry's law has an atom at least, so one left out leaves a spare one
+    spare = draw(st.lists(st.sampled_from(_SPARE_ATOMS), min_size=edit == "drop", max_size=3))
+    atoms = np.union1d(column, spare)
+    if edit == "drop":
+        atoms = atoms[atoms != draw(st.sampled_from(sorted(set(column))))]
+    elif edit == "nan":
+        column[draw(st.integers(0, len(column) - 1))] = np.nan
+    return inv, cells, column, atoms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_atom_refinements())
+@example(case=_atom_refinement(3, [0, 1, 2, 1, 0], [0.25, -2.0], [-2.0, 0.25]))  # the distinct values
+@example(case=_atom_refinement(3, [0, 1, 2, 1, 0], [0.25, -2.0], [-3.0, -2.0, 0.25, 4.0]))  # a strict superset
+@example(case=_atom_refinement(3, [0, 1, 2, 1, 0], [0.25, -2.0, 1.0], [-2.0, 0.25]))  # 1.0 is not an atom
+@example(case=_atom_refinement(3, [0, 1, 2, 1, 0], [0.25, np.nan], [0.25]))  # a NaN
+@example(case=_atom_refinement(2, [0, 1, 1, 0], [-0.0, 0.0, 1.0], [0.0, 1.0]))  # -0.0 beside 0.0
+@example(case=_atom_refinement(2, [0, 1, 1, 0], [0.0, -0.0, 1.0], [-0.0, 1.0]))
+def test_refine_reads_ranks_from_atoms_as_the_unique_pair(case):
+    # ranks read from the entry's atoms number the refined cells as the
+    # np.unique pair does; a column holding a value that is not an atom
+    # (a NaN included) is sorted by np.unique instead, and no other is
+    inv, cells, column, atoms = case
+    values, rank = np.unique(column, return_inverse=True)
+    want = np.unique(inv * len(values) + rank, return_inverse=True)[1]
+    sorted_columns = []
+    unique = np.unique
+
+    def counted(a, *args, **kwargs):
+        if a is column:
+            sorted_columns.append(a)
+        return unique(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "unique", counted)
+        got = mart._refine(inv.copy(), cells, column, atoms)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, want)
+    assert len(sorted_columns) == (0 if np.isin(column, atoms).all() else 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -676,6 +735,37 @@ def test_truncation_centring_guard_names_an_asymmetric_entry():
     assert results["split-additivity"].passed
     assert not results["split-centred"].passed
     assert results["split-centred"].detail["i"] == 0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [m.build_model("two-scale", alpha=0.25), m.build_model("moving-average", coeffs=(1.0, 0.5))],
+    ids=lambda v: v.describe(),
+)
+def test_truncation_runs_once_per_distinct_split(model, monkeypatch):
+    # eps whose thresholds put as many entries beyond give the same split:
+    # the oracle checks it once, and each eps row equals its own check's,
+    # threshold included
+    trace = m.build_trace(model, 8)
+    want = [m.check_truncation(trace, eps) for eps in _TEN_EPS]
+    beyond = {
+        int(np.count_nonzero(~(np.abs(trace.table.rows) <= m.truncated_model(model, 8, eps).threshold)))
+        for eps in _TEN_EPS
+    }
+    runs = []
+    check_truncation = mart.check_truncation
+
+    def counted(trace, eps):
+        runs.append(eps)
+        return check_truncation(trace, eps)
+
+    monkeypatch.setattr(mart, "check_truncation", counted)
+    assert mart.check_truncations(trace, _TEN_EPS) == want
+    assert len(runs) == len(beyond) < len(_TEN_EPS)
+    runs.clear()
+    rows = cli.oracle_payload(model, [8], _TEN_EPS)["truncation"]
+    assert rows == [{"n": 8, "eps": eps, "passed": chk.passed, **chk.values} for eps, chk in zip(_TEN_EPS, want)]
+    assert len(runs) == len(beyond)
 
 
 @pytest.mark.parametrize("model,n", oracle_models())
@@ -1062,6 +1152,37 @@ def test_hh1_margin_absorbs_a_last_bit_decrease(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # export
+
+
+def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
+    # no column is sorted for its ranks, which come from the entry atoms,
+    # and a summary recomputes the cell means of the two levels that
+    # build_trace did not keep (7 and 8, a count and 8 means each), and
+    # the tower check's 8 cell sums: fixed counts, so a lost cache shows
+    # without a timing
+    ts = m.build_model("two-scale", alpha=0.25)
+    calls = {"unique": 0, "bincount": 0}
+    unique, bincount = np.unique, np.bincount
+
+    def counted_unique(a, *args, **kwargs):
+        calls["unique"] += np.size(a) == 2**17
+        return unique(a, *args, **kwargs)
+
+    def counted_bincount(*args, **kwargs):
+        calls["bincount"] += 1
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    trace = m.build_trace(ts, 8)
+    assert calls["unique"] == 0
+    assert len(trace.W_cells) == 7
+    assert sum(w.size for w in trace.W_cells) <= 2**17 < sum(w.size for w in trace.W_cells) + 8 * len(trace.M_cells[7])
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    m.trace_summary(trace)
+    assert calls["bincount"] == 26
+    # a row with fewer outcomes than columns keeps no level
+    wide = m.build_trace(m.model_from_config({"family": "block-repeat", "m": 64}), 64)
+    assert wide.table.rows.shape == (2, 64) and wide.W_cells == []
 
 
 def test_trace_summary_builds_each_slice_once(traces):
