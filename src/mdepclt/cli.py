@@ -117,15 +117,17 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     any."""
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be strictly increasing")
-    ns, skipped = [], []
+    traces, trunc, skipped = [], [], []
     for n in n_grid:
         try:
-            mart._require_trace_size(model, n)
+            trace = mart.build_trace(model, n)
         except (ContinuousModelError, EnumerationTooLargeError) as exc:
             skipped.append((n, exc))
-        else:
-            ns.append(n)
-    if not ns:
+            continue
+        traces.append(mart.trace_summary(trace))
+        for eps, chk in zip(eps_list, mart.check_truncations(trace, eps_list)):
+            trunc.append({"n": n, "eps": eps, "passed": chk.passed, **chk.values})
+    if not traces:
         reason = skipped[0][1]
         if isinstance(reason, ContinuousModelError):
             fits = "no n fits"
@@ -134,13 +136,6 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
         else:
             fits = f"the largest n below {n_grid[0]} that fits is {largest}"
         raise ConfigError(f"no grid point is exactly enumerable for this model: {reason}; {fits}")
-    traces = []
-    trunc = []
-    for n in ns:
-        trace = mart.build_trace(model, n)
-        traces.append(mart.trace_summary(trace))
-        for eps, chk in zip(eps_list, mart.check_truncations(trace, eps_list)):
-            trunc.append({"n": n, "eps": eps, "passed": chk.passed, **chk.values})
     for n, exc in skipped:
         print(f"skipped n={n}: {exc}", file=sys.stderr)
     passed = all(t["structure_passed"] and t["tower_passed"] and t["bounds_passed"] for t in traces)

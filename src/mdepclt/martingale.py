@@ -27,6 +27,7 @@ import numpy as np
 from .conditions import ConditionValue, asymptotic_verdict
 from .laws import sign_combination_law
 from .models import (
+    _C_BLOCK,
     ArrayModel,
     EnumerationTooLargeError,
     InvalidParameterError,
@@ -57,8 +58,6 @@ TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
 #: pass of the checks compute one slice at a time (tens of seconds at the cap)
 TRACE_WORK_CAP = 2**30
-#: entries of M that build_trace gathers per block of outcomes to sum Q
-_GATHER_BLOCK = 2**16
 #: keys per outcome up to which _refine numbers the prefix cells by a
 #: running count over the whole key space, one int32 per key, so that its
 #: array takes no more bytes than one float column of the table
@@ -72,7 +71,7 @@ _EXPECTATION_TOL = 1e-12
 
 class HypothesisViolationError(ValueError):
     """The bound checks do not apply: the row is not bounded by eps/m_n, or
-    eps^2 sigma_n^2 is not a positive float."""
+    eps^2 sigma_n^2 is not a positive finite float."""
 
 
 class UnsupportedFamilyError(ValueError):
@@ -312,7 +311,7 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids, W_cells)
     for i, (_, d) in enumerate(_steps(trace)):
         trace.q[i] = table.prob * np.sum(d**2)
-    step = min(n_out, max(1, _GATHER_BLOCK // (N + 1)))
+    step = min(n_out, max(1, _C_BLOCK // (N + 1)))
     block, dM = np.empty((N + 1, step)), np.empty((step, N))
     for lo in range(0, n_out, step):
         width = min(step, n_out - lo)
@@ -321,16 +320,6 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
         d = np.subtract(block[1:, :width].T, block[:-1, :width].T, out=dM[:width])
         np.einsum("ok,ok->o", d, d, out=trace.Q[lo : lo + width])
     return trace
-
-
-def _result(name: str, err: np.ndarray, tol: float, names: tuple) -> CheckResult:
-    """The check of a whole error array, a failure naming its first worst entry."""
-    worst = float(err.max()) if err.size else 0.0
-    if worst <= tol:
-        return CheckResult(name, True, worst)
-    idx = np.unravel_index(int(np.argmax(err)), err.shape)
-    detail = {**dict(zip(names, (int(v) for v in idx))), "err": float(err[idx]), "identity": name}
-    return CheckResult(name, False, worst, detail)
 
 
 def _scalar_result(name: str, lhs: float, rhs: float, err: float, tol: float, detail: dict | None = None) -> CheckResult:
@@ -343,8 +332,8 @@ def _scalar_result(name: str, lhs: float, rhs: float, err: float, tol: float, de
 
 class _SliceErrors:
     """One identity's errors along a walk over slices (or columns) j, the
-    error of a residual r being max(|r| - allowance, 0): the maximum of
-    every slice, and the first worst entry of each slice whose maximum
+    error of a residual r being max(|r| - allowance, 0): the largest |r|
+    of every slice, and the first worst entry of each slice whose error
     fails tol."""
 
     __slots__ = ("name", "tol", "names", "allowance", "maxima", "hits")
@@ -355,8 +344,8 @@ class _SliceErrors:
 
     def add(self, j: int, block: np.ndarray, i0: int = 0) -> None:
         """Slice j's residuals, laid out (outcomes,) or (i - i0, outcomes)."""
-        worst = np.maximum(_max_abs(block) - self.allowance, 0.0) if block.size else 0.0
-        self.maxima.append(worst)
+        self.maxima.append(_max_abs(block) if block.size else 0.0)
+        worst = np.maximum(self.maxima[-1] - self.allowance, 0.0)
         if not worst <= self.tol:  # NaN included
             err = np.abs(block.T)  # (outcome, i) in C order
             err -= self.allowance
@@ -367,8 +356,10 @@ class _SliceErrors:
 
     def result(self) -> CheckResult:
         """The check of the whole error array; a failure names its first
-        worst entry in C order, the one np.argmax over it gives."""
-        worst = float(np.max(self.maxima))
+        worst entry in C order, the one np.argmax over it gives.  Taking
+        the allowance from the largest |r| gives the largest error, as
+        rounding keeps the order of the |r|."""
+        worst = float(np.maximum(np.max(self.maxima) - self.allowance, 0.0))
         if worst <= self.tol:
             return CheckResult(self.name, True, worst)
         *index, e = min(hit for w, hit in self.hits if w == worst or math.isnan(w))
@@ -453,7 +444,7 @@ def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
     results, sums = _walk(trace, _bound(trace, eps, _max_abs(trace.table.rows)))
-    return results[-1:] + _bounds(trace, eps, _sigma2(trace, eps, sums))[0]
+    return results[-1:] + _columns(trace, eps, _sigma2(trace, eps, sums))[0][1:]
 
 
 def _bound(trace: MartingaleTrace, eps: float, max_x: float) -> float:
@@ -469,41 +460,59 @@ def _bound(trace: MartingaleTrace, eps: float, max_x: float) -> float:
 
 def _sigma2(trace: MartingaleTrace, eps: float, sums: np.ndarray) -> float:
     """sigma_n^2, taken from S_n on every outcome as trace.sigma2 takes it,
-    once eps^2 sigma_n^2 is a positive float, the second hypothesis of
-    check_bounds; raises HypothesisViolationError otherwise."""
+    once eps^2 sigma_n^2 is a positive finite float, the second hypothesis
+    of check_bounds; raises HypothesisViolationError otherwise."""
     s2 = float(trace.table.prob * np.sum(sums**2))
-    if not eps**2 * s2 > 0:
-        raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps**2 * s2:.6g} is not a positive float")
+    if not 0 < eps * eps * s2 < math.inf:
+        raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps * eps * s2:.6g} is not a positive finite float")
     return s2
 
 
-def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> tuple[list[CheckResult], float, float]:
-    """check_bounds' results after conditional-bound, which need no slice
-    of W, given s2 = sigma_n^2 from _sigma2; max |dM|, NaN if dM
-    holds one; and Var Q.  The increment and prefix bounds run one column
-    of dM and of M at a time, T_j = X_1 + ... + X_j added in order, as
+def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
+    """Full conditional-mean-zero test: E[dM_k 1{cell}] = 0 for every
+    partition cell of the prefix of length k-1.  A NaN cell sum fails it,
+    and the detail names the first k that holds one.  A cell sum is the
+    outcomes' probability, a power of two, times the plain sum of dM_k."""
+    return _columns(trace)[0]
+
+
+def _columns(trace: MartingaleTrace, eps: float | None = None, s2: float | None = None) -> tuple:
+    """One pass over the columns of M and dM (_steps): check_tower's
+    result and, given eps and s2 = sigma_n^2 from _sigma2, check_bounds'
+    results after conditional-bound, which need no slice of W, after it;
+    with them max |dM|, NaN if dM holds one, and Var Q (None without
+    eps).  The prefix bound adds T_j = X_1 + ... + X_j in order, as
     np.cumsum adds it."""
-    cols = trace.table.columns
-    p = trace.table.prob
+    cols, p, m = trace.table.columns, trace.table.prob, trace.m
     N = cols.shape[0]
-    increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
-    gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
-    head, j = cols[0].copy(), 1  # T_j
-    residual = np.empty_like(head)
-    dm_maxima = []
+    worst, detail = 0.0, None  # the tower's
+    if eps is not None:
+        increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
+        gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
+        head, j = cols[0].copy(), 1  # T_j
+        residual = np.empty_like(head)
     for i, (Mk, d) in enumerate(_steps(trace)):
+        if not math.isnan(worst):  # a NaN ends the tower's search
+            err = np.abs(np.bincount(trace.prefix_ids[i], weights=d) * p)
+            if not (w := float(err.max())) <= worst:
+                worst, detail = w, {"k": i + 1, "cell": int(np.argmax(err)), "err": w}
+        if eps is None:
+            continue
         increment.add(i, d)
-        dm_maxima.append(_max_abs(d))
-        while j < min(i + 1 + trace.m, N):
+        while j < min(i + 1 + m, N):
             head += cols[j]
             j += 1
         gap.add(i, np.subtract(head, Mk, out=residual))  # T_{i+1+m} - M_{i+1}, T_N beyond N
 
-    dm_max = float(np.max(dm_maxima))
+    passed = worst <= _EXPECTATION_TOL
+    results = [CheckResult("tower-mean-zero", passed, worst, None if passed else detail)]
+    if eps is None:
+        return results, None, None
+    dm_max = float(np.max(increment.maxima))
     res = increment.result()
     if res.passed:
         res = CheckResult(res.name, True, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
-    results = [res, gap.result()]
+    results += [res, gap.result()]
 
     eq = float(p * np.sum(trace.Q))
     results.append(_scalar_result("mean-quadratic-variation", eq, s2, abs(eq - s2), 1e-10))
@@ -513,27 +522,6 @@ def _bounds(trace: MartingaleTrace, eps: float, s2: float) -> tuple[list[CheckRe
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
     results.append(_scalar_result("variance-bound", var_q, cap, max(var_q - cap, 0.0), _BOUND_TOL, slack))
     return results, dm_max, var_q
-
-
-def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
-    """Full conditional-mean-zero test: E[dM_k 1{cell}] = 0 for every
-    partition cell of the prefix of length k-1.  A NaN cell sum fails it,
-    and the detail names the first k that holds one.  A cell sum is the
-    outcomes' probability, a power of two, times the plain sum of dM_k."""
-    p = trace.table.prob
-    worst = 0.0
-    detail = None
-    for k, (_, d) in enumerate(_steps(trace), start=1):
-        inv = trace.prefix_ids[k - 1]
-        cell_sums = np.bincount(inv, weights=d) * p
-        w = float(np.abs(cell_sums).max())
-        if not w <= worst:  # also true for a NaN, which ends the search
-            worst = w
-            detail = {"k": k, "cell": int(np.argmax(np.abs(cell_sums))), "err": w}
-            if math.isnan(w):
-                break
-    passed = worst <= _EXPECTATION_TOL
-    return [CheckResult("tower-mean-zero", passed, worst, None if passed else detail)]
 
 
 @dataclass(frozen=True)
@@ -572,11 +560,12 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     # p, exactly the probability-weighted sums
     part = np.empty((N, n_out))
     banded = np.zeros((N, N))  # the larger |Cov| of the two parts beyond the band, j > i + m; NaN wins
-    means = []
+    centred = _SliceErrors("split-centred", _EXPECTATION_TOL, names=("i",))
 
     def centre_and_band(part):
-        means.append(part.sum(axis=1) * p)
-        part -= means[-1][:, None]
+        mean = part.sum(axis=1) * p
+        centred.add(0, mean)
+        part -= mean[:, None]
         # einsum rather than a BLAS product, whose sums vary with the thread
         # count, over the pairs j > i + m only, one row i at a time, scaled
         # and made absolute in place.  Each sum over outcomes is the one the
@@ -612,10 +601,9 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     lhs = float(p * np.sum(_row_sums(part.T) ** 2))
     centre_and_band(part)
     tail_sum = float(tail_sum)
-    results = [additivity.result()]
-    err = np.maximum(np.abs(means[0]), np.abs(means[1]))
-    results.append(_result("split-centred", err, _EXPECTATION_TOL, names=("i",)))
-    results.append(_result("split-banded", banded, _EXPECTATION_TOL, names=("i", "j")))
+    band = _SliceErrors("split-banded", _EXPECTATION_TOL, names=("i", "j"))
+    band.add(0, banded.T)  # its (outcome, i) order is banded's (i, j)
+    results = [additivity.result(), centred.result(), band.result()]
 
     rhs = (2 * m + 1) * tail_sum
     results.append(_scalar_result("tail-variance-bound", lhs, rhs, max(lhs - rhs, 0.0), _EXPECTATION_TOL))
@@ -784,15 +772,15 @@ def check_hh_hypotheses(model: ArrayModel, n_grid) -> HHReport:
 def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
     checks included at the smallest eps they apply to, max(m, 1) * max|X|.
-    The structure and bound checks share one walk over the slices of W.
+    The structure and bound checks share one walk over the slices of W,
+    the tower and the bounds on dM one pass over the columns of M.
     max|X| is taken once, for eps and the bound, and S_n once, for the
     endpoint check and sigma_n^2."""
     max_x = _max_abs(trace.table.rows)
     eps = max(trace.m, 1) * max_x
     (*structure, conditional), sums = _walk(trace, _bound(trace, eps, max_x))
     s2 = _sigma2(trace, eps, sums)
-    tower = check_tower(trace)
-    rest, dm_max, var_q = _bounds(trace, eps, s2)
+    (tower, *rest), dm_max, var_q = _columns(trace, eps, s2)
     bounds = [conditional] + rest
     out = {
         "n": trace.n,
@@ -803,8 +791,8 @@ def trace_summary(trace: MartingaleTrace) -> dict:
         "var_q": var_q,
         "max_abs_dm": dm_max,
         "structure_passed": all(r.passed for r in structure),
-        "tower_passed": all(r.passed for r in tower),
-        "checks": {r.name: r.passed for r in structure + tower + bounds},
+        "tower_passed": tower.passed,
+        "checks": {r.name: r.passed for r in structure + [tower] + bounds},
         "eps": eps,
         "bounds_passed": all(r.passed for r in bounds),
     }

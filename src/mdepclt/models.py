@@ -221,8 +221,9 @@ class OutcomeTable:
         return _row_sums(self.rows)
 
 
-#: entries of the block of rows that _row_sums copies to C order at a time
-_ROW_SUM_BLOCK = 2**16
+#: entries of a scratch block copied into C order at a time: the rows that
+#: _row_sums sums, the M and dM that martingale.build_trace gathers for Q
+_C_BLOCK = 2**16
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -231,7 +232,7 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     Summed along axis 1 in place, a variable-major array adds its entries
     in another order, and the last digits differ."""
     n_out, N = rows.shape
-    step = max(1, _ROW_SUM_BLOCK // N)
+    step = max(1, _C_BLOCK // N)
     out = np.empty(n_out)
     for lo in range(0, n_out, step):
         np.ascontiguousarray(rows[lo : lo + step]).sum(axis=1, out=out[lo : lo + step])

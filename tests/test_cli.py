@@ -845,6 +845,7 @@ def _two_scale(**settings):
 @example(run=("conditions", {"family": "block-repeat", "m": 2, "beta": 0.5}))
 @example(run=("clt", {"family": "iid-baseline", "n_grid": [64], "reps": 10**15}))
 @example(run=("oracle", {"family": "block-repeat", "n_grid": [1, 2, 3, 4, 2**40], "eps": [0.0]}))
+@example(run=("oracle", {"family": "moving-average", "amplitude": 1e300, "n_grid": [1, 2, 3, 4], "eps": [1.0]}))
 def test_run_keeps_the_exit_code_contract(run_config, run):
     """Exit 0 or 1 with a payload whose `passed` matches, or exit 2 with
     one `error:` line; never an exception out of `run`."""

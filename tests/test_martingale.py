@@ -550,8 +550,11 @@ def test_expectations_equal_the_probability_weighted_sums_bit_for_bit(model, n):
     trace = m.build_trace(model, n)
     table = trace.table
     assert trace.sigma2 == float(weighted_sum(table, table.row_sums() ** 2))
-    q = [weighted_sum(table, d**2) for d in trace_dM(trace).T]
+    dM = trace_dM(trace)  # (outcomes, N), C-contiguous
+    q = [weighted_sum(table, d**2) for d in dM.T]
     assert trace.q.tobytes() == np.array(q).tobytes()
+    # Q per outcome, each row of dM^2 summed as np.einsum sums the whole array
+    assert trace.Q.tobytes() == np.einsum("ok,ok->o", dM, dM).tobytes()
     eq = float(weighted_sum(table, trace.Q))
     assert float(table.prob * np.sum(trace.Q)) == eq
     assert m.trace_summary(trace)["var_q"] == float(weighted_sum(table, (trace.Q - eq) ** 2))
@@ -1180,6 +1183,20 @@ def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
     monkeypatch.setattr(np, "bincount", counted_bincount)
     m.trace_summary(trace)
     assert calls["bincount"] == 26
+    # the walk and one pass over M's columns for the tower and the bounds on dM
+    passes = {"m_columns": 0}
+    m_columns = mart.MartingaleTrace.m_columns
+
+    def counted_m_columns(self):
+        passes["m_columns"] += 1
+        return m_columns(self)
+
+    monkeypatch.setattr(mart.MartingaleTrace, "m_columns", counted_m_columns)
+    m.trace_summary(trace)
+    assert passes["m_columns"] == 2
+    passes["m_columns"] = 0
+    m.check_tower(trace)
+    assert passes["m_columns"] == 1
     # a row with fewer outcomes than columns keeps no level
     wide = m.build_trace(m.model_from_config({"family": "block-repeat", "m": 64}), 64)
     assert wide.table.rows.shape == (2, 64) and wide.W_cells == []
