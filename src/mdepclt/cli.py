@@ -4,22 +4,25 @@ The CLI is a thin shell: each command assembles its payload through a
 library function in this module, so scripted library use and the command
 line produce byte-identical output.
 
+Each payload builder imports its engine (conditions, martingale or
+montecarlo) inside itself, so a command loads only the engine it runs
+besides models and laws, which every command needs.
+
 Exit codes: 0 success, 1 check/threshold violation, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 
-from . import conditions as cond
-from . import martingale as mart
-from . import montecarlo as mc
 from .models import (
+    DEFAULT_EPS_GRID,
+    DEFAULT_N_GRID,
+    DEFAULT_R_GRID,
     MODEL_CONFIG_KEYS,
     ArrayModel,
     ContinuousModelError,
@@ -85,6 +88,8 @@ def condition_reports(model: ArrayModel, n_grid, eps_list, r_list, deltas) -> li
     """Every condition report for one model over one grid, in payload
     order: classic and m-adapted Lindeberg per eps, Lyapunov per r, Orey,
     Rio, then the Berk and Romano-Wolf components per delta."""
+    from . import conditions as cond
+
     reports = []
     for eps in eps_list:
         reports.append(cond.condition_report(cond.lindeberg_classic, model, n_grid, eps=eps))
@@ -101,6 +106,8 @@ def condition_reports(model: ArrayModel, n_grid, eps_list, r_list, deltas) -> li
 
 def conditions_payload(model: ArrayModel, n_grid, eps_list, r_list) -> dict:
     """All condition reports for one model over one grid."""
+    from . import conditions as cond
+
     reports = condition_reports(model, n_grid, eps_list, r_list, [r - 2 for r in r_list])
     return {
         "model": model_to_config(model),
@@ -115,6 +122,8 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
     run; when every size is skipped, the smallest one's reason is the
     configuration error, with the largest n below the grid that fits, if
     any."""
+    from . import martingale as mart
+
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be strictly increasing")
     traces, trunc, skipped = [], [], []
@@ -149,6 +158,8 @@ def oracle_payload(model: ArrayModel, n_grid, eps_list) -> dict:
 
 
 def clt_payload(model: ArrayModel, n_grid, reps, seed, threshold) -> dict:
+    from . import montecarlo as mc
+
     report = mc.convergence_sweep(model, n_grid, reps=reps, seed=seed)
     payload = mc.report_to_dict(report)
     payload["ks_threshold"] = threshold
@@ -161,6 +172,8 @@ def sweep_payload(n_grid, eps_list, r_list) -> dict:
 
     A set is a condition id without its eps argument or :component
     suffix; it holds when every report in it holds."""
+    from . import conditions as cond
+
     rows = []
     for name, model in catalogue().items():
         entry = {"model": name, "config": model_to_config(model)}
@@ -180,6 +193,8 @@ def payload_to_json(payload: dict) -> str:
 
 
 def _csv_from_rows(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -330,13 +345,13 @@ def resolve_config(args) -> dict:
     Every run setting, from the config and then from its flag, goes
     through the one converter SETTINGS holds for it; range checks are
     left to the engines."""
-    default_grid = {"sweep": SWEEP_N_GRID, "clt": CLT_N_GRID, "oracle": ORACLE_N_GRID}.get(args.cmd, cond.DEFAULT_N_GRID)
+    default_grid = {"sweep": SWEEP_N_GRID, "clt": CLT_N_GRID, "oracle": ORACLE_N_GRID}.get(args.cmd, DEFAULT_N_GRID)
     settings: dict = {
         "n_grid": list(default_grid),
         "reps": 10_000,
         "seed": 0,
-        "eps": list(cond.DEFAULT_EPS_GRID),
-        "r": list(cond.DEFAULT_R_GRID),
+        "eps": list(DEFAULT_EPS_GRID),
+        "r": list(DEFAULT_R_GRID),
         "format": "json",
         "out": None,
         "ks_threshold": DEFAULT_KS_THRESHOLD,

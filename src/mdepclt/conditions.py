@@ -33,7 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (  # DegenerateVarianceError is re-exported
+from .models import (  # DegenerateVarianceError and the default grids are re-exported
+    DEFAULT_EPS_GRID,
+    DEFAULT_N_GRID,
+    DEFAULT_R_GRID,
     ArrayModel,
     DegenerateVarianceError,
     _sigma,
@@ -41,13 +44,6 @@ from .models import (  # DegenerateVarianceError is re-exported
     marginal_law_groups,
     window_variance_max,
 )
-
-#: representative thresholds standing in for "every eps > 0"
-DEFAULT_EPS_GRID = (0.05, 0.1, 0.5, 1.0)
-#: default moment orders for the r > 2 conditions
-DEFAULT_R_GRID = (3.0, 4.0, 6.0)
-#: default geometric n-grid 2^6 .. 2^14
-DEFAULT_N_GRID = tuple(2**k for k in range(6, 15))
 
 VERDICTS = ("tends-to-zero", "bounded", "diverges", "inconclusive")
 #: smallest verdict margin on the fitted log-log slope

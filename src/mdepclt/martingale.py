@@ -24,7 +24,6 @@ from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .conditions import ConditionValue, asymptotic_verdict
 from .laws import sign_combination_law
 from .models import (
     _C_BLOCK,
@@ -309,8 +308,9 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
         prefix_ids.append(inv.astype(np.min_scalar_type(cells - 1)))
     del inv, means, level  # the last level's ids and counts
     trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids, W_cells)
-    for i, (_, d) in enumerate(_steps(trace)):
-        trace.q[i] = table.prob * np.sum(d**2)
+    with np.errstate(over="ignore"):  # an infinite q fails the summary's sigma_n^2 check
+        for i, (_, d) in enumerate(_steps(trace)):
+            trace.q[i] = table.prob * np.sum(d**2)
     step = min(n_out, max(1, _C_BLOCK // (N + 1)))
     block, dM = np.empty((N + 1, step)), np.empty((step, N))
     for lo in range(0, n_out, step):
@@ -462,7 +462,8 @@ def _sigma2(trace: MartingaleTrace, eps: float, sums: np.ndarray) -> float:
     """sigma_n^2, taken from S_n on every outcome as trace.sigma2 takes it,
     once eps^2 sigma_n^2 is a positive finite float, the second hypothesis
     of check_bounds; raises HypothesisViolationError otherwise."""
-    s2 = float(trace.table.prob * np.sum(sums**2))
+    with np.errstate(over="ignore"):  # reported below
+        s2 = float(trace.table.prob * np.sum(sums**2))
     if not 0 < eps * eps * s2 < math.inf:
         raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps * eps * s2:.6g} is not a positive finite float")
     return s2
@@ -756,6 +757,8 @@ def check_hh_hypotheses(model: ArrayModel, n_grid) -> HHReport:
     zero (HH1), the sd of Q_n/sigma_n^2 tends to zero while its mean is 1
     (HH2), and E[max_k dM_k^2]/sigma_n^2 stays bounded (HH3).  Rows are
     supported as by _increment_law."""
+    from .conditions import ConditionValue, asymptotic_verdict
+
     rows = [_hh_row(model, n) for n in sorted(n_grid)]
 
     hh1, hh2, hh3 = (

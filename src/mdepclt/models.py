@@ -55,6 +55,15 @@ INNOVATIONS = ("rademacher", "normal")
 #: hard cap on the Monte Carlo replicates of one grid point (512 MiB of floats)
 SAMPLE_CAP = 2**26
 
+# the conditions' default run settings, here so that the CLI resolves its
+# settings without loading the conditions module
+#: representative thresholds standing in for "every eps > 0"
+DEFAULT_EPS_GRID = (0.05, 0.1, 0.5, 1.0)
+#: default moment orders for the r > 2 conditions
+DEFAULT_R_GRID = (3.0, 4.0, 6.0)
+#: default geometric n-grid 2^6 .. 2^14
+DEFAULT_N_GRID = tuple(2**k for k in range(6, 15))
+
 #: entries kept by each per-(model, n) cache (exact_sigma2,
 #: marginal_law_groups); a sweep fills 102
 _CACHE_SIZE = 4096

@@ -607,6 +607,59 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert proc.returncode == 0, proc.stderr
 
 
+#: command -> an argv, and the mdepclt modules it executes besides the
+#: package and cli
+ENGINES = {
+    "clt": (
+        ["--cmd", "clt", "--model", "two-scale", "--n-grid", "16", "--reps", "100", "--format", "csv"],
+        ["laws", "models", "montecarlo"],
+    ),
+    "sweep": (["--cmd", "sweep", "--n-grid", "6..9", "--format", "csv"], ["conditions", "laws", "models"]),
+    "conditions": (
+        ["--cmd", "conditions", "--model", "moving-average", "--n-grid", "6..9"],
+        ["conditions", "laws", "models"],
+    ),
+    "oracle": (["--cmd", "oracle", "--model", "iid-baseline", "--n-grid", "4"], ["laws", "martingale", "models"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENGINES))
+def test_each_command_executes_only_its_engine(tmp_path, command):
+    # every process compiles what it executes when bytecode is not cached;
+    # the other submodules wait in sys.modules unexecuted (a lazy module's
+    # type is not plain ModuleType until an attribute of it is read)
+    argv, engine = ENGINES[command]
+    script = f"""
+import contextlib, io, sys, types
+def executed():
+    return sorted(
+        name.removeprefix("mdepclt.") for name, mod in sys.modules.items()
+        if name.startswith("mdepclt") and type(mod) is types.ModuleType
+    )
+import mdepclt.cli as cli
+assert executed() == ["cli", "laws", "mdepclt", "models"], executed()
+argv = {argv!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(argv) in (0, 1), argv
+assert executed() == sorted(["cli", "mdepclt", *{engine!r}]), executed()
+registered = {{name for name in sys.modules if name.startswith("mdepclt.")}}
+assert registered == {{"mdepclt." + name for name in ("cli", "conditions", "laws", "martingale", "models", "montecarlo")}}
+"""
+    proc = _fresh_python(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_overflowing_oracle_row_prints_one_error_line(tmp_path):
+    # numpy's overflow warnings would reach stderr outside pytest, which
+    # captures them; the sigma_n^2 check reports the overflow
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"family": "moving-average", "amplitude": 1e300}))
+    argv = ["--cmd", "oracle", "--config", str(config), "--n-grid", "1,2,3,4", "--eps", "1.0"]
+    proc = _fresh_python(f"import sys, mdepclt.cli as cli; sys.exit(cli.run({argv!r}))", tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: eps^2 sigma_n^2 = inf is not a positive finite float\n"
+
+
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
 def test_one_openblas_thread_unless_the_caller_sets_a_count(tmp_path, monkeypatch, preset, expected):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

@@ -1,7 +1,6 @@
 """Model catalogue: second-moment structure, sampling, enumeration,
 truncation."""
 
-import ast
 import importlib
 import inspect
 import json
@@ -640,13 +639,31 @@ def test_family_branches_stay_few():
     assert len(lines) <= 6, lines
 
 
+#: the package's public names, pinned: adding or removing one is a
+#: deliberate change of the library surface
+EXPORTS = """
+    ArrayModel CheckResult ConditionReport ConditionValue ContinuousModelError
+    ConvergenceReport DegenerateVarianceError ENUMERATION_CAP EmpiricalDistribution
+    EnumerationTooLargeError HHReport HypothesisViolationError InsufficientGridError
+    InvalidParameterError MartingaleTrace OutcomeTable SAMPLE_CAP SampleTooLargeError
+    Schedule TruncationSplit UnsupportedFamilyError asymptotic_verdict berk_check
+    build_model build_trace check_bounds check_hh_hypotheses check_structure
+    check_tower check_truncation component_reports condition_report
+    convergence_sweep enumerate_outcomes exact_sigma2 holds kolmogorov_band
+    ks_statistic lindeberg_classic lindeberg_mdep lyapunov_ratio
+    marginal_law_groups model_from_config model_to_config orey_ratio
+    rio_functional romano_wolf_check row_rng simulate_normalized_sums trace_summary
+    truncated_model window_variance_max
+""".split()
+
+
 def test_every_exported_name_has_a_program_caller():
     # a public name that only the tests call is surface to delete: each name
     # mdepclt exports is used in src/ (its own def or class line aside) or
     # in a demo
+    exported = list(m._EXPORTS)
+    assert sorted(exported) == sorted(EXPORTS) and len(EXPORTS) == 52
     src = Path(models.__file__).parent
-    tree = ast.parse((src / "__init__.py").read_text())
-    exported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
     used = {
@@ -656,6 +673,18 @@ def test_every_exported_name_has_a_program_caller():
         for word in re.findall(r"\w+", re.sub(r"^\s*(def|class) \w+", "", line))
     }
     assert [name for name in exported if name not in used] == []
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    for name, module in m._EXPORTS.items():
+        home = importlib.import_module(f"mdepclt.{module}")
+        assert getattr(m, name) is vars(home)[name], name
+        assert getattr(vars(home)[name], "__module__", home.__name__) == home.__name__, name
+    assert sorted(m.__all__) == sorted(EXPORTS)
+    assert set(EXPORTS) <= set(dir(m))
+    assert m.models is models and m.models.build_model is m.build_model
+    with pytest.raises(AttributeError, match="no_such_name"):
+        m.no_such_name
 
 
 def _defined_functions(module):
