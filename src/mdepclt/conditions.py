@@ -266,14 +266,17 @@ def asymptotic_verdict(series) -> ConditionReport:
 
 def condition_series(func, model: ArrayModel, n_grid, **kwargs) -> list:
     """Evaluate a condition functional over an n-grid.  A float overflow,
-    or a divisor that underflowed to zero, is a ValueError naming the call."""
+    or a divisor that underflowed to zero, is a ValueError naming the call;
+    numpy's overflow warnings are silenced, as an infinite moment ends in
+    that error or in ConditionValue's finite check."""
     series = []
-    for n in n_grid:
-        try:
-            series.append(func(model, n, **kwargs))
-        except (OverflowError, ZeroDivisionError) as exc:
-            call = f"{func.__name__}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
-            raise ValueError(f"{call} at {_name_n(n)} leaves the float range: {exc.args[-1]}") from None
+    with np.errstate(over="ignore"):
+        for n in n_grid:
+            try:
+                series.append(func(model, n, **kwargs))
+            except (OverflowError, ZeroDivisionError) as exc:
+                call = f"{func.__name__}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
+                raise ValueError(f"{call} at {_name_n(n)} leaves the float range: {exc.args[-1]}") from None
     return series
 
 

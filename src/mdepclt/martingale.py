@@ -55,7 +55,7 @@ TRACE_TENSOR_CAP = 2**24
 #: no array of dM or of M per outcome is kept, nor a probability per outcome
 TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
-#: pass of the checks compute one slice at a time (tens of seconds at the cap)
+#: walk of the checks compute one slice at a time (tens of seconds at the cap)
 TRACE_WORK_CAP = 2**30
 #: keys per outcome up to which _refine numbers the prefix cells by a
 #: running count over the whole key space, one int32 per key, so that its
@@ -102,18 +102,19 @@ class MartingaleTrace:
     partitions: prefix_ids[k] is the cell of each outcome in the partition
     by (X_1, ..., X_k), in the narrowest unsigned dtype that holds its
     cell count.  M_k is constant on those cells, so M_cells[k] holds one
-    value per cell, and every pass reads M_k on the outcomes through
-    m_columns(), which gathers it.  W is not stored per outcome either:
-    w_slice(k) gathers W[:, :, k] through prefix_ids[k] from W_cells[k],
-    the (N, cells) means that build_trace added into M_cells[k], for the
-    levels k < len(W_cells) it kept, and recomputes them for the larger
-    levels.  build_trace keeps them from k = 0 while their running total
-    fits one float column of the table, outcomes floats, so a row with
-    fewer outcomes than columns keeps none.  A trace keeps the table, Q,
+    value per cell, and build_trace's q pass and the one walk of every
+    check read M_k on the outcomes through m_columns(), which gathers it.
+    W is not stored per outcome either: w_slice(k) gathers W[:, :, k]
+    through prefix_ids[k] from W_cells[k], the (N, cells) means that
+    build_trace added into M_cells[k], for the levels k < len(W_cells) it
+    kept, and recomputes them for the larger levels.  build_trace keeps
+    them from k = 0 while their running total fits one float column of
+    the table, outcomes floats, so a row with fewer outcomes than columns
+    keeps none.  A trace keeps the table, Q,
     q, the partitions, M's cell values and those small levels' means, so
     it takes O(outcomes * N) memory, about the table and one narrow index
-    per outcome and k; each pass over it holds one slice, the at most m+1
-    rows of the one before that the window identity reads, and
+    per outcome and k; the walk of the checks holds one slice, the at most
+    m+1 rows of the one before that the window identity reads, and
     O(outcomes) columns.  A slice is laid out variables by outcomes, as
     the table is: its transpose, row i-1 holding X_i's conditional means
     on every outcome, is C-contiguous, and the checks read that transpose.
@@ -379,59 +380,17 @@ def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
     W[:, :, k] and the rows of W[:, :, k-1] its window reads; a failing
     identity is named from the slices that walk holds.
     """
-    return _walk(trace)[0]
+    return _walk(trace)[0][:5]
 
 
-def _walk(trace: MartingaleTrace, bound: float | None = None) -> tuple[list[CheckResult], np.ndarray]:
-    """check_structure's results and, given a bound, conditional-bound
-    |W| <= bound after them, from one walk over the slices of W; and S_n
-    on every outcome, trace.table.row_sums(), which M_N must equal, taken
-    once the last slice is dropped, for the caller to reuse.
-
-    The walk reads each slice as Wt = W[:, :, k].T, whose row i holds
-    E(X_{i+1} | prefix k) on every outcome: each identity takes its
-    residuals over its own rows only (past i < k, future i >= k + m, and
-    the window in between), and the window sums add at most m + 1
-    contiguous rows.  A slice's errors, indexed (outcome, i), are built
-    only when its maximum fails, to name its first worst entry.  The
-    past residuals are taken in place in the slice, after every other
-    read of it.  M_k comes from the same pass's trace.m_columns(), held
-    beside M_{k-1}; the endpoint check reads M_0 first and M_N last."""
-    cols = trace.table.columns
-    N, n_out = cols.shape
-    m = trace.m
-    past = _SliceErrors("measurable-past", _STRUCTURE_TOL)
-    future = _SliceErrors("independent-future", _STRUCTURE_TOL)
-    window = _SliceErrors("window-difference", _STRUCTURE_TOL, names=("outcome", "k"))
-    partial = _SliceErrors("partial-sum-form", _STRUCTURE_TOL, names=("outcome", "k"))
-    endpoint = _SliceErrors("endpoint", _STRUCTURE_TOL, names=("outcome",))  # M_0 = 0, then M_N = S_n
-    bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound) if bound is not None else None
-    head = np.zeros(n_out)  # X_1 + ... + X_k, added in order
-    prev = np.empty((min(m + 1, N), n_out))  # rows k-1..k-1+m of the last slice
-    for k, Mk in enumerate(trace.m_columns()):
-        Wt = trace.w_slice(k).T
-        hi = min(k + m, N)
-        future.add(k, Wt[k + m :], k + m)
-        if k == 0:
-            endpoint.add(k, Mk)
-        else:
-            diff = np.subtract(Wt[k - 1 : hi], prev[: hi - k + 1], out=prev[: hi - k + 1])
-            window.add(k - 1, (Mk - M_prev) - diff.sum(axis=0))
-            head += cols[k - 1]
-        partial.add(k, Mk - (head + Wt[k:hi].sum(axis=0)) if hi > k else Mk - head)
-        M_prev = Mk
-        if bounded:
-            bounded.add(k, Wt)
-        # the next window reads rows k..k+m of this slice only
-        prev[: min(m + 1, N - k)] = Wt[k : k + m + 1]
-        # last, as nothing else reads the slice: the past residuals in place
-        past.add(k, np.subtract(Wt[:k], cols[:k], out=Wt[:k]))
-        del Wt
-
-    sums = trace.table.row_sums()
-    endpoint.add(N, M_prev - sums)  # M_prev is M_N
-    results = [w.result() for w in (past, future, window, partial, endpoint)]
-    return results + ([bounded.result()] if bounded else []), sums
+def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
+    """Full conditional-mean-zero test: E[dM_k 1{cell}] = 0 for every
+    partition cell of the prefix of length k-1.  A NaN cell sum fails it,
+    and the detail names the first k that holds one.  A cell sum is the
+    outcomes' probability, a power of two, times the plain sum of dM_k.
+    It is taken in the one walk every check runs (_walk), so this check
+    alone also builds every slice of W."""
+    return _walk(trace)[0][5:6]
 
 
 def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
@@ -443,77 +402,98 @@ def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
     E Q = E S^2 and Var Q <= 48 eps^2 E S^2.  The realized slack ratios
     Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
     """
-    results, sums = _walk(trace, _bound(trace, eps, _max_abs(trace.table.rows)))
-    return results[-1:] + _columns(trace, eps, _sigma2(trace, eps, sums))[0][1:]
+    return _walk(trace, eps, _max_abs(trace.table.rows))[0][6:]
 
 
-def _bound(trace: MartingaleTrace, eps: float, max_x: float) -> float:
-    """eps/max(m, 1), once max_x = max |X| is within it, the first
-    hypothesis of check_bounds; raises HypothesisViolationError otherwise."""
-    bound = eps / max(trace.m, 1)
-    if max_x > bound * (1 + 1e-12):
-        raise HypothesisViolationError(
-            f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})"
-        )
-    return bound
+def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None = None) -> tuple:
+    """Every check from one walk over k that reads each column M_k once
+    and builds each slice W[:, :, k] once: (results, sigma_n^2, Var Q,
+    max |dM|), the results being check_structure's five, check_tower's
+    one and, given eps and max_x = max |X|, check_bounds' five; without
+    eps the three numbers are None.  max_x <= eps/max(m, 1) is checked
+    before any slice, eps^2 sigma_n^2 after the walk; either failing
+    raises HypothesisViolationError.
 
-
-def _sigma2(trace: MartingaleTrace, eps: float, sums: np.ndarray) -> float:
-    """sigma_n^2, taken from S_n on every outcome as trace.sigma2 takes it,
-    once eps^2 sigma_n^2 is a positive finite float, the second hypothesis
-    of check_bounds; raises HypothesisViolationError otherwise."""
-    with np.errstate(over="ignore"):  # reported below
-        s2 = float(trace.table.prob * np.sum(sums**2))
-    if not 0 < eps * eps * s2 < math.inf:
-        raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps * eps * s2:.6g} is not a positive finite float")
-    return s2
-
-
-def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
-    """Full conditional-mean-zero test: E[dM_k 1{cell}] = 0 for every
-    partition cell of the prefix of length k-1.  A NaN cell sum fails it,
-    and the detail names the first k that holds one.  A cell sum is the
-    outcomes' probability, a power of two, times the plain sum of dM_k."""
-    return _columns(trace)[0]
-
-
-def _columns(trace: MartingaleTrace, eps: float | None = None, s2: float | None = None) -> tuple:
-    """One pass over the columns of M and dM (_steps): check_tower's
-    result and, given eps and s2 = sigma_n^2 from _sigma2, check_bounds'
-    results after conditional-bound, which need no slice of W, after it;
-    with them max |dM|, NaN if dM holds one, and Var Q (None without
-    eps).  The prefix bound adds T_j = X_1 + ... + X_j in order, as
-    np.cumsum adds it."""
-    cols, p, m = trace.table.columns, trace.table.prob, trace.m
-    N = cols.shape[0]
-    worst, detail = 0.0, None  # the tower's
+    At each k >= 1, before the slice, dM_k = M_k - M_{k-1} is a transient
+    column for the checks that read it alone: the tower's cell sums over
+    the prefix partition k-1 (a NaN ends their search), |dM_k| <= 4 eps,
+    and |T_{k+m} - M_k| <= 2 eps, T_{k+m} being the running T_k, added in
+    order, plus one sum of the next m columns.  Neither is held across
+    the slice, where the walk peaks.  The slice is read as Wt = W[:, :,
+    k].T, whose row i holds E(X_{i+1} | prefix k) on every outcome: each
+    identity takes its residuals over its own rows only (past i < k,
+    future i >= k + m, and the window in between, whose sums add at most
+    m + 1 contiguous rows).  A slice's errors, indexed (outcome, i), are
+    built only when its maximum fails, to name its first worst entry.
+    The past residuals are taken in place, after every other read of the
+    slice.  The endpoint check reads M_0 first and M_N last, against S_n,
+    taken once the last slice is dropped."""
+    cols, p = trace.table.columns, trace.table.prob
+    N, n_out = cols.shape
+    m = trace.m
+    past = _SliceErrors("measurable-past", _STRUCTURE_TOL)
+    future = _SliceErrors("independent-future", _STRUCTURE_TOL)
+    window = _SliceErrors("window-difference", _STRUCTURE_TOL, names=("outcome", "k"))
+    partial = _SliceErrors("partial-sum-form", _STRUCTURE_TOL, names=("outcome", "k"))
+    endpoint = _SliceErrors("endpoint", _STRUCTURE_TOL, names=("outcome",))  # M_0 = 0, then M_N = S_n
     if eps is not None:
+        bound = eps / max(m, 1)
+        if max_x > bound * (1 + 1e-12):
+            raise HypothesisViolationError(f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})")
+        bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound)
         increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
         gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
-        head, j = cols[0].copy(), 1  # T_j
-        residual = np.empty_like(head)
-    for i, (Mk, d) in enumerate(_steps(trace)):
-        if not math.isnan(worst):  # a NaN ends the tower's search
-            err = np.abs(np.bincount(trace.prefix_ids[i], weights=d) * p)
-            if not (w := float(err.max())) <= worst:
-                worst, detail = w, {"k": i + 1, "cell": int(np.argmax(err)), "err": w}
-        if eps is None:
-            continue
-        increment.add(i, d)
-        while j < min(i + 1 + m, N):
-            head += cols[j]
-            j += 1
-        gap.add(i, np.subtract(head, Mk, out=residual))  # T_{i+1+m} - M_{i+1}, T_N beyond N
+    worst, detail = 0.0, None  # the tower's
+    head = np.zeros(n_out)  # T_k = X_1 + ... + X_k, added in order
+    prev = np.empty((min(m + 1, N), n_out))  # rows k-1..k-1+m of the last slice
+    for k, Mk in enumerate(trace.m_columns()):
+        hi = min(k + m, N)
+        if k > 0:
+            head += cols[k - 1]
+            d = Mk - M_prev
+            if not math.isnan(worst):
+                err = np.abs(np.bincount(trace.prefix_ids[k - 1], weights=d) * p)
+                if not (w := float(err.max())) <= worst:
+                    worst, detail = w, {"k": k, "cell": int(np.argmax(err)), "err": w}
+            if eps is not None:
+                increment.add(k - 1, d)
+                t = cols[k:hi].sum(axis=0)
+                t += head
+                gap.add(k - 1, np.subtract(t, Mk, out=t))  # T_{k+m} - M_k
+            d = err = t = None  # dropped before the slice
+        Wt = trace.w_slice(k).T
+        future.add(k, Wt[k + m :], k + m)
+        if k == 0:
+            endpoint.add(k, Mk)
+        else:
+            diff = np.subtract(Wt[k - 1 : hi], prev[: hi - k + 1], out=prev[: hi - k + 1])
+            window.add(k - 1, (Mk - M_prev) - diff.sum(axis=0))
+        partial.add(k, Mk - (head + Wt[k:hi].sum(axis=0)) if hi > k else Mk - head)
+        M_prev = Mk
+        if eps is not None:
+            bounded.add(k, Wt)
+        # the next window reads rows k..k+m of this slice only
+        prev[: min(m + 1, N - k)] = Wt[k : k + m + 1]
+        # last, as nothing else reads the slice: the past residuals in place
+        past.add(k, np.subtract(Wt[:k], cols[:k], out=Wt[:k]))
+        del Wt
 
+    sums = trace.table.row_sums()
+    endpoint.add(N, M_prev - sums)  # M_prev is M_N
     passed = worst <= _EXPECTATION_TOL
-    results = [CheckResult("tower-mean-zero", passed, worst, None if passed else detail)]
+    results = [w.result() for w in (past, future, window, partial, endpoint)]
+    results.append(CheckResult("tower-mean-zero", passed, worst, None if passed else detail))
     if eps is None:
-        return results, None, None
+        return results, None, None, None
+    with np.errstate(over="ignore"):  # reported below
+        s2 = float(p * np.sum(sums**2))
+    if not 0 < eps * eps * s2 < math.inf:
+        raise HypothesisViolationError(f"eps^2 sigma_n^2 = {eps * eps * s2:.6g} is not a positive finite float")
     dm_max = float(np.max(increment.maxima))
     res = increment.result()
     if res.passed:
-        res = CheckResult(res.name, True, res.max_abs_err, {"max_dm_over_eps": dm_max / eps})
-    results += [res, gap.result()]
+        res = replace(res, detail={"max_dm_over_eps": dm_max / eps})
+    results += [bounded.result(), res, gap.result()]
 
     eq = float(p * np.sum(trace.Q))
     results.append(_scalar_result("mean-quadratic-variation", eq, s2, abs(eq - s2), 1e-10))
@@ -522,7 +502,7 @@ def _columns(trace: MartingaleTrace, eps: float | None = None, s2: float | None 
     cap = 48.0 * eps**2 * s2
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
     results.append(_scalar_result("variance-bound", var_q, cap, max(var_q - cap, 0.0), _BOUND_TOL, slack))
-    return results, dm_max, var_q
+    return results, s2, var_q, dm_max
 
 
 @dataclass(frozen=True)
@@ -775,16 +755,13 @@ def check_hh_hypotheses(model: ArrayModel, n_grid) -> HHReport:
 def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
     checks included at the smallest eps they apply to, max(m, 1) * max|X|.
-    The structure and bound checks share one walk over the slices of W,
-    the tower and the bounds on dM one pass over the columns of M.
-    max|X| is taken once, for eps and the bound, and S_n once, for the
-    endpoint check and sigma_n^2."""
+    Every check runs in one walk (_walk), which reads each column of M
+    and builds each slice of W once.  max|X| is taken once, for eps and
+    the bound, and S_n once, for the endpoint check and sigma_n^2."""
     max_x = _max_abs(trace.table.rows)
     eps = max(trace.m, 1) * max_x
-    (*structure, conditional), sums = _walk(trace, _bound(trace, eps, max_x))
-    s2 = _sigma2(trace, eps, sums)
-    (tower, *rest), dm_max, var_q = _columns(trace, eps, s2)
-    bounds = [conditional] + rest
+    results, s2, var_q, dm_max = _walk(trace, eps, max_x)
+    structure, tower, bounds = results[:5], results[5], results[6:]
     out = {
         "n": trace.n,
         "m": trace.m,
@@ -795,7 +772,7 @@ def trace_summary(trace: MartingaleTrace) -> dict:
         "max_abs_dm": dm_max,
         "structure_passed": all(r.passed for r in structure),
         "tower_passed": tower.passed,
-        "checks": {r.name: r.passed for r in structure + [tower] + bounds},
+        "checks": {r.name: r.passed for r in results},
         "eps": eps,
         "bounds_passed": all(r.passed for r in bounds),
     }

@@ -660,6 +660,25 @@ def test_overflowing_oracle_row_prints_one_error_line(tmp_path):
     assert proc.stderr == "error: eps^2 sigma_n^2 = inf is not a positive finite float\n"
 
 
+@pytest.mark.parametrize(
+    "amplitude,message",
+    [
+        (1e100, "lyapunov_ratio(r=4.0) at n=2^0 leaves the float range: Numerical result out of range"),
+        (1e150, "lyapunov_ratio(r=3.0) at n=2^0 leaves the float range: Numerical result out of range"),
+        (1e154, "lindeberg-classic(eps=1) at n=1 must be a finite float >= 0, got inf"),
+    ],
+)
+def test_overflowing_condition_moment_prints_one_error_line(tmp_path, amplitude, message):
+    # a moment that overflows ends in one error line, without numpy's
+    # overflow warning before it
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"family": "moving-average", "amplitude": amplitude}))
+    argv = ["--cmd", "conditions", "--config", str(config), "--n-grid", "1,2,3,4", "--eps", "1.0"]
+    proc = _fresh_python(f"import sys, mdepclt.cli as cli; sys.exit(cli.run({argv!r}))", tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
 def test_one_openblas_thread_unless_the_caller_sets_a_count(tmp_path, monkeypatch, preset, expected):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

@@ -489,6 +489,28 @@ def test_prefix_gap_names_the_first_worst_entry_in_c_order(traces):
     assert res.detail == {"outcome": first[0], "i": 2, "err": want, "identity": "prefix-gap"}
 
 
+def test_prefix_gap_reads_the_next_m_columns_on_a_dyadic_row():
+    # m = 2: T_{i+m} adds two columns past the walk's running T_k.  Every
+    # entry is +-1/2, so every order of adding T gives the same float, and
+    # the err is the np.cumsum reference's exactly.  M_{i+1} = T_{i+m} +
+    # 3 eps at two outcomes and 2.5 eps at a third: the first of the two
+    # worst in (outcome, i) order is named, though its column comes later
+    trace = m.build_trace(m.build_model("block-repeat", m_schedule=2), 12)
+    rows = trace.table.rows
+    N = rows.shape[1]
+    assert trace.m == 2 and rows.shape == (64, 12) and set(np.unique(rows)) == {-0.5, 0.5}
+    eps = max(trace.m, 1) * float(np.abs(rows).max())
+    T = np.cumsum(rows, axis=1)[:, np.minimum(np.arange(1, N + 1) + trace.m, N) - 1]
+    first, later = (4, 6), (9, 1)
+    M = trace_M(trace)
+    for (o, i), gap in ((first, 3.0), (later, 3.0), ((7, 2), 2.5)):
+        M[o, i + 1] = T[o, i] + gap * eps
+    res = {r.name: r for r in m.check_bounds(_with_M(trace, M), eps)}["prefix-gap"]
+    want = abs(T[first] - M[first[0], first[1] + 1]) - 2.0 * eps
+    assert not res.passed and res.max_abs_err == want == eps
+    assert res.detail == {"outcome": 4, "i": 6, "err": want, "identity": "prefix-gap"}
+
+
 def test_bounds_pass_with_tight_eps(traces):
     for model, n, trace in traces.values():
         eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
@@ -1183,7 +1205,7 @@ def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
     monkeypatch.setattr(np, "bincount", counted_bincount)
     m.trace_summary(trace)
     assert calls["bincount"] == 26
-    # the walk and one pass over M's columns for the tower and the bounds on dM
+    # one walk, which reads M's columns once for every check
     passes = {"m_columns": 0}
     m_columns = mart.MartingaleTrace.m_columns
 
@@ -1193,7 +1215,7 @@ def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
 
     monkeypatch.setattr(mart.MartingaleTrace, "m_columns", counted_m_columns)
     m.trace_summary(trace)
-    assert passes["m_columns"] == 2
+    assert passes["m_columns"] == 1
     passes["m_columns"] = 0
     m.check_tower(trace)
     assert passes["m_columns"] == 1
@@ -1239,7 +1261,7 @@ def test_a_failing_check_is_named_from_its_one_walk(traces, i, k, value, identit
     assert not m.trace_summary(bad)["checks"][identity]
     assert sorted(calls) == list(range(N + 1))
     results = {}
-    for check in (m.check_structure, lambda t: m.check_bounds(t, eps)):
+    for check in (m.check_structure, m.check_tower, lambda t: m.check_bounds(t, eps)):
         calls.clear()
         results.update({res.name: res for res in check(bad)})
         assert sorted(calls) == list(range(N + 1))
