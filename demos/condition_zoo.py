@@ -8,8 +8,7 @@ order works while the block criterion fails, because one window of length
 m_n holds a single variable of variance m_n^2.
 """
 
-from mdepclt.cli import SWEEP_N_GRID, sweep_payload
-from mdepclt.conditions import DEFAULT_EPS_GRID
+from mdepclt.cli import DEFAULT_EPS_GRID, SWEEP_N_GRID, sweep_payload
 
 payload = sweep_payload(SWEEP_N_GRID, DEFAULT_EPS_GRID, [3.0, 4.0])
 

@@ -27,12 +27,13 @@ cases = [
 for model, n in cases:
     trace = m.build_trace(model, n)
     print(f"{model.describe()}  n={n}  outcomes={trace.table.rows.shape[0]}")
-    for res in m.check_structure(trace) + m.check_tower(trace):
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    results = m.check_trace(trace, eps)
+    for res in results[:6]:  # the structure identities and the tower
         print(f"  {res}")
     print(f"  sum_k E dM_k^2 = {trace.q.sum():.12f}  (sigma_n^2 = {trace.sigma2:.12f})")
 
-    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    slack = m.check_bounds(trace, eps)[-1].detail
+    slack = results[-1].detail
     if np.ptp(trace.Q) <= 1e-12 * np.abs(trace.Q).max():
         # Q_n is the same on every outcome up to rounding: Var Q = 0 says
         # nothing about how tight the bound is

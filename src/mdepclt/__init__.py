@@ -28,14 +28,14 @@ _EXPORTS = {
         "laws": "ENUMERATION_CAP EnumerationTooLargeError",
         "martingale": """
             CheckResult HHReport HypothesisViolationError MartingaleTrace
-            UnsupportedFamilyError build_trace check_bounds check_hh_hypotheses
-            check_structure check_tower check_truncation trace_summary
+            UnsupportedFamilyError build_trace check_hh_hypotheses check_trace
+            check_truncation trace_summary truncation_threshold
         """,
         "models": """
             SAMPLE_CAP ArrayModel ContinuousModelError DegenerateVarianceError
-            InvalidParameterError OutcomeTable SampleTooLargeError Schedule TruncationSplit
+            InvalidParameterError OutcomeTable SampleTooLargeError Schedule
             build_model enumerate_outcomes exact_sigma2 marginal_law_groups
-            model_from_config model_to_config row_rng truncated_model window_variance_max
+            model_from_config model_to_config row_rng window_variance_max
         """,
         "montecarlo": """
             ConvergenceReport EmpiricalDistribution convergence_sweep kolmogorov_band

@@ -20,9 +20,6 @@ import math
 import sys
 
 from .models import (
-    DEFAULT_EPS_GRID,
-    DEFAULT_N_GRID,
-    DEFAULT_R_GRID,
     MODEL_CONFIG_KEYS,
     ArrayModel,
     ContinuousModelError,
@@ -35,6 +32,13 @@ from .models import (
 )
 
 DEFAULT_KS_THRESHOLD = 0.05
+
+#: representative thresholds standing in for "every eps > 0"
+DEFAULT_EPS_GRID = (0.05, 0.1, 0.5, 1.0)
+#: default moment orders for the r > 2 conditions
+DEFAULT_R_GRID = (3.0, 4.0, 6.0)
+#: default geometric n-grid 2^6 .. 2^14, for the conditions command
+DEFAULT_N_GRID = tuple(2**k for k in range(6, 15))
 
 #: sweep default: wide enough that bounded rows reach their exactly-zero
 #: Lindeberg regime even at the smallest representative eps (evaluation is

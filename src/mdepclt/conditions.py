@@ -33,10 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (  # DegenerateVarianceError and the default grids are re-exported
-    DEFAULT_EPS_GRID,
-    DEFAULT_N_GRID,
-    DEFAULT_R_GRID,
+from .models import (  # DegenerateVarianceError is re-exported
     ArrayModel,
     DegenerateVarianceError,
     _sigma,
@@ -86,14 +83,14 @@ class ConditionReport:
     """A condition series over an n-grid with slope fit and verdict."""
 
     condition_id: str
-    grid: tuple  # of (n, ConditionValue)
+    grid: tuple  # of ConditionValue, in increasing n
     loglog_slope: float
     slope_std_err: float
     verdict: str
     eq: str = ""
 
     def values(self) -> np.ndarray:
-        return np.array([cv.value for _, cv in self.grid])
+        return np.array([cv.value for cv in self.grid])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ def asymptotic_verdict(series) -> ConditionReport:
     "inconclusive" when it is not.  Any exact zero in the series
     short-circuits to "tends-to-zero".
     """
-    series = list(series)
+    series = tuple(series)
     if len(series) < 4:
         raise InsufficientGridError(f"need >= 4 grid points, got {len(series)}")
     ns = np.array([cv.n for cv in series])
@@ -248,9 +245,8 @@ def asymptotic_verdict(series) -> ConditionReport:
         raise ValueError("condition values must be >= 0")
     cid = series[0].condition_id
     eq = series[0].eq
-    grid = tuple((cv.n, cv) for cv in series)
     if np.any(values == 0.0):
-        return ConditionReport(cid, grid, float("nan"), float("nan"), "tends-to-zero", eq)
+        return ConditionReport(cid, series, float("nan"), float("nan"), "tends-to-zero", eq)
     slope, se = _ols_loglog(log_ns, values)
     margin = max(2.0 * se, SLOPE_ATOL)
     if slope < -margin:
@@ -261,7 +257,7 @@ def asymptotic_verdict(series) -> ConditionReport:
         verdict = "bounded"
     else:
         verdict = "inconclusive"
-    return ConditionReport(cid, grid, slope, se, verdict, eq)
+    return ConditionReport(cid, series, slope, se, verdict, eq)
 
 
 def condition_series(func, model: ArrayModel, n_grid, **kwargs) -> list:
@@ -331,7 +327,7 @@ def report_to_dict(report: ConditionReport) -> dict:
     return {
         "condition_id": report.condition_id,
         "eq": report.eq,
-        "grid": [_value_to_dict(cv) for _, cv in report.grid],
+        "grid": [_value_to_dict(cv) for cv in report.grid],
         "loglog_slope": report.loglog_slope,
         "slope_std_err": report.slope_std_err,
         "verdict": report.verdict,

@@ -36,9 +36,9 @@ from .models import (
     _row_sums,
     _sigma,
     enumerate_outcomes,
+    exact_sigma2,
     linear_row,
     sum_weight_groups,
-    truncated_model,
 )
 
 #: a point whose whole W, outcomes * N * (N+1) entries, fits within this
@@ -61,8 +61,8 @@ TRACE_WORK_CAP = 2**30
 #: running count over the whole key space, one int32 per key, so that its
 #: array takes no more bytes than one float column of the table
 _RELABEL_SPAN = 2
-#: tolerances of check_structure, of check_bounds, and of check_tower and
-#: check_truncation; trace_summary applies them as those checks do
+#: tolerances of the structure identities, of the bounds, and of the tower
+#: and truncation checks
 _STRUCTURE_TOL = 1e-10
 _BOUND_TOL = 1e-12
 _EXPECTATION_TOL = 1e-12
@@ -367,52 +367,42 @@ class _SliceErrors:
         return CheckResult(self.name, False, worst, {**dict(zip(self.names, index)), "err": e, "identity": self.name})
 
 
-def check_structure(trace: MartingaleTrace) -> list[CheckResult]:
-    """Assert the four structural identities of the martingale, per outcome.
+def check_trace(trace: MartingaleTrace, eps: float | None = None) -> list[CheckResult]:
+    """Assert every identity and bound of the martingale, per outcome, at
+    eps, by default max(m, 1) * max|X|, the smallest eps the bounds apply
+    to.  The eleven results, in order:
 
-    measurable-past     W[i, k] = X_i for i <= k
-    independent-future  W[i, k] = 0 for i > k + m
-    window-difference   dM_k = sum_{i=k}^{k+m} (W[i, k] - W[i, k-1])
-    partial-sum-form    M_k = sum_{i<=k} X_i + sum_{i=k+1}^{k+m} W[i, k]
-    endpoint            M_0 = 0 and M_N = S_n
+    measurable-past          W[i, k] = X_i for i <= k
+    independent-future       W[i, k] = 0 for i > k + m
+    window-difference        dM_k = sum_{i=k}^{k+m} (W[i, k] - W[i, k-1])
+    partial-sum-form         M_k = sum_{i<=k} X_i + sum_{i=k+1}^{k+m} W[i, k]
+    endpoint                 M_0 = 0 and M_N = S_n
+    tower-mean-zero          E[dM_k 1{cell}] = 0 on every cell of the
+                             prefix partition k-1 (a NaN cell sum fails it,
+                             and the detail names the first k holding one)
+    conditional-bound        |W| <= eps/max(m, 1)
+    increment-bound          |dM_k| <= 4 eps
+    prefix-gap               |T_{i+m} - M_i| <= 2 eps
+    mean-quadratic-variation E Q = E S^2
+    variance-bound           Var Q <= 48 eps^2 E S^2
 
-    The first four are asserted in one walk over k that holds the slice
-    W[:, :, k] and the rows of W[:, :, k-1] its window reads; a failing
-    identity is named from the slices that walk holds.
+    The row must satisfy |X_i| <= eps/max(m, 1) on every outcome and
+    eps^2 sigma_n^2 must be a positive finite float; otherwise this raises
+    HypothesisViolationError, even for a caller that reads only the
+    structure identities.  The realized slack ratios Var Q/(eps^2 sigma^2)
+    and max|dM|/eps are reported in the details.  Every check comes from
+    one walk (_walk), which builds each slice of W once.
     """
-    return _walk(trace)[0][:5]
+    return _walk(trace, eps)[0]
 
 
-def check_tower(trace: MartingaleTrace) -> list[CheckResult]:
-    """Full conditional-mean-zero test: E[dM_k 1{cell}] = 0 for every
-    partition cell of the prefix of length k-1.  A NaN cell sum fails it,
-    and the detail names the first k that holds one.  A cell sum is the
-    outcomes' probability, a power of two, times the plain sum of dM_k.
-    It is taken in the one walk every check runs (_walk), so this check
-    alone also builds every slice of W."""
-    return _walk(trace)[0][5:6]
-
-
-def check_bounds(trace: MartingaleTrace, eps: float) -> list[CheckResult]:
-    """Assert the increment and quadratic-variation bounds.
-
-    Requires the row to satisfy |X_i| <= eps/max(m,1) on every outcome
-    (raises HypothesisViolationError otherwise).  Checks, per outcome,
-    |W| <= eps/m, |dM_k| <= 4 eps, |T_{i+m} - M_i| <= 2 eps, and globally
-    E Q = E S^2 and Var Q <= 48 eps^2 E S^2.  The realized slack ratios
-    Var Q/(eps^2 sigma^2) and max|dM|/eps are reported in the details.
-    """
-    return _walk(trace, eps, _max_abs(trace.table.rows))[0][6:]
-
-
-def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None = None) -> tuple:
-    """Every check from one walk over k that reads each column M_k once
-    and builds each slice W[:, :, k] once: (results, sigma_n^2, Var Q,
-    max |dM|), the results being check_structure's five, check_tower's
-    one and, given eps and max_x = max |X|, check_bounds' five; without
-    eps the three numbers are None.  max_x <= eps/max(m, 1) is checked
-    before any slice, eps^2 sigma_n^2 after the walk; either failing
-    raises HypothesisViolationError.
+def _walk(trace: MartingaleTrace, eps: float | None = None) -> tuple:
+    """Every check of check_trace from one walk over k that reads each
+    column M_k once and builds each slice W[:, :, k] once: (results, eps,
+    sigma_n^2, Var Q, max |dM|), eps None meaning max(m, 1) * max|X|.
+    max|X| is taken once and checked against eps/max(m, 1) before any
+    slice, eps^2 sigma_n^2 after the walk; either failing raises
+    HypothesisViolationError.
 
     At each k >= 1, before the slice, dM_k = M_k - M_{k-1} is a transient
     column for the checks that read it alone: the tower's cell sums over
@@ -427,7 +417,7 @@ def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None 
     built only when its maximum fails, to name its first worst entry.
     The past residuals are taken in place, after every other read of the
     slice.  The endpoint check reads M_0 first and M_N last, against S_n,
-    taken once the last slice is dropped."""
+    taken once the last slice is dropped, and S_n gives sigma_n^2."""
     cols, p = trace.table.columns, trace.table.prob
     N, n_out = cols.shape
     m = trace.m
@@ -436,13 +426,15 @@ def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None 
     window = _SliceErrors("window-difference", _STRUCTURE_TOL, names=("outcome", "k"))
     partial = _SliceErrors("partial-sum-form", _STRUCTURE_TOL, names=("outcome", "k"))
     endpoint = _SliceErrors("endpoint", _STRUCTURE_TOL, names=("outcome",))  # M_0 = 0, then M_N = S_n
-    if eps is not None:
-        bound = eps / max(m, 1)
-        if max_x > bound * (1 + 1e-12):
-            raise HypothesisViolationError(f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})")
-        bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound)
-        increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
-        gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
+    max_x = _max_abs(trace.table.rows)
+    if eps is None:
+        eps = max(m, 1) * max_x
+    bound = eps / max(m, 1)
+    if max_x > bound * (1 + 1e-12):
+        raise HypothesisViolationError(f"row not bounded by eps/m = {bound:.6g} (max |X| = {max_x:.6g})")
+    bounded = _SliceErrors("conditional-bound", _BOUND_TOL, allowance=bound)
+    increment = _SliceErrors("increment-bound", _BOUND_TOL, names=("outcome", "k"), allowance=4.0 * eps)
+    gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
     worst, detail = 0.0, None  # the tower's
     head = np.zeros(n_out)  # T_k = X_1 + ... + X_k, added in order
     prev = np.empty((min(m + 1, N), n_out))  # rows k-1..k-1+m of the last slice
@@ -455,11 +447,10 @@ def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None 
                 err = np.abs(np.bincount(trace.prefix_ids[k - 1], weights=d) * p)
                 if not (w := float(err.max())) <= worst:
                     worst, detail = w, {"k": k, "cell": int(np.argmax(err)), "err": w}
-            if eps is not None:
-                increment.add(k - 1, d)
-                t = cols[k:hi].sum(axis=0)
-                t += head
-                gap.add(k - 1, np.subtract(t, Mk, out=t))  # T_{k+m} - M_k
+            increment.add(k - 1, d)
+            t = cols[k:hi].sum(axis=0)
+            t += head
+            gap.add(k - 1, np.subtract(t, Mk, out=t))  # T_{k+m} - M_k
             d = err = t = None  # dropped before the slice
         Wt = trace.w_slice(k).T
         future.add(k, Wt[k + m :], k + m)
@@ -470,8 +461,7 @@ def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None 
             window.add(k - 1, (Mk - M_prev) - diff.sum(axis=0))
         partial.add(k, Mk - (head + Wt[k:hi].sum(axis=0)) if hi > k else Mk - head)
         M_prev = Mk
-        if eps is not None:
-            bounded.add(k, Wt)
+        bounded.add(k, Wt)
         # the next window reads rows k..k+m of this slice only
         prev[: min(m + 1, N - k)] = Wt[k : k + m + 1]
         # last, as nothing else reads the slice: the past residuals in place
@@ -483,8 +473,6 @@ def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None 
     passed = worst <= _EXPECTATION_TOL
     results = [w.result() for w in (past, future, window, partial, endpoint)]
     results.append(CheckResult("tower-mean-zero", passed, worst, None if passed else detail))
-    if eps is None:
-        return results, None, None, None
     with np.errstate(over="ignore"):  # reported below
         s2 = float(p * np.sum(sums**2))
     if not 0 < eps * eps * s2 < math.inf:
@@ -502,7 +490,21 @@ def _walk(trace: MartingaleTrace, eps: float | None = None, max_x: float | None 
     cap = 48.0 * eps**2 * s2
     slack = {"var_q_over_eps2_sigma2": var_q / (eps**2 * s2), "max_dm_over_eps": dm_max / eps}
     results.append(_scalar_result("variance-bound", var_q, cap, max(var_q - cap, 0.0), _BOUND_TOL, slack))
-    return results, s2, var_q, dm_max
+    return results, eps, s2, var_q, dm_max
+
+
+def truncation_threshold(model: ArrayModel, n: int, eps: float) -> float:
+    """The threshold t = eps * sigma_n / max(m_n, 1) at which the proof
+    splits each entry, X = X' + X'' with X' = X 1{|X| <= t}."""
+    if not eps > 0:
+        raise InvalidParameterError("eps must be positive")
+    _check_n(n)
+    return eps * math.sqrt(exact_sigma2(model, n)) / max(model.m(n), 1)
+
+
+def _beyond(x: np.ndarray, threshold: float) -> np.ndarray:
+    """Where the entries x go to X'': not |x| <= threshold, so NaN included."""
+    return ~(np.abs(x) <= threshold)
 
 
 @dataclass(frozen=True)
@@ -515,7 +517,10 @@ class TruncationCheck:
 
 
 def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
-    """Verify the truncation split on the full enumeration the trace holds.
+    """Verify the truncation split X = X' + X'' at
+    t = truncation_threshold(model, n, eps) on the full enumeration the
+    trace holds: X' = X 1{|X| <= t}, and X'' = X 1{not |X| <= t} takes
+    every other entry, a NaN included (_beyond).
 
     Checks that X' + X'' recovers X exactly, both parts are mean zero,
     both parts keep the banded covariance (m_n-dependence), and the tail
@@ -529,7 +534,7 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     is how check_truncations runs one check per distinct split.
     """
     table = trace.table
-    split = truncated_model(trace.model, trace.n, eps)
+    threshold = truncation_threshold(trace.model, trace.n, eps)
     cols, p = table.columns, table.prob
     N, n_out = cols.shape
     m = trace.m
@@ -567,7 +572,7 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     row = np.empty(n_out)
     masks = []  # where X_i goes to X''
     for i, x in enumerate(cols):
-        masks.append(beyond := split.beyond(x))
+        masks.append(beyond := _beyond(x, threshold))
         np.multiply(x, ~beyond, out=part[i])
         np.multiply(x, beyond, out=row)
         tail_sum += p * np.sum(row**2)
@@ -590,7 +595,7 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     results.append(_scalar_result("tail-variance-bound", lhs, rhs, max(lhs - rhs, 0.0), _EXPECTATION_TOL))
 
     values = {
-        "threshold": split.threshold,
+        "threshold": threshold,
         "tail_second_moment_sum": tail_sum,
         "s_tail_second_moment": lhs,
         "bound": rhs,
@@ -606,17 +611,17 @@ def check_truncations(trace: MartingaleTrace, eps_list) -> list[TruncationCheck]
     when they put as many entries of the table beyond.  Equal splits give
     equal results and values but for the threshold, which each eps gets
     as its own."""
-    splits = [truncated_model(trace.model, trace.n, eps) for eps in eps_list]
-    counts = [0] * len(splits)  # entries beyond each threshold
+    thresholds = [truncation_threshold(trace.model, trace.n, eps) for eps in eps_list]
+    counts = [0] * len(thresholds)  # entries beyond each threshold
     for x in trace.table.columns:
-        for j, split in enumerate(splits):
-            counts[j] += int(np.count_nonzero(split.beyond(x)))
+        for j, t in enumerate(thresholds):
+            counts[j] += int(np.count_nonzero(_beyond(x, t)))
     checks = {}
     out = []
-    for eps, split, count in zip(eps_list, splits, counts):
+    for eps, t, count in zip(eps_list, thresholds, counts):
         if count not in checks:
             checks[count] = check_truncation(trace, eps)
-        out.append(replace(checks[count], values={**checks[count].values, "threshold": split.threshold}))
+        out.append(replace(checks[count], values={**checks[count].values, "threshold": t}))
     return out
 
 
@@ -754,13 +759,9 @@ def check_hh_hypotheses(model: ArrayModel, n_grid) -> HHReport:
 
 def trace_summary(trace: MartingaleTrace) -> dict:
     """Compact JSON-ready summary of a trace and its checks, the bound
-    checks included at the smallest eps they apply to, max(m, 1) * max|X|.
-    Every check runs in one walk (_walk), which reads each column of M
-    and builds each slice of W once.  max|X| is taken once, for eps and
-    the bound, and S_n once, for the endpoint check and sigma_n^2."""
-    max_x = _max_abs(trace.table.rows)
-    eps = max(trace.m, 1) * max_x
-    results, s2, var_q, dm_max = _walk(trace, eps, max_x)
+    checks included at the smallest eps they apply to, max(m, 1) * max|X|:
+    the numbers of the one walk of check_trace (_walk)."""
+    results, eps, s2, var_q, dm_max = _walk(trace)
     structure, tower, bounds = results[:5], results[5], results[6:]
     out = {
         "n": trace.n,

@@ -55,15 +55,6 @@ INNOVATIONS = ("rademacher", "normal")
 #: hard cap on the Monte Carlo replicates of one grid point (512 MiB of floats)
 SAMPLE_CAP = 2**26
 
-# the conditions' default run settings, here so that the CLI resolves its
-# settings without loading the conditions module
-#: representative thresholds standing in for "every eps > 0"
-DEFAULT_EPS_GRID = (0.05, 0.1, 0.5, 1.0)
-#: default moment orders for the r > 2 conditions
-DEFAULT_R_GRID = (3.0, 4.0, 6.0)
-#: default geometric n-grid 2^6 .. 2^14
-DEFAULT_N_GRID = tuple(2**k for k in range(6, 15))
-
 #: entries kept by each per-(model, n) cache (exact_sigma2,
 #: marginal_law_groups); a sweep fills 102
 _CACHE_SIZE = 4096
@@ -246,27 +237,6 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     for lo in range(0, n_out, step):
         np.ascontiguousarray(rows[lo : lo + step]).sum(axis=1, out=out[lo : lo + step])
     return out
-
-
-@dataclass(frozen=True)
-class TruncationSplit:
-    """Per-variable truncation X = X' + X'' at threshold eps*sigma_n/m_n.
-
-    X'  = X 1{|X| <= t}   (bounded part)
-    X'' = X 1{|X| >  t}   (tail part)
-    The proof recentres X' by mu_i = E[X_i 1{|X_i| <= t}].  Every entry
-    here is a signed sum of symmetric innovations (Rademacher or standard
-    normal), so its law is symmetric, as is the window |x| <= t, and
-    mu_i = 0 exactly: both parts are mean zero without a shift, and the
-    sum recovers X exactly on every outcome.  check_truncation asserts
-    both means are zero, over every enumerated outcome.
-    """
-
-    threshold: float
-
-    def beyond(self, rows: np.ndarray) -> np.ndarray:
-        """Where the entries go to X'': not |X| <= t, so NaN included."""
-        return ~(np.abs(rows) <= self.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +585,6 @@ def enumerate_outcomes(model: ArrayModel, n: int) -> OutcomeTable:
             columns[start : start + repeat] = entry
             start += repeat
     return OutcomeTable(n, columns.T, 2.0**-bits)
-
-
-# ---------------------------------------------------------------------------
-# truncation
-
-
-def truncated_model(model: ArrayModel, n: int, eps: float) -> TruncationSplit:
-    """Split each entry at threshold eps*sigma_n/max(m_n,1)."""
-    if not eps > 0:
-        raise InvalidParameterError("eps must be positive")
-    _check_n(n)
-    return TruncationSplit(eps * math.sqrt(exact_sigma2(model, n)) / max(model.m(n), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,8 @@ def trace_dM(trace):
     return np.diff(trace_M(trace), axis=1)
 
 
-def split_rows(split, rows):
-    """(X', X'') of an array of entries under a TruncationSplit, laid out
-    in memory as rows is."""
-    beyond = split.beyond(rows)
+def split_rows(threshold, rows):
+    """(X', X'') of an array of entries split at threshold, laid out in
+    memory as rows is: X'' takes every entry not within the threshold."""
+    beyond = ~(np.abs(rows) <= threshold)
     return rows * ~beyond, rows * beyond

@@ -12,12 +12,13 @@ from contextlib import contextmanager
 import numpy as np
 
 import mdepclt as m
+from mdepclt import cli
 from mdepclt import conditions as c
 from mdepclt.laws import normal_tail_second_moment
 
 from conftest import enumerated_var_sum, record_acceptance
 
-DEFAULT_GRID = list(c.DEFAULT_N_GRID)  # 2^6 .. 2^14
+DEFAULT_GRID = list(cli.DEFAULT_N_GRID)  # 2^6 .. 2^14
 SLOPE_GRID = [2**k for k in range(10, 19)]  # shifted: constants decayed
 WIDE_GRID = [2**k for k in range(6, 19)]  # wide: floor-schedule wobble averaged
 
@@ -59,7 +60,7 @@ def test_criterion_2_orey_counterexample():
             assert abs(rep.loglog_slope - (1 - 2 * alpha)) <= 0.02
             # the classical Lindeberg sum is exactly zero once the entry
             # bound n^(-1/2) + 2 n^(-alpha) drops below eps * sigma_n
-            for eps in c.DEFAULT_EPS_GRID:
+            for eps in cli.DEFAULT_EPS_GRID:
                 for n in DEFAULT_GRID:
                     bound = n**-0.5 + 2 * n**-alpha
                     sigma = math.sqrt(m.exact_sigma2(model, n))
@@ -140,14 +141,14 @@ def test_criterion_6_martingale_proof_oracle():
         ]
         for model, n in cases:
             trace = m.build_trace(model, n)
-            for res in m.check_structure(trace):
+            for res in m.check_trace(trace)[:5]:
                 assert res.passed, (model.describe(), str(res))
-            for res in m.check_tower(trace):
+            for res in m.check_trace(trace)[5:6]:
                 assert res.passed, (model.describe(), str(res))
             assert abs(trace.q.sum() - m.exact_sigma2(model, n)) < 1e-10
             # increment and quadratic-variation bounds under |X| <= eps/m
             eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-            results = m.check_bounds(trace, eps)
+            results = m.check_trace(trace, eps)[6:]
             for res in results:
                 assert res.passed, (model.describe(), str(res))
             slack = results[-1].detail
@@ -204,7 +205,7 @@ def test_criterion_8_condition_ordering():
                 lyap = {r: m.lyapunov_ratio(model, n, r).value for r in (3.0, 4.0, 6.0)}
                 if rio > lyap[3.0] * (1 + 1e-12) + 1e-15:
                     violations += 1
-                for eps in c.DEFAULT_EPS_GRID:
+                for eps in cli.DEFAULT_EPS_GRID:
                     lmd = m.lindeberg_mdep(model, n, eps).value
                     if lmd > rio / min(eps, 1.0) * (1 + 1e-12) + 1e-15:
                         violations += 1

@@ -124,7 +124,7 @@ def test_oracle_enumerates_each_grid_point_once(monkeypatch):
     for module in (models, mart):
         monkeypatch.setattr(module, "enumerate_outcomes", enumerate_outcomes)
     model = models.build_model("two-scale", alpha=0.25)
-    eps = cond.DEFAULT_EPS_GRID
+    eps = cli.DEFAULT_EPS_GRID
     assert len(eps) == 4
     payload = cli.oracle_payload(model, [4, 8], eps)
     assert payload["passed"] and len(payload["truncation"]) == 2 * len(eps)
@@ -163,7 +163,7 @@ def test_oracle_payload_floats_are_pinned():
     # sums: the printed digits do not move.  At n = 7 (2^15 outcomes) the
     # row sums span several blocks
     model = models.build_model("two-scale", alpha=0.25)
-    payload = cli.oracle_payload(model, [4, 7], cond.DEFAULT_EPS_GRID)
+    payload = cli.oracle_payload(model, [4, 7], cli.DEFAULT_EPS_GRID)
     traces = {t["n"]: [repr(v) for v in t.values() if isinstance(v, float)] for t in payload["traces"]}
     assert traces == _PINNED_TRACES
     rows = [[repr(v) for key, v in t.items() if key != "eps" and isinstance(v, float)] for t in payload["truncation"]]
@@ -415,13 +415,13 @@ def test_each_row_law_and_sigma2_is_built_once_per_model_and_n():
     cached = (models.marginal_law_groups, models.exact_sigma2)
     for fn in cached:
         fn.cache_clear()
-    cli.sweep_payload(cli.SWEEP_N_GRID, cond.DEFAULT_EPS_GRID, cond.DEFAULT_R_GRID)
+    cli.sweep_payload(cli.SWEEP_N_GRID, cli.DEFAULT_EPS_GRID, cli.DEFAULT_R_GRID)
     # 6 catalogue models x 17 sizes, against 1 530 and 1 632 calls
     assert [fn.cache_info().misses for fn in cached] == [102, 102]
     for fn in cached:
         fn.cache_clear()
     ma = cli.catalogue()["moving-average"]
-    cli.conditions_payload(ma, cli.parse_grid("6..22"), cond.DEFAULT_EPS_GRID, cond.DEFAULT_R_GRID)
+    cli.conditions_payload(ma, cli.parse_grid("6..22"), cli.DEFAULT_EPS_GRID, cli.DEFAULT_R_GRID)
     assert [fn.cache_info().misses for fn in cached] == [17, 17]
 
 
@@ -442,7 +442,7 @@ def test_sweep_rows_are_holds_of_the_condition_reports(tmp_path):
         for rep in json.loads(report_file.read_text())["reports"]:
             report = cond.ConditionReport(
                 rep["condition_id"],
-                tuple((cv["n"], cond.ConditionValue(**cv)) for cv in rep["grid"]),
+                tuple(cond.ConditionValue(**cv) for cv in rep["grid"]),
                 rep["loglog_slope"], rep["slope_std_err"], rep["verdict"], rep["eq"],
             )
             column = rep["condition_id"].split(":")[0].split("(eps=")[0]

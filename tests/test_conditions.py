@@ -14,7 +14,7 @@ from mdepclt.laws import normal_tail_second_moment
 
 from conftest import marginal_law, sample_row
 
-GRID = list(c.DEFAULT_N_GRID)
+GRID = list(cli.DEFAULT_N_GRID)
 WIDE_GRID = [2**k for k in range(6, 19)]
 
 
@@ -188,7 +188,7 @@ def test_condition_ordering_chain(model):
         lyap3 = m.lyapunov_ratio(model, n, 3).value
         rio = m.rio_functional(model, n).value
         assert rio <= lyap3 * (1 + 1e-12) + 1e-15
-        for eps in c.DEFAULT_EPS_GRID:
+        for eps in cli.DEFAULT_EPS_GRID:
             lmd = m.lindeberg_mdep(model, n, eps).value
             assert lmd <= rio / min(eps, 1.0) * (1 + 1e-12) + 1e-15
             for r in (3.0, 4.0, 6.0):
@@ -199,7 +199,7 @@ def test_condition_ordering_chain(model):
 @pytest.mark.parametrize("model", catalogue(), ids=lambda mod: mod.describe())
 def test_lindeberg_monotone_in_eps(model):
     for n in (64, 512):
-        eps_grid = sorted(c.DEFAULT_EPS_GRID)
+        eps_grid = sorted(cli.DEFAULT_EPS_GRID)
         classic = [m.lindeberg_classic(model, n, e).value for e in eps_grid]
         mdep = [m.lindeberg_mdep(model, n, e).value for e in eps_grid]
         assert all(a >= b - 1e-15 for a, b in zip(classic, classic[1:]))

@@ -43,13 +43,13 @@ def traces():
 
 def test_structure_identities_pass(traces):
     for model, n, trace in traces.values():
-        for res in m.check_structure(trace):
+        for res in m.check_trace(trace)[:5]:
             assert res.passed, f"{model.describe()} n={n}: {res}"
 
 
 def test_tower_property_pass(traces):
     for model, n, trace in traces.values():
-        for res in m.check_tower(trace):
+        for res in m.check_trace(trace)[5:6]:
             assert res.passed, f"{model.describe()} n={n}: {res}"
 
 
@@ -174,7 +174,7 @@ def _bumped(trace, o, i, k, delta):
 def test_corrupted_trace_trips_structure_check(traces):
     _, _, trace = traces["two-scale(alpha=0.3)"]
     bad = _bumped(trace, 17, 2, 3, 1e-3)
-    results = {res.name: res for res in m.check_structure(bad)}
+    results = {res.name: res for res in m.check_trace(bad)[:5]}
     assert not all(res.passed for res in results.values())
     failed = [res for res in results.values() if not res.passed]
     detail = failed[0].detail
@@ -185,7 +185,7 @@ def test_corrupted_trace_trips_structure_check(traces):
 def test_corruption_detected_at_millis(traces, perturb):
     _, _, trace = traces["iid-baseline(rademacher)"]
     bad = _bumped(trace, 3, 4, 6, perturb)
-    assert not all(res.passed for res in m.check_structure(bad))
+    assert not all(res.passed for res in m.check_trace(bad)[:5])
 
 
 @pytest.mark.parametrize(
@@ -199,7 +199,7 @@ def test_corruption_detected_at_millis(traces, perturb):
 def test_corruption_detected_in_every_index_region(traces, i, k):
     _, _, trace = traces["two-scale(alpha=0.3)"]
     bad = _bumped(trace, 11, i - 1, k, 1e-3)
-    assert not all(res.passed for res in m.check_structure(bad))
+    assert not all(res.passed for res in m.check_trace(bad)[:5])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -217,10 +217,10 @@ def test_a_non_finite_w_entry_fails_the_identity_of_its_region(traces, i, k, ide
             Wk[11, i - 1] = value
 
     bad = _perturbed(trace, edit)
-    results = {res.name: res for res in m.check_structure(bad)}
+    results = {res.name: res for res in m.check_trace(bad)[:5]}
     assert not results[identity].passed, results[identity]
     eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-    bound = m.check_bounds(bad, eps)[0]
+    bound = m.check_trace(bad, eps)[6]
     assert bound.name == "conditional-bound" and not bound.passed
     assert (bound.detail["outcome"], bound.detail["i"], bound.detail["k"]) == (11, i - 1, k)
     summary = m.trace_summary(bad)
@@ -378,7 +378,7 @@ def test_structure_failure_names_the_perturbed_entry(traces, data, sign):
     o = data.draw(st.integers(0, n_out - 1), label="outcome")
     i = data.draw(st.integers(0, N - 1), label="i")  # W index: entry X_{i+1}
     k = data.draw(st.integers(0, N), label="k")
-    results = {res.name: res for res in m.check_structure(_bumped(trace, o, i, k, sign * 1e-3))}
+    results = {res.name: res for res in m.check_trace(_bumped(trace, o, i, k, sign * 1e-3))[:5]}
     assert not all(res.passed for res in results.values())
     if i + 1 <= k:
         region = "measurable-past"
@@ -405,7 +405,7 @@ def test_structure_failure_names_the_first_worst_entry_in_c_order(traces):
             if kk == k:
                 Wk[o, i] = x + 1e-3
 
-    res = m.check_structure(_perturbed(trace, edit))[0]
+    res = m.check_trace(_perturbed(trace, edit))[0]
     assert res.name == "measurable-past" and not res.passed
     assert (res.detail["outcome"], res.detail["i"], res.detail["k"]) == first
 
@@ -428,7 +428,7 @@ def test_conditional_bound_names_the_entry_above_eps_over_m(traces, data, sign):
         if kk == k:
             Wk[o, i] = sign * 1.5 * eps / max(trace.m, 1)
 
-    res = m.check_bounds(_perturbed(trace, edit), eps)[0]
+    res = m.check_trace(_perturbed(trace, edit), eps)[6]
     assert res.name == "conditional-bound" and not res.passed
     assert res.detail == {"outcome": o, "i": i, "k": k, "err": res.max_abs_err, "identity": "conditional-bound"}
 
@@ -446,7 +446,7 @@ def test_conditional_bound_names_the_first_worst_entry_in_c_order(traces):
             if kk == k:
                 Wk[o, i] = value
 
-    res = m.check_bounds(_perturbed(trace, edit), eps)[0]
+    res = m.check_trace(_perturbed(trace, edit), eps)[6]
     assert res.name == "conditional-bound" and not res.passed
     assert (res.detail["outcome"], res.detail["i"], res.detail["k"]) == first
 
@@ -464,7 +464,7 @@ def test_increment_bound_names_the_first_worst_entry_in_c_order(traces):
     bad = _with_M(trace, M)
     dM = trace_dM(bad)
     assert (dM[4, 3], dM[9, 1], dM[6, 2]) == (5 * eps, -5 * eps, 4.5 * eps)
-    res = {r.name: r for r in m.check_bounds(bad, eps)}["increment-bound"]
+    res = {r.name: r for r in m.check_trace(bad, eps)[6:]}["increment-bound"]
     assert not res.passed and res.max_abs_err == 5 * eps - 4 * eps
     assert res.detail == {"outcome": 4, "k": 3, "err": 5 * eps - 4 * eps, "identity": "increment-bound"}
 
@@ -483,7 +483,7 @@ def test_prefix_gap_names_the_first_worst_entry_in_c_order(traces):
     M = trace_M(trace)
     for (o, i), gap in ((first, 3.0), (later, 3.0), ((7, 1), 2.5)):
         M[o, i + 1] = T[o, i] + gap * eps
-    res = {r.name: r for r in m.check_bounds(_with_M(trace, M), eps)}["prefix-gap"]
+    res = {r.name: r for r in m.check_trace(_with_M(trace, M), eps)[6:]}["prefix-gap"]
     want = abs(T[first] - M[first[0], first[1] + 1]) - 2.0 * eps
     assert not res.passed and res.max_abs_err == want > 0.5 * eps
     assert res.detail == {"outcome": first[0], "i": 2, "err": want, "identity": "prefix-gap"}
@@ -505,7 +505,7 @@ def test_prefix_gap_reads_the_next_m_columns_on_a_dyadic_row():
     M = trace_M(trace)
     for (o, i), gap in ((first, 3.0), (later, 3.0), ((7, 2), 2.5)):
         M[o, i + 1] = T[o, i] + gap * eps
-    res = {r.name: r for r in m.check_bounds(_with_M(trace, M), eps)}["prefix-gap"]
+    res = {r.name: r for r in m.check_trace(_with_M(trace, M), eps)[6:]}["prefix-gap"]
     want = abs(T[first] - M[first[0], first[1] + 1]) - 2.0 * eps
     assert not res.passed and res.max_abs_err == want == eps
     assert res.detail == {"outcome": 4, "i": 6, "err": want, "identity": "prefix-gap"}
@@ -514,7 +514,7 @@ def test_prefix_gap_reads_the_next_m_columns_on_a_dyadic_row():
 def test_bounds_pass_with_tight_eps(traces):
     for model, n, trace in traces.values():
         eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
-        results = m.check_bounds(trace, eps)
+        results = m.check_trace(trace, eps)[6:]
         for res in results:
             assert res.passed, f"{model.describe()} n={n}: {res}"
         slack = results[-1].detail
@@ -527,7 +527,7 @@ def test_bounds_reject_unbounded_model(traces):
     max_x = float(np.abs(trace.table.rows).max())
     calls = []
     with pytest.raises(m.HypothesisViolationError):
-        m.check_bounds(_perturbed(trace, lambda k, Wk: calls.append(k)), 0.5 * max_x)
+        m.check_trace(_perturbed(trace, lambda k, Wk: calls.append(k)), 0.5 * max_x)
     assert calls == []  # raised before any slice of W is built
 
 
@@ -536,7 +536,7 @@ def test_increment_bound_equality_case():
     iid = m.build_model("iid-baseline")
     trace = m.build_trace(iid, 4)
     eps = 0.5  # = max |X| with m_eff = 1
-    results = {res.name: res for res in m.check_bounds(trace, eps)}
+    results = {res.name: res for res in m.check_trace(trace, eps)[6:]}
     assert results["increment-bound"].passed
     assert results["increment-bound"].detail["max_dm_over_eps"] == pytest.approx(1.0)
 
@@ -551,8 +551,8 @@ def test_larger_two_scale_trace():
     # 2^15 outcomes: same identities at the same tolerances
     ts = m.build_model("two-scale", alpha=0.25)
     trace = m.build_trace(ts, 7)
-    assert all(res.passed for res in m.check_structure(trace))
-    assert all(res.passed for res in m.check_tower(trace))
+    assert all(res.passed for res in m.check_trace(trace)[:5])
+    assert all(res.passed for res in m.check_trace(trace)[5:6])
     assert trace.q.sum() == pytest.approx(m.exact_sigma2(ts, 7), abs=1e-10)
 
 
@@ -581,14 +581,14 @@ def test_expectations_equal_the_probability_weighted_sums_bit_for_bit(model, n):
     assert float(table.prob * np.sum(trace.Q)) == eq
     assert m.trace_summary(trace)["var_q"] == float(weighted_sum(table, (trace.Q - eq) ** 2))
     for eps in _TEN_EPS:
-        split = m.truncated_model(model, n, eps)
-        tail = split_rows(split, table.rows)[1]
+        threshold = m.truncation_threshold(model, n, eps)
+        tail = split_rows(threshold, table.rows)[1]
         tail_sum = 0.0
         for x in tail.T:
             tail_sum += weighted_sum(table, x**2)
         lhs = float(weighted_sum(table, m.models._row_sums(tail) ** 2))
         want = {
-            "threshold": split.threshold,
+            "threshold": threshold,
             "tail_second_moment_sum": float(tail_sum),
             "s_tail_second_moment": lhs,
             "bound": (2 * trace.m + 1) * float(tail_sum),
@@ -774,7 +774,7 @@ def test_truncation_runs_once_per_distinct_split(model, monkeypatch):
     trace = m.build_trace(model, 8)
     want = [m.check_truncation(trace, eps) for eps in _TEN_EPS]
     beyond = {
-        int(np.count_nonzero(~(np.abs(trace.table.rows) <= m.truncated_model(model, 8, eps).threshold)))
+        int(np.count_nonzero(~(np.abs(trace.table.rows) <= m.truncation_threshold(model, 8, eps))))
         for eps in _TEN_EPS
     }
     runs = []
@@ -791,6 +791,27 @@ def test_truncation_runs_once_per_distinct_split(model, monkeypatch):
     rows = cli.oracle_payload(model, [8], _TEN_EPS)["truncation"]
     assert rows == [{"n": 8, "eps": eps, "passed": chk.passed, **chk.values} for eps, chk in zip(_TEN_EPS, want)]
     assert len(runs) == len(beyond)
+
+
+@pytest.mark.parametrize("model,n", oracle_models())
+def test_truncation_threshold_is_eps_sigma_over_m(model, n):
+    for eps in _TEN_EPS:
+        t = m.truncation_threshold(model, n, eps)
+        assert t == eps * math.sqrt(m.exact_sigma2(model, n)) / max(model.m(n), 1)
+
+
+def test_a_nan_entry_goes_beyond_every_threshold():
+    # not |x| <= t: a NaN entry goes to X'' at every threshold, any other
+    # entry exactly when |x| > t
+    x = np.array([np.nan, -0.5, 0.5, 0.25, -np.inf])
+    for t in (0.0, 0.25, 0.5, math.inf):
+        beyond = mart._beyond(x, t)
+        assert beyond[0] and list(beyond[1:]) == list(np.abs(x[1:]) > t)
+    trace = m.build_trace(m.build_model("two-scale", alpha=0.25), 4)
+    trace.table.rows[5, 1] = np.nan  # X_2 on outcome 5
+    for eps in (0.2, 5.0):
+        chk = m.check_truncation(trace, eps)
+        assert not chk.passed and math.isnan(chk.values["tail_second_moment_sum"])
 
 
 @pytest.mark.parametrize("model,n", oracle_models())
@@ -811,7 +832,7 @@ def _max_covariance_beyond_band(model, n, eps, band):
     probs = table.probs
     N = table.rows.shape[1]
     covs = np.zeros((N, N))
-    for part in split_rows(m.truncated_model(model, n, eps), table.rows):
+    for part in split_rows(m.truncation_threshold(model, n, eps), table.rows):
         mu = probs @ part
         for i in range(N):
             for j in range(i + band + 1, N):
@@ -867,7 +888,7 @@ def test_split_banded_reads_the_whole_covariance_product_bit_for_bit(m_claimed):
     cols, p = trace.table.columns, trace.table.prob
     N = cols.shape[0]
     banded = np.zeros((N, N))
-    for part in split_rows(m.truncated_model(ts, 8, 0.2), cols):
+    for part in split_rows(m.truncation_threshold(ts, 8, 0.2), cols):
         part -= (part.sum(axis=1) * p)[:, None]
         banded = np.maximum(banded, np.abs(np.einsum("io,jo->ij", part, part) * p))
     i, j = np.indices((N, N))
@@ -890,7 +911,7 @@ def _nan_increments(trace):
     trace = _m_perturbed(trace, edit)
     dM = trace_dM(trace)
     assert np.isnan(dM[3, 2]) and np.isnan(dM[0, 3])
-    return m.check_tower(trace)[0]
+    return m.check_trace(trace)[5]
 
 
 def _nan_entry(trace):
@@ -912,7 +933,7 @@ def test_single_value_checks_name_both_sides_of_their_comparison():
     trace = m.build_trace(m.build_model("two-scale", alpha=0.25), 4)
     eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
     trace.Q[0] = np.nan
-    bounds = {r.name: r for r in m.check_bounds(trace, eps)}
+    bounds = {r.name: r for r in m.check_trace(trace, eps)[6:]}
     trace.table.rows[5, 1] = np.nan
     truncation = {r.name: r for r in m.check_truncation(trace, eps=0.5).results}
     for res in (*bounds.values(), *truncation.values()):
@@ -1217,7 +1238,7 @@ def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
     m.trace_summary(trace)
     assert passes["m_columns"] == 1
     passes["m_columns"] = 0
-    m.check_tower(trace)
+    m.check_trace(trace)
     assert passes["m_columns"] == 1
     # a row with fewer outcomes than columns keeps no level
     wide = m.build_trace(m.model_from_config({"family": "block-repeat", "m": 64}), 64)
@@ -1233,6 +1254,49 @@ def test_trace_summary_builds_each_slice_once(traces):
     assert summary["structure_passed"] and summary["bounds_passed"]
     N = trace.table.rows.shape[1]
     assert sorted(calls) == list(range(N + 1))
+
+
+#: the rows demos/martingale_oracle.py checks
+_DEMO_ROWS = [
+    (m.build_model("iid-baseline"), 8),
+    (m.build_model("moving-average", coeffs=(1.0, 0.5)), 7),
+    (m.build_model("block-repeat", m_schedule=2), 8),
+    (m.build_model("two-scale", alpha=0.3), 6),
+]
+
+
+def test_check_trace_returns_the_eleven_checks_in_order(traces):
+    _, _, trace = traces["two-scale(alpha=0.3)"]
+    assert [res.name for res in m.check_trace(trace)] == [
+        "measurable-past",
+        "independent-future",
+        "window-difference",
+        "partial-sum-form",
+        "endpoint",
+        "tower-mean-zero",
+        "conditional-bound",
+        "increment-bound",
+        "prefix-gap",
+        "mean-quadratic-variation",
+        "variance-bound",
+    ]
+
+
+@pytest.mark.parametrize("model,n", _DEMO_ROWS, ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v))
+def test_check_trace_defaults_to_the_smallest_eps_the_bounds_apply_to(model, n):
+    # eps = max(m, 1) * max|X|, as trace_summary reports it; each call
+    # builds each slice of W once
+    trace = m.build_trace(model, n)
+    eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+    calls = []
+    counted = _perturbed(trace, lambda k, Wk: calls.append(k))
+    N = trace.table.rows.shape[1]
+    default = m.check_trace(counted)
+    assert sorted(calls) == list(range(N + 1))
+    calls.clear()
+    assert m.check_trace(counted, eps) == default
+    assert sorted(calls) == list(range(N + 1))
+    assert m.trace_summary(trace)["eps"] == eps
 
 
 @pytest.mark.parametrize(
@@ -1260,11 +1324,9 @@ def test_a_failing_check_is_named_from_its_one_walk(traces, i, k, value, identit
     bad = _perturbed(trace, edit)
     assert not m.trace_summary(bad)["checks"][identity]
     assert sorted(calls) == list(range(N + 1))
-    results = {}
-    for check in (m.check_structure, m.check_tower, lambda t: m.check_bounds(t, eps)):
-        calls.clear()
-        results.update({res.name: res for res in check(bad)})
-        assert sorted(calls) == list(range(N + 1))
+    calls.clear()
+    results = {res.name: res for res in m.check_trace(bad, eps)}
+    assert sorted(calls) == list(range(N + 1))
     assert {"outcome": 11, **named, "identity": identity}.items() <= results[identity].detail.items()
 
 

@@ -423,21 +423,21 @@ def test_monte_carlo_variance_matches_exact(model, n):
 @pytest.mark.parametrize("model,n", discrete_catalogue())
 def test_truncation_algebra_on_enumeration(model, n):
     table = m.enumerate_outcomes(model, n)
-    split = m.truncated_model(model, n, eps=0.4)
-    x_lo, x_hi = split_rows(split, table.rows)
+    threshold = m.truncation_threshold(model, n, eps=0.4)
+    x_lo, x_hi = split_rows(threshold, table.rows)
     assert np.array_equal(x_lo + x_hi, table.rows)  # exact recovery
     assert np.max(np.abs(table.probs @ x_lo)) < 1e-12
     assert np.max(np.abs(table.probs @ x_hi)) < 1e-12
     # bounded part obeys the doubled threshold
-    assert np.abs(x_lo).max() <= 2 * split.threshold + 1e-15
+    assert np.abs(x_lo).max() <= 2 * threshold + 1e-15
 
 
 def test_truncation_threshold_above_support_keeps_everything():
     iid = m.build_model("iid-baseline")
     table = m.enumerate_outcomes(iid, 4)
     eps = 10.0  # threshold far above max |X| = 1/2
-    split = m.truncated_model(iid, 4, eps)
-    x_lo, x_hi = split_rows(split, table.rows)
+    threshold = m.truncation_threshold(iid, 4, eps)
+    x_lo, x_hi = split_rows(threshold, table.rows)
     assert np.array_equal(x_lo, table.rows)
     assert not x_hi.any()
 
@@ -446,8 +446,8 @@ def test_truncation_threshold_below_support_moves_everything():
     # Rademacher atoms above the threshold: mu = 0 by symmetry, X' vanishes
     iid = m.build_model("iid-baseline")
     table = m.enumerate_outcomes(iid, 4)
-    split = m.truncated_model(iid, 4, eps=0.1)  # threshold 0.1 < 1/2
-    x_lo, x_hi = split_rows(split, table.rows)
+    threshold = m.truncation_threshold(iid, 4, eps=0.1)  # threshold 0.1 < 1/2
+    x_lo, x_hi = split_rows(threshold, table.rows)
     assert not x_lo.any()
     assert np.array_equal(x_hi, table.rows)
 
@@ -476,7 +476,7 @@ def test_every_entry_law_is_symmetric(model):
 
 def test_truncation_requires_positive_eps():
     with pytest.raises(m.InvalidParameterError):
-        m.truncated_model(m.build_model("iid-baseline"), 4, 0.0)
+        m.truncation_threshold(m.build_model("iid-baseline"), 4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +646,14 @@ EXPORTS = """
     ConvergenceReport DegenerateVarianceError ENUMERATION_CAP EmpiricalDistribution
     EnumerationTooLargeError HHReport HypothesisViolationError InsufficientGridError
     InvalidParameterError MartingaleTrace OutcomeTable SAMPLE_CAP SampleTooLargeError
-    Schedule TruncationSplit UnsupportedFamilyError asymptotic_verdict berk_check
-    build_model build_trace check_bounds check_hh_hypotheses check_structure
-    check_tower check_truncation component_reports condition_report
+    Schedule UnsupportedFamilyError asymptotic_verdict berk_check
+    build_model build_trace check_hh_hypotheses check_trace
+    check_truncation component_reports condition_report
     convergence_sweep enumerate_outcomes exact_sigma2 holds kolmogorov_band
     ks_statistic lindeberg_classic lindeberg_mdep lyapunov_ratio
     marginal_law_groups model_from_config model_to_config orey_ratio
     rio_functional romano_wolf_check row_rng simulate_normalized_sums trace_summary
-    truncated_model window_variance_max
+    truncation_threshold window_variance_max
 """.split()
 
 
@@ -662,7 +662,7 @@ def test_every_exported_name_has_a_program_caller():
     # mdepclt exports is used in src/ (its own def or class line aside) or
     # in a demo
     exported = list(m._EXPORTS)
-    assert sorted(exported) == sorted(EXPORTS) and len(EXPORTS) == 52
+    assert sorted(exported) == sorted(EXPORTS) and len(EXPORTS) == 49
     src = Path(models.__file__).parent
     paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
