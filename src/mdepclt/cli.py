@@ -208,23 +208,12 @@ def _csv_from_rows(header, rows) -> str:
 
 def payload_to_csv(command: str, payload: dict) -> str:
     if command == "conditions":
-        rows = []
-        for rep in payload["reports"]:
-            for cv in rep["grid"]:
-                rows.append(
-                    [
-                        cv["condition_id"],
-                        cv["eq"],
-                        cv["n"],
-                        repr(cv["value"]),
-                        cv["method"],
-                        repr(cv["mc_std_err"]),
-                        rep["verdict"],
-                    ]
-                )
-        return _csv_from_rows(
-            ["condition_id", "eq", "n", "value", "method", "mc_std_err", "verdict"], rows
-        )
+        rows = [
+            [cv["condition_id"], cv["eq"], cv["n"], repr(cv["value"]), cv["method"], rep["verdict"]]
+            for rep in payload["reports"]
+            for cv in rep["grid"]
+        ]
+        return _csv_from_rows(["condition_id", "eq", "n", "value", "method", "verdict"], rows)
     if command == "clt":
         rows = [
             [row["n"], repr(row["ks_stat"]), row["reps"], row["seed"]]

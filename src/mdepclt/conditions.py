@@ -67,8 +67,7 @@ class ConditionValue:
     condition_id: str
     n: int
     value: float
-    method: str = "closed-form"  # always; kept with mc_std_err for payload stability
-    mc_std_err: float = 0.0
+    method: str = "closed-form"  # always; kept for payload stability
     eq: str = ""
 
     def __post_init__(self):
@@ -318,7 +317,6 @@ def _value_to_dict(cv: ConditionValue) -> dict:
         "n": cv.n,
         "value": cv.value,
         "method": cv.method,
-        "mc_std_err": cv.mc_std_err,
         "eq": cv.eq,
     }
 

@@ -18,8 +18,7 @@ hold one tap each, and at most 7 atoms for the two-scale row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, repeat
 
 import numpy as np
@@ -49,9 +48,9 @@ TRACE_TENSOR_CAP = 2**24
 #: cap on the cells of the largest array the oracle holds,
 #: max(outcomes, N) * (N+1): the prefix partitions hold outcomes * (N+1)
 #: ids, one to four bytes each (at most 16 MiB at the cap), M's cell
-#: values at most as many floats and usually far fewer, the kept cell means
-#: at most one float per outcome, the table one float fewer per outcome,
-#: and the truncation check's covariances N * N floats;
+#: values at most as many floats and usually far fewer, the table one
+#: float fewer per outcome, and the truncation check's covariances N * N
+#: floats;
 #: no array of dM or of M per outcome is kept, nor a probability per outcome
 TRACE_CELL_CAP = 2**22
 #: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
@@ -104,20 +103,15 @@ class MartingaleTrace:
     cell count.  M_k is constant on those cells, so M_cells[k] holds one
     value per cell, and build_trace's q pass and the one walk of every
     check read M_k on the outcomes through m_columns(), which gathers it.
-    W is not stored per outcome either: w_slice(k) gathers W[:, :, k]
-    through prefix_ids[k] from W_cells[k], the (N, cells) means that
-    build_trace added into M_cells[k], for the levels k < len(W_cells) it
-    kept, and recomputes them for the larger levels.  build_trace keeps
-    them from k = 0 while their running total fits one float column of
-    the table, outcomes floats, so a row with fewer outcomes than columns
-    keeps none.  A trace keeps the table, Q,
-    q, the partitions, M's cell values and those small levels' means, so
-    it takes O(outcomes * N) memory, about the table and one narrow index
-    per outcome and k; the walk of the checks holds one slice, the at most
-    m+1 rows of the one before that the window identity reads, and
-    O(outcomes) columns.  A slice is laid out variables by outcomes, as
-    the table is: its transpose, row i-1 holding X_i's conditional means
-    on every outcome, is C-contiguous, and the checks read that transpose.
+    W is not stored: w_slice(k) computes W[:, :, k] from the cell means of
+    each variable over prefix_ids[k].  A trace keeps the table, Q, q, the
+    partitions and M's cell values, so it takes O(outcomes * N) memory,
+    about the table and one narrow index per outcome and k; the walk of
+    the checks holds one slice, the at most m+1 rows of the one before
+    that the window identity reads, and O(outcomes) columns.  A slice is
+    laid out variables by outcomes, as the table is: its transpose, row
+    i-1 holding X_i's conditional means on every outcome, is C-contiguous,
+    and the checks read that transpose.
     """
 
     model: ArrayModel
@@ -128,7 +122,6 @@ class MartingaleTrace:
     Q: np.ndarray  # (outcomes,)
     q: np.ndarray  # (N,)
     prefix_ids: list  # per k = 0..N: partition cell index of each outcome
-    W_cells: list = field(default_factory=list)  # per k < len: (N, cells) W[:, :, k] on each cell
 
     def m_columns(self):
         """Yield M_0, M_1, ..., M_N on every outcome, in order.  Each is
@@ -147,18 +140,12 @@ class MartingaleTrace:
     def w_slice(self, k: int) -> np.ndarray:
         """W[:, :, k] as an (outcomes, N) array in column-major order, so
         that its .T is a C-contiguous (N, outcomes) array, filled one
-        variable at a time from that variable's cell means: those
-        build_trace kept in W_cells[k], or, for a level it did not keep,
-        means computed here as build_trace computed them."""
+        variable at a time from that variable's cell means."""
         inv = self.prefix_ids[k].astype(np.intp)
         out = np.empty(self.table.columns.shape)
-        if k < len(self.W_cells):
-            for row, means in zip(out, self.W_cells[k]):
-                means.take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
-        else:
-            cell_means = _cell_means(inv)[1]
-            for row, x in zip(out, self.table.columns):
-                cell_means(x).take(inv, out=row, mode="clip")
+        cell_means = _cell_means(inv)[1]
+        for row, x in zip(out, self.table.columns):
+            cell_means(x).take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
         return out.T
 
 
@@ -271,10 +258,10 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     The prefix partitions are refined one column at a time (_refine).
     Cells at k-1 are numbered in lexicographic prefix order and ranks in
     value order, so the numbering is the one np.unique(rows[:, :k], axis=0)
-    gives, without sorting whole prefixes.  M_k on a cell adds the cell
-    means of X_1..X_N in order, one variable at a time (the last row of
-    np.cumsum over them), the order W.sum(axis=1) over the whole tensor
-    adds them in, so no slice of W is built here.  q is summed one column
+    gives, without sorting whole prefixes.  M_k = E(S_n | X_1..X_k) is
+    taken as defined: the mean of the row sums S_n over each cell of the
+    partition k, one bincount per level, so no slice of W is built here
+    and M does not share a sum with w_slice.  q is summed one column
     of dM at a time, gathered from the cells; Q one block of outcomes at a
     time: M_0..M_N are gathered into the rows of one reused block, dM into
     one reused C-contiguous block, whose rows np.einsum adds as it adds
@@ -282,33 +269,29 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
 
     Each entry's ranks are read from the sorted atoms of its law, which
     sign_combination_law gives bit-equal to the entries enumerate_outcomes
-    forms, one law per segment of linear_row.  The cell means of a level
-    are kept as W_cells[k], an (N, cells) array, from k = 0 while the
-    kept levels hold at most one float per outcome, so that w_slice
-    gathers those levels instead of recomputing them.
+    forms, one law per segment of linear_row.  A row whose sigma_n^2 is
+    not a positive finite float raises DegenerateVarianceError before the
+    enumeration.
     """
     _require_trace_size(model, n)
+    _sigma(model, n)  # a degenerate sigma_n raises before the enumeration
     table = enumerate_outcomes(model, n)
     cols = table.columns
     N, n_out = cols.shape
     _, scale, segments = linear_row(model, n)
     laws = (sign_combination_law([c for _, c in taps], model.amplitude * scale) for _, taps, _ in segments)
     entry_atoms = chain.from_iterable(repeat(law.values, count) for (count, _, _), law in zip(segments, laws))
+    sums = table.row_sums()
     inv = np.zeros(n_out, dtype=np.intp)
-    M_cells, prefix_ids, W_cells = [], [], []
-    kept = 0  # floats in W_cells
+    M_cells, prefix_ids = [], []
     for k, atoms in enumerate(chain([None], entry_atoms)):
         if k > 0:
             inv = _refine(inv, len(M_cells[k - 1]), cols[k - 1], atoms)
         cells, means = _cell_means(inv)
-        level = map(means, cols)
-        if kept + N * cells <= n_out:  # cell counts grow with k: the kept levels run from 0
-            W_cells.append(level := np.stack(list(level)))
-            kept += level.size
-        M_cells.append(reduce(np.add, level))
+        M_cells.append(means(sums))
         prefix_ids.append(inv.astype(np.min_scalar_type(cells - 1)))
-    del inv, means, level  # the last level's ids and counts
-    trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids, W_cells)
+    del inv, means, sums  # the last level's ids and counts, and S_n
+    trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids)
     with np.errstate(over="ignore"):  # an infinite q fails the summary's sigma_n^2 check
         for i, (_, d) in enumerate(_steps(trace)):
             trace.q[i] = table.prob * np.sum(d**2)

@@ -9,8 +9,6 @@ per-outcome M, dM and truncation parts of a trace."""
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from mdepclt.laws import DiscreteLaw, tap_sum
@@ -180,19 +178,18 @@ def sign_matrix_rows(model, n):
 def per_outcome_M(table):
     """M[:, k] = E(S_n | X_1..X_k) on every outcome of an OutcomeTable, as
     one (outcomes, N+1) array: the cells of each prefix from np.unique over
-    whole prefixes, each variable's mean over a cell as its bincount over
-    the cell's count, added over the variables in order and gathered per
-    outcome.  The reference for trace_M, which gathers M from the trace's
-    one value per cell."""
+    whole prefixes, and M_k the mean of the row sums S_n over each cell, its
+    bincount over the cell's count, gathered per outcome.  The reference for
+    trace_M, which gathers M from the trace's one value per cell."""
     rows = table.rows
     n_out, N = rows.shape
+    sums = table.row_sums()
     M = np.empty((n_out, N + 1))
     for k in range(N + 1):
         inv = np.zeros(n_out, dtype=np.intp)
         if k > 0:
             inv = np.unique(rows[:, :k], axis=0, return_inverse=True)[1].ravel()
-        counts = np.bincount(inv).astype(float)
-        M[:, k] = reduce(np.add, (np.bincount(inv, weights=x) / counts for x in table.columns))[inv]
+        M[:, k] = (np.bincount(inv, weights=sums) / np.bincount(inv))[inv]
     return M
 
 

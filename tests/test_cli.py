@@ -73,7 +73,7 @@ def test_conditions_csv_format(tmp_path, two_scale_config):
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "condition_id,eq,n,value,method,mc_std_err,verdict"
+    assert lines[0] == "condition_id,eq,n,value,method,verdict"
     assert len(lines) > 10
 
 
@@ -136,14 +136,15 @@ def test_oracle_enumerates_each_grid_point_once(monkeypatch):
 
 
 #: the floats oracle_payload prints for two-scale (alpha = 0.25) at n = 4
-#: and 7 over DEFAULT_EPS_GRID, as repr gives them, recorded before the
-#: table became variable-major: per n, the trace summary's floats in key
-#: order, and per (n, eps) the truncation values in key order
+#: and 7 over DEFAULT_EPS_GRID, as repr gives them: per n, the trace
+#: summary's floats in key order, recorded when M_k became the cell mean of
+#: the row sums, and per (n, eps) the truncation values in key order,
+#: recorded before the table became variable-major
 _PINNED_TRACES = {
-    4: ["2.0", "1.999999999999999", "1.1249999999999987", "1.9142135623730951",
-        "1.9142135623730951", "0.15351179466616602", "1.0"],
-    7: ["1.7559289460184546", "1.755928946018524", "0.4408879691534524", "1.6075407789117562",
-        "1.607540778911756", "0.09716219395162712", "1.0000000000000002"],
+    4: ["2.0", "1.9999999999999996", "1.1249999999999996", "1.9142135623730951",
+        "1.9142135623730951", "0.15351179466616613", "1.0"],
+    7: ["1.7559289460184546", "1.755928946018451", "0.4408879691534002", "1.6075407789117562",
+        "1.607540778911756", "0.09716219395161561", "1.0000000000000002"],
 }
 _PINNED_TRUNCATION = [
     ["0.07071067811865477", "5.0", "2.0", "15.0"],
@@ -651,13 +652,18 @@ assert registered == {{"mdepclt." + name for name in ("cli", "conditions", "laws
 
 def test_overflowing_oracle_row_prints_one_error_line(tmp_path):
     # numpy's overflow warnings would reach stderr outside pytest, which
-    # captures them; the sigma_n^2 check reports the overflow
+    # captures them; build_trace refuses the row on sigma_n^2 before it
+    # enumerates, as the other commands do
     config = tmp_path / "huge.json"
-    config.write_text(json.dumps({"family": "moving-average", "amplitude": 1e300}))
-    argv = ["--cmd", "oracle", "--config", str(config), "--n-grid", "1,2,3,4", "--eps", "1.0"]
-    proc = _fresh_python(f"import sys, mdepclt.cli as cli; sys.exit(cli.run({argv!r}))", tmp_path)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: eps^2 sigma_n^2 = inf is not a positive finite float\n"
+    for row in (
+        {"family": "moving-average", "amplitude": 1e300},
+        {"family": "moving-average", "amplitude": 1.7e308, "coeffs": [1, 1]},
+    ):
+        config.write_text(json.dumps(row))
+        argv = ["--cmd", "oracle", "--config", str(config), "--n-grid", "1,2,3,4", "--eps", "1.0"]
+        proc = _fresh_python(f"import sys, mdepclt.cli as cli; sys.exit(cli.run({argv!r}))", tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, ""), row
+        assert proc.stderr == "error: sigma_n^2 = inf at n = 1\n", row
 
 
 @pytest.mark.parametrize(
@@ -918,6 +924,7 @@ def _two_scale(**settings):
 @example(run=("clt", {"family": "iid-baseline", "n_grid": [64], "reps": 10**15}))
 @example(run=("oracle", {"family": "block-repeat", "n_grid": [1, 2, 3, 4, 2**40], "eps": [0.0]}))
 @example(run=("oracle", {"family": "moving-average", "amplitude": 1e300, "n_grid": [1, 2, 3, 4], "eps": [1.0]}))
+@example(run=("oracle", {"family": "moving-average", "amplitude": 1.7e308, "coeffs": [1, 1], "n_grid": [1, 2, 3, 4], "eps": [1.0]}))
 def test_run_keeps_the_exit_code_contract(run_config, run):
     """Exit 0 or 1 with a payload whose `passed` matches, or exit 2 with
     one `error:` line; never an exception out of `run`."""

@@ -1201,11 +1201,11 @@ def test_hh1_margin_absorbs_a_last_bit_decrease(monkeypatch):
 
 
 def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
-    # no column is sorted for its ranks, which come from the entry atoms,
-    # and a summary recomputes the cell means of the two levels that
-    # build_trace did not keep (7 and 8, a count and 8 means each), and
-    # the tower check's 8 cell sums: fixed counts, so a lost cache shows
-    # without a timing
+    # no column is sorted for its ranks, which come from the entry atoms;
+    # build_trace takes M_k as one cell mean of the row sums per level (a
+    # count and a weighted sum each, 9 levels), and a summary the cell
+    # means of every level (a count and 8 means each) and the tower check's
+    # 8 cell sums: fixed counts, so extra work shows without a timing
     ts = m.build_model("two-scale", alpha=0.25)
     calls = {"unique": 0, "bincount": 0}
     unique, bincount = np.unique, np.bincount
@@ -1219,13 +1219,14 @@ def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
         return bincount(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counted_unique)
-    trace = m.build_trace(ts, 8)
-    assert calls["unique"] == 0
-    assert len(trace.W_cells) == 7
-    assert sum(w.size for w in trace.W_cells) <= 2**17 < sum(w.size for w in trace.W_cells) + 8 * len(trace.M_cells[7])
     monkeypatch.setattr(np, "bincount", counted_bincount)
+    trace = m.build_trace(ts, 8)
+    assert calls == {"unique": 0, "bincount": 18}
+    # the trace keeps no cell means
+    assert [f.name for f in dataclasses.fields(trace)] == ["model", "n", "m", "table", "M_cells", "Q", "q", "prefix_ids"]
+    calls["bincount"] = 0
     m.trace_summary(trace)
-    assert calls["bincount"] == 26
+    assert calls["bincount"] == 89
     # one walk, which reads M's columns once for every check
     passes = {"m_columns": 0}
     m_columns = mart.MartingaleTrace.m_columns
@@ -1240,9 +1241,6 @@ def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
     passes["m_columns"] = 0
     m.check_trace(trace)
     assert passes["m_columns"] == 1
-    # a row with fewer outcomes than columns keeps no level
-    wide = m.build_trace(m.model_from_config({"family": "block-repeat", "m": 64}), 64)
-    assert wide.table.rows.shape == (2, 64) and wide.W_cells == []
 
 
 def test_trace_summary_builds_each_slice_once(traces):
@@ -1338,3 +1336,13 @@ def test_trace_summary_fields(traces):
         assert key in summary
     assert summary["structure_passed"] and summary["tower_passed"] and summary["bounds_passed"]
     assert summary["sum_q"] == pytest.approx(summary["sigma2"], abs=1e-10)
+
+
+@pytest.mark.parametrize("config,n", [({"family": "block-repeat", "m": 3}, 9), ({"family": "block-repeat", "m": 300}, 300)])
+def test_block_rows_are_exact(config, n):
+    # a row of independent blocks reveals each block's share of S_n at the
+    # block's first entry, so Q_n is the same on every outcome and E Q_n is
+    # sigma_n^2 to the bit, as M_k is a cell mean of the row sums
+    summary = m.trace_summary(m.build_trace(m.model_from_config(config), n))
+    assert summary["var_q"] == 0.0
+    assert summary["sum_q"] == summary["sigma2"]
