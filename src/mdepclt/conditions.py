@@ -322,11 +322,18 @@ def _value_to_dict(cv: ConditionValue) -> dict:
 
 
 def report_to_dict(report: ConditionReport) -> dict:
+    """The report as JSON-ready fields; a slope or standard error that is
+    not finite (no fit over an all-zero series) is None, JSON's null, as
+    JSON has no NaN."""
+
+    def finite(x: float) -> float | None:
+        return x if math.isfinite(x) else None
+
     return {
         "condition_id": report.condition_id,
         "eq": report.eq,
         "grid": [_value_to_dict(cv) for cv in report.grid],
-        "loglog_slope": report.loglog_slope,
-        "slope_std_err": report.slope_std_err,
+        "loglog_slope": finite(report.loglog_slope),
+        "slope_std_err": finite(report.slope_std_err),
         "verdict": report.verdict,
     }

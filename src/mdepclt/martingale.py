@@ -50,11 +50,12 @@ TRACE_TENSOR_CAP = 2**24
 #: ids, one to four bytes each (at most 16 MiB at the cap), M's cell
 #: values at most as many floats and usually far fewer, the table one
 #: float fewer per outcome, and the truncation check's covariances N * N
-#: floats;
+#: floats; the walk of the checks holds one block of W at a time, at most
+#: max(outcomes, _C_BLOCK) entries;
 #: no array of dM or of M per outcome is kept, nor a probability per outcome
 TRACE_CELL_CAP = 2**22
-#: cap on the entries of W, outcomes * N * (N+1), that build_trace and each
-#: walk of the checks compute one slice at a time (tens of seconds at the cap)
+#: cap on the entries of W, outcomes * N * (N+1), that each walk of the
+#: checks computes one block at a time (several seconds at the cap)
 TRACE_WORK_CAP = 2**30
 #: keys per outcome up to which _refine numbers the prefix cells by a
 #: running count over the whole key space, one int32 per key, so that its
@@ -103,15 +104,15 @@ class MartingaleTrace:
     cell count.  M_k is constant on those cells, so M_cells[k] holds one
     value per cell, and build_trace's q pass and the one walk of every
     check read M_k on the outcomes through m_columns(), which gathers it.
-    W is not stored: w_slice(k) computes W[:, :, k] from the cell means of
-    each variable over prefix_ids[k].  A trace keeps the table, Q, q, the
-    partitions and M's cell values, so it takes O(outcomes * N) memory,
-    about the table and one narrow index per outcome and k; the walk of
-    the checks holds one slice, the at most m+1 rows of the one before
-    that the window identity reads, and O(outcomes) columns.  A slice is
-    laid out variables by outcomes, as the table is: its transpose, row
-    i-1 holding X_i's conditional means on every outcome, is C-contiguous,
-    and the checks read that transpose.
+    W is not stored: w_blocks(k) computes W[:, :, k] one block of
+    consecutive variables at a time, from their cell means over
+    prefix_ids[k].  A trace keeps the table, Q, q, the partitions and M's
+    cell values, so it takes O(outcomes * N) memory, about the table and
+    one narrow index per outcome and k; the walk of the checks holds one
+    block, the at most m+1 rows of the slice before that the window
+    identity reads, and O(outcomes) columns.  A block is laid out
+    variables by outcomes, as the table is: C-contiguous, one row of X_i's
+    conditional means on every outcome per variable.
     """
 
     model: ArrayModel
@@ -137,34 +138,33 @@ class MartingaleTrace:
         """E S_n^2 computed from the table itself."""
         return float(self.table.prob * np.sum(self.table.row_sums() ** 2))
 
-    def w_slice(self, k: int) -> np.ndarray:
-        """W[:, :, k] as an (outcomes, N) array in column-major order, so
-        that its .T is a C-contiguous (N, outcomes) array, filled one
-        variable at a time from that variable's cell means."""
-        inv = self.prefix_ids[k].astype(np.intp)
-        out = np.empty(self.table.columns.shape)
-        cell_means = _cell_means(inv)[1]
-        for row, x in zip(out, self.table.columns):
-            cell_means(x).take(inv, out=row, mode="clip")  # every index is in range; "raise" would buffer
-        return out.T
-
-
-def _cell_means(inv: np.ndarray):
-    """(cells, means): the cell count of the partition inv, and the
-    function taking a variable's values x on every outcome to its mean
-    over each cell: one bincount, which adds in outcome order, as
-    np.add.at does, over the cell's count.  Every outcome has the same
-    probability, a power of two, so these are exactly the
-    probability-weighted means.  The caller drops each result before the
-    next, or keeps it, so one array of means is made at a time."""
-    counts = np.bincount(inv).astype(float)  # once: an int64 divisor is slower
-
-    def means(x: np.ndarray) -> np.ndarray:
-        out = np.bincount(inv, weights=x)
-        out /= counts
-        return out
-
-    return len(counts), means
+    def w_blocks(self, k: int):
+        """Yield (i0, block) for blocks of consecutive variables covering
+        1..N in order, block = W[:, i0:i1, k].T, C-contiguous, its row
+        i - i0 holding E(X_{i+1} | prefix k) on every outcome.  The blocks
+        are gathered into one buffer, so each is valid until the next is
+        yielded.  A block holds at most max(outcomes, _C_BLOCK) entries:
+        one variable at two-scale n = 8 (2^17 outcomes), the whole slice on
+        a row of few outcomes, whose small calls would cost more than
+        their entries.  Its cell means are one weighted bincount over the
+        bins (variable, cell), which adds each bin in outcome order, as a
+        bincount per variable does, over the cell's count, gathered back
+        through the same (variable, outcome) index."""
+        ids, cols = self.prefix_ids[k], self.table.columns
+        N, n_out = cols.shape
+        rows = min(N, max(n_out, _C_BLOCK) // n_out)
+        cells = len(self.M_cells[k])
+        index = np.add.outer(np.arange(0, rows * cells, cells), ids).ravel()
+        counts = np.bincount(index[:n_out]).astype(float)  # once: an int64 divisor is slower
+        out = np.empty(index.size)
+        for i0 in range(0, N, rows):
+            x = cols[i0 : i0 + rows]
+            idx = index[: x.size]
+            means = np.bincount(idx, weights=x.ravel()).reshape(len(x), -1)
+            means /= counts
+            block = means.ravel().take(idx, out=out[: x.size], mode="clip")  # every index is in range; "raise" would buffer
+            means = None  # dropped before the next bincount
+            yield i0, block.reshape(x.shape)
 
 
 def _steps(trace: MartingaleTrace):
@@ -260,8 +260,8 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     value order, so the numbering is the one np.unique(rows[:, :k], axis=0)
     gives, without sorting whole prefixes.  M_k = E(S_n | X_1..X_k) is
     taken as defined: the mean of the row sums S_n over each cell of the
-    partition k, one bincount per level, so no slice of W is built here
-    and M does not share a sum with w_slice.  q is summed one column
+    partition k, one bincount per level, so no block of W is built here
+    and M does not share a sum with w_blocks.  q is summed one column
     of dM at a time, gathered from the cells; Q one block of outcomes at a
     time: M_0..M_N are gathered into the rows of one reused block, dM into
     one reused C-contiguous block, whose rows np.einsum adds as it adds
@@ -287,10 +287,13 @@ def build_trace(model: ArrayModel, n: int) -> MartingaleTrace:
     for k, atoms in enumerate(chain([None], entry_atoms)):
         if k > 0:
             inv = _refine(inv, len(M_cells[k - 1]), cols[k - 1], atoms)
-        cells, means = _cell_means(inv)
-        M_cells.append(means(sums))
-        prefix_ids.append(inv.astype(np.min_scalar_type(cells - 1)))
-    del inv, means, sums  # the last level's ids and counts, and S_n
+        # every outcome has the same probability, a power of two, so the
+        # plain mean over a cell, a bincount in outcome order over its
+        # count, is exactly the probability-weighted one
+        counts = np.bincount(inv)
+        M_cells.append(np.bincount(inv, weights=sums) / counts)
+        prefix_ids.append(inv.astype(np.min_scalar_type(len(counts) - 1)))
+    del inv, counts, sums  # the last level's ids and counts, and S_n
     trace = MartingaleTrace(model, n, model.m(n), table, M_cells, np.empty(n_out), np.empty(N), prefix_ids)
     with np.errstate(over="ignore"):  # an infinite q fails the summary's sigma_n^2 check
         for i, (_, d) in enumerate(_steps(trace)):
@@ -315,10 +318,11 @@ def _scalar_result(name: str, lhs: float, rhs: float, err: float, tol: float, de
 
 
 class _SliceErrors:
-    """One identity's errors along a walk over slices (or columns) j, the
-    error of a residual r being max(|r| - allowance, 0): the largest |r|
-    of every slice, and the first worst entry of each slice whose error
-    fails tol."""
+    """One identity's errors along a walk over slices (or columns) j, each
+    added whole or in blocks, the error of a residual r being
+    max(|r| - allowance, 0): the largest |r| of every block, and the first
+    worst entry of each block whose error fails tol.  An identity given no
+    entry has error 0."""
 
     __slots__ = ("name", "tol", "names", "allowance", "maxima", "hits")
 
@@ -327,7 +331,8 @@ class _SliceErrors:
         self.maxima, self.hits = [], []
 
     def add(self, j: int, block: np.ndarray, i0: int = 0) -> None:
-        """Slice j's residuals, laid out (outcomes,) or (i - i0, outcomes)."""
+        """Slice j's residuals, or a block of them, laid out (outcomes,) or
+        (i - i0, outcomes)."""
         self.maxima.append(_max_abs(block) if block.size else 0.0)
         worst = np.maximum(self.maxima[-1] - self.allowance, 0.0)
         if not worst <= self.tol:  # NaN included
@@ -343,7 +348,7 @@ class _SliceErrors:
         worst entry in C order, the one np.argmax over it gives.  Taking
         the allowance from the largest |r| gives the largest error, as
         rounding keeps the order of the |r|."""
-        worst = float(np.maximum(np.max(self.maxima) - self.allowance, 0.0))
+        worst = float(np.maximum(np.max(self.maxima, initial=0.0) - self.allowance, 0.0))
         if worst <= self.tol:
             return CheckResult(self.name, True, worst)
         *index, e = min(hit for w, hit in self.hits if w == worst or math.isnan(w))
@@ -374,7 +379,7 @@ def check_trace(trace: MartingaleTrace, eps: float | None = None) -> list[CheckR
     HypothesisViolationError, even for a caller that reads only the
     structure identities.  The realized slack ratios Var Q/(eps^2 sigma^2)
     and max|dM|/eps are reported in the details.  Every check comes from
-    one walk (_walk), which builds each slice of W once.
+    one walk (_walk), which builds each slice of W once, block by block.
     """
     return _walk(trace, eps)[0]
 
@@ -392,15 +397,21 @@ def _walk(trace: MartingaleTrace, eps: float | None = None) -> tuple:
     the prefix partition k-1 (a NaN ends their search), |dM_k| <= 4 eps,
     and |T_{k+m} - M_k| <= 2 eps, T_{k+m} being the running T_k, added in
     order, plus one sum of the next m columns.  Neither is held across
-    the slice, where the walk peaks.  The slice is read as Wt = W[:, :,
-    k].T, whose row i holds E(X_{i+1} | prefix k) on every outcome: each
-    identity takes its residuals over its own rows only (past i < k,
-    future i >= k + m, and the window in between, whose sums add at most
-    m + 1 contiguous rows).  A slice's errors, indexed (outcome, i), are
-    built only when its maximum fails, to name its first worst entry.
-    The past residuals are taken in place, after every other read of the
-    slice.  The endpoint check reads M_0 first and M_N last, against S_n,
-    taken once the last slice is dropped, and S_n gives sigma_n^2."""
+    the slice, where the walk peaks.  No whole slice is held: each block
+    of Wt = W[:, :, k].T that w_blocks yields, whose row i holds
+    E(X_{i+1} | prefix k) on every outcome, is checked as it comes, each
+    identity over its own rows only (past i < k, future i >= k + m, and
+    the window in between).  The window's rows are subtracted from the at
+    most m + 1 kept rows of the slice before, in place, and added row
+    after row, the sum so far carried into a block's first row, so the
+    sum is the one numpy's axis-0 sum of the whole window gives; the
+    kept rows then take rows k..k+m of this slice, from which the partial
+    sum is read once the blocks are done.  A block's errors, indexed
+    (outcome, i), are built only when its maximum fails, to name its
+    first worst entry.  The past residuals are taken in place, after
+    every other read of the block.  The endpoint check reads M_0 first
+    and M_N last, against S_n, taken once the last slice is done, and
+    S_n gives sigma_n^2."""
     cols, p = trace.table.columns, trace.table.prob
     N, n_out = cols.shape
     m = trace.m
@@ -420,7 +431,10 @@ def _walk(trace: MartingaleTrace, eps: float | None = None) -> tuple:
     gap = _SliceErrors("prefix-gap", _BOUND_TOL, names=("outcome", "i"), allowance=2.0 * eps)
     worst, detail = 0.0, None  # the tower's
     head = np.zeros(n_out)  # T_k = X_1 + ... + X_k, added in order
-    prev = np.empty((min(m + 1, N), n_out))  # rows k-1..k-1+m of the last slice
+    # rows k-1..k-1+m of slice k-1, which the window reads and turns into
+    # differences as slice k's blocks come in, each slot then taking row
+    # k+j of slice k; the partial sum reads rows k..hi-1 from it last
+    kept = np.empty((min(m + 1, N), n_out))
     for k, Mk in enumerate(trace.m_columns()):
         hi = min(k + m, N)
         if k > 0:
@@ -434,22 +448,39 @@ def _walk(trace: MartingaleTrace, eps: float | None = None) -> tuple:
             t = cols[k:hi].sum(axis=0)
             t += head
             gap.add(k - 1, np.subtract(t, Mk, out=t))  # T_{k+m} - M_k
-            d = err = t = None  # dropped before the slice
-        Wt = trace.w_slice(k).T
-        future.add(k, Wt[k + m :], k + m)
-        if k == 0:
-            endpoint.add(k, Mk)
+            d = err = t = None  # dropped before the blocks
         else:
-            diff = np.subtract(Wt[k - 1 : hi], prev[: hi - k + 1], out=prev[: hi - k + 1])
-            window.add(k - 1, (Mk - M_prev) - diff.sum(axis=0))
-        partial.add(k, Mk - (head + Wt[k:hi].sum(axis=0)) if hi > k else Mk - head)
+            endpoint.add(k, Mk)
+        dsum = None  # sum of W[i, k] - W[i, k-1] over the window, row after row
+        for i0, Wt in trace.w_blocks(k):
+            i1 = i0 + len(Wt)
+            bounded.add(k, Wt, i0)
+            if i1 > k + m:
+                a = max(k + m, i0)
+                future.add(k, Wt[a - i0 :], a)
+            a, b = max(k - 1, i0), min(hi, i1)
+            if k > 0 and a < b:
+                d = np.subtract(Wt[a - i0 : b - i0], kept[a - k + 1 : b - k + 1], out=kept[a - k + 1 : b - k + 1])
+                if dsum is None:
+                    dsum = d.sum(axis=0)
+                else:  # carried into the first row, so that the rows add in order
+                    d[0] += dsum
+                    d.sum(axis=0, out=dsum)
+            a, b = max(k, i0), min(k + m + 1, i1)
+            if a < b:
+                kept[a - k : b - k] = Wt[a - i0 : b - i0]
+            if i0 < k:  # last, as nothing else reads them: the past residuals in place
+                b = min(k, i1)
+                past.add(k, np.subtract(Wt[: b - i0], cols[i0:b], out=Wt[: b - i0]), i0)
+        Wt = None  # the reader's buffer
+        if k > 0:
+            r = Mk - M_prev
+            window.add(k - 1, np.subtract(r, dsum, out=r))
+        r = kept[: hi - k].sum(axis=0)  # zeros if hi = k
+        r += head
+        partial.add(k, np.subtract(Mk, r, out=r))
         M_prev = Mk
-        bounded.add(k, Wt)
-        # the next window reads rows k..k+m of this slice only
-        prev[: min(m + 1, N - k)] = Wt[k : k + m + 1]
-        # last, as nothing else reads the slice: the past residuals in place
-        past.add(k, np.subtract(Wt[:k], cols[:k], out=Wt[:k]))
-        del Wt
+        dsum = r = None  # dropped before the next tower
 
     sums = trace.table.row_sums()
     endpoint.add(N, M_prev - sums)  # M_prev is M_N
@@ -485,9 +516,10 @@ def truncation_threshold(model: ArrayModel, n: int, eps: float) -> float:
     return eps * math.sqrt(exact_sigma2(model, n)) / max(model.m(n), 1)
 
 
-def _beyond(x: np.ndarray, threshold: float) -> np.ndarray:
-    """Where the entries x go to X'': not |x| <= threshold, so NaN included."""
-    return ~(np.abs(x) <= threshold)
+def _beyond(x: np.ndarray, threshold: float, work: np.ndarray | None = None) -> np.ndarray:
+    """Where the entries x go to X'': not |x| <= threshold, so NaN included;
+    |x| is taken into the buffer work, if given."""
+    return ~(np.abs(x, out=work) <= threshold)
 
 
 @dataclass(frozen=True)
@@ -512,7 +544,7 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
     proof's centring mu_i = E[X_i 1{|X_i| <= t}] is 0, and split-centred
     fails on the first entry whose law is not.  The split enters only
     through which entries go beyond the threshold: each column's mask is
-    taken once and read for X' and again for X'', and two eps whose masks
+    taken for X' and again for X'', and two eps whose masks
     agree give the same results and values but for the threshold, which
     is how check_truncations runs one check per distinct split.
     """
@@ -547,27 +579,30 @@ def check_truncation(trace: MartingaleTrace, eps: float) -> TruncationCheck:
             cov *= p
             np.maximum(out, np.abs(cov, out=cov), out=out)
 
-    # X' from the table's contiguous columns, one mask at a time, each kept
-    # for X'', and X''_i in one row buffer, from which the tail sum and then
-    # additivity read
+    # X' from the table's contiguous columns, one mask at a time, and X''_i
+    # in one row buffer, from which additivity reads, and then, formed
+    # again and squared in place, the tail sum
     additivity = _SliceErrors("split-additivity", 0.0, names=("outcome", "i"))
     tail_sum = 0.0
     row = np.empty(n_out)
-    masks = []  # where X_i goes to X''
     for i, x in enumerate(cols):
-        masks.append(beyond := _beyond(x, threshold))
+        beyond = _beyond(x, threshold, row)
         np.multiply(x, ~beyond, out=part[i])
         np.multiply(x, beyond, out=row)
-        tail_sum += p * np.sum(row**2)
         np.add(part[i], row, out=row)
         additivity.add(i, np.subtract(row, x, out=row))
+        np.multiply(x, beyond, out=row)
+        tail_sum += p * np.sum(np.square(row, out=row))
+    row = beyond = None
     centre_and_band(part)
-    # X'', from the masks of X'
-    for x, beyond, out in zip(cols, masks, part):
-        np.multiply(x, beyond, out=out)
+    # X'', each column's mask taken again
+    for x, out in zip(cols, part):
+        np.multiply(x, _beyond(x, threshold), out=out)
     # E (S'')^2, each outcome's row summed as a C-contiguous row, in the
     # order numpy sums it, one block of outcomes at a time
-    lhs = float(p * np.sum(_row_sums(part.T) ** 2))
+    s = _row_sums(part.T)
+    lhs = float(p * np.sum(np.square(s, out=s)))
+    s = None
     centre_and_band(part)
     tail_sum = float(tail_sum)
     band = _SliceErrors("split-banded", _EXPECTATION_TOL, names=("i", "j"))

@@ -5,7 +5,7 @@ sampled row, the law of one entry, the law of a sign combination over
 every sign pattern, the covariance band, the window variance summed from
 it, Var S_n over enumerated outcomes, the outcome table from one matrix of
 every innovation's signs, the martingale M stored per outcome, and the
-per-outcome M, dM and truncation parts of a trace."""
+per-outcome M, dM, slices of W and truncation parts of a trace."""
 
 from __future__ import annotations
 
@@ -197,6 +197,12 @@ def trace_M(trace):
     """(outcomes, N+1): M[:, k] = M_k on every outcome, as the trace's
     m_columns() gathers it, copied column by column."""
     return np.stack(list(map(np.copy, trace.m_columns())), axis=1)
+
+
+def w_slice(trace, k):
+    """W[:, :, k] as an (outcomes, N) array whose transpose is C-contiguous,
+    from the trace's blocks of it, each copied as it comes."""
+    return np.concatenate([block.copy() for _, block in trace.w_blocks(k)]).T
 
 
 def trace_dM(trace):

@@ -466,6 +466,27 @@ def test_sweep_csv_table(tmp_path):
 # configuration handling
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cmd", "clt", "--model", "iid-baseline", "--n-grid", "16", "--reps", "100"],
+        ["--cmd", "conditions", "--model", "moving-average", "--n-grid", "6..22"],
+        ["--cmd", "oracle", "--model", "two-scale", "--n-grid", "4"],
+        ["--cmd", "sweep"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_stdout_is_strict_json(capsys, argv):
+    # JSON has no NaN or Infinity, and a strict parser stops at the first
+    # such token: a value with no finite float prints as null.  The
+    # moving-average conditions run holds 8 reports with no fitted slope
+    def reject(token):
+        raise ValueError(f"not a JSON token: {token}")
+
+    assert run_cli(*argv) in (0, 1)  # a violated check prints its payload too
+    json.loads(capsys.readouterr().out, parse_constant=reject)
+
+
 def test_malformed_config_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"family": "two-scale", "alpha": 0.9}))

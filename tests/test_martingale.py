@@ -20,7 +20,7 @@ import mdepclt as m
 from mdepclt import cli
 from mdepclt import martingale as mart
 
-from conftest import per_outcome_M, split_rows, trace_dM, trace_M, weighted_sum
+from conftest import per_outcome_M, split_rows, trace_dM, trace_M, w_slice, weighted_sum
 
 
 def oracle_models():
@@ -128,16 +128,19 @@ def test_block_repeat_increments_jump_at_block_starts(traces):
 
 
 def _perturbed(trace, edit):
-    """A copy of trace whose slice method hands every fresh W[:, :, k] to
-    edit(k, Wk), which changes it in place; M and dM stay as built."""
+    """A copy of trace whose W reader hands every fresh W[:, :, k] to
+    edit(k, Wk), which changes it in place, and then yields the edited
+    slice in the reader's blocks; M and dM stay as built."""
     bad = copy.copy(trace)
 
-    def w_slice(k, *args):
-        Wk = trace.w_slice(k, *args)
-        edit(k, Wk)
-        return Wk
+    def w_blocks(k):
+        blocks = [(i0, block.copy()) for i0, block in trace.w_blocks(k)]
+        Wt = np.concatenate([block for _, block in blocks])
+        edit(k, Wt.T)
+        for i0, block in blocks:
+            yield i0, Wt[i0 : i0 + len(block)]
 
-    bad.w_slice = w_slice
+    bad.w_blocks = w_blocks
     return bad
 
 
@@ -162,7 +165,7 @@ def _with_M(trace, M):
 
 
 def _bumped(trace, o, i, k, delta):
-    """W[o, i, k] += delta, through the slice method."""
+    """W[o, i, k] += delta, through the W reader."""
 
     def edit(kk, Wk):
         if kk == k:
@@ -228,9 +231,17 @@ def test_a_non_finite_w_entry_fails_the_identity_of_its_region(traces, i, k, ide
 
 
 def test_slices_are_laid_out_variables_by_outcomes(traces):
+    # each block of a slice is C-contiguous, one row of conditional means
+    # per variable, and the blocks cover the variables in order
     for _, _, trace in traces.values():
+        N, n_out = trace.table.columns.shape
         for k in range(len(trace.prefix_ids)):
-            assert trace.w_slice(k).T.flags.c_contiguous, k
+            i = 0
+            for i0, block in trace.w_blocks(k):
+                assert i0 == i and block.flags.c_contiguous and block.shape[1] == n_out, k
+                assert block.size <= max(n_out, mart._C_BLOCK), k
+                i += len(block)
+            assert i == N, k
 
 
 def _reference_partition_and_W(table):
@@ -273,7 +284,7 @@ def test_prefix_refinement_is_the_whole_prefix_partition(model, n):
     for k, (got, want) in enumerate(zip(trace.prefix_ids, ids)):
         assert np.array_equal(got, want), f"k={k}"
     N = trace.table.rows.shape[1]
-    assert np.array_equal(np.stack([trace.w_slice(k) for k in range(N + 1)], axis=2), W)
+    assert np.array_equal(np.stack([w_slice(trace, k) for k in range(N + 1)], axis=2), W)
 
 
 def _refinement(cells, labels, values):
@@ -675,10 +686,11 @@ def test_trace_memory_stays_below_one_w_tensor():
 
 
 #: the peak of each oracle stage at two-scale n = 8, counting the trace
-#: it reads, as a multiple of the rows: 1.75, 2.37, 3.54 and 2.94 at the
-#: last measurement.  A stage over its bound is the ceiling on the
-#: oracle's peak memory
-_STAGE_MULTIPLES = {"enumeration": 2.0, "build": 2.5, "summary": 3.75, "truncation": 3.25}
+#: it reads, as a multiple of the rows: 1.88, 1.56, 2.67 and 2.73 at the
+#: last measurement (summary 3.54 while the walk held whole slices of W,
+#: truncation 2.98 while it kept each column's mask of the split).  A
+#: stage over its bound is the ceiling on the oracle's peak memory
+_STAGE_MULTIPLES = {"enumeration": 2.0, "build": 2.5, "summary": 3.1, "truncation": 3.0}
 
 
 @pytest.mark.parametrize("stage", _STAGE_MULTIPLES)
@@ -1241,6 +1253,71 @@ def test_oracle_work_counts_at_two_scale_n_8(monkeypatch):
     passes["m_columns"] = 0
     m.check_trace(trace)
     assert passes["m_columns"] == 1
+
+
+def test_oracle_work_counts_on_a_wide_row(monkeypatch):
+    # block-repeat m = 300 at n = 300: 2 outcomes and 300 columns.  Each
+    # slice of W is one block, so a summary makes per level one count and
+    # one block bincount, and the tower's 300 cell sums (90 901 when every
+    # variable of every slice took its own bincount)
+    trace = m.build_trace(m.build_model("block-repeat", m_schedule=300), 300)
+    N, n_out = trace.table.columns.shape
+    assert (N, n_out) == (300, 2)
+    blocks = -(-N * n_out // max(n_out, mart._C_BLOCK))
+    calls = {"bincount": 0}
+    bincount = np.bincount
+
+    def counted_bincount(*args, **kwargs):
+        calls["bincount"] += 1
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    m.trace_summary(trace)
+    assert blocks == 1 and calls["bincount"] == (N + 1) * (1 + blocks) + N == 902
+
+
+#: rows whose every slice is one block, read again in blocks of 1, 2, 3
+#: and 5 variables; on the last, m >= N, so every window spans blocks
+_BLOCK_ROWS = [
+    (m.build_model("two-scale", alpha=0.3), 6),
+    (m.build_model("iid-baseline"), 7),
+    (m.build_model("moving-average", coeffs=(1.0, -0.5, 0.25), amplitude=2.5), 9),
+    (m.build_model("block-repeat", m_schedule=3), 9),
+    (m.build_model("block-repeat", m_schedule=40), 40),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("model,n", _BLOCK_ROWS, ids=lambda v: v.describe() if isinstance(v, m.ArrayModel) else str(v))
+def test_the_walk_does_not_depend_on_the_block_size(monkeypatch, model, n, rows):
+    # every result, failures and their first worst entries included, is
+    # the one-block walk's to the bit: the window's sums add their rows in
+    # order across blocks.  Entries are bumped in the past, the window and
+    # the future, two equal worst |W| go into the first and the last
+    # variable, the last at the first outcome, which comes first in C
+    # order, and a NaN goes into the last variable
+    trace = m.build_trace(model, n)
+    n_out, N = trace.table.rows.shape
+    assert N * n_out <= mart._C_BLOCK
+
+    def bump(k, Wk):
+        if k == N // 2:
+            Wk[n_out // 3, [0, k, N - 1]] += 1e-3
+            Wk[0, N - 1] = Wk[n_out - 1, 0] = 5.0
+
+    def nan(k, Wk):
+        if k == 1:
+            Wk[n_out // 2, N - 1] = np.nan
+
+    def walks():
+        eps = max(trace.m, 1) * float(np.abs(trace.table.rows).max())
+        bad = [_perturbed(trace, edit) for edit in (bump, nan)]
+        return [repr(mart._walk(t, e)) for t in [trace, *bad] for e in (None, 2 * eps)]
+
+    whole = walks()
+    monkeypatch.setattr(mart, "_C_BLOCK", rows * n_out)
+    assert len(list(trace.w_blocks(0))) == -(-N // rows)
+    assert walks() == whole
 
 
 def test_trace_summary_builds_each_slice_once(traces):
